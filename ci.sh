@@ -36,6 +36,12 @@ CSO_SOLVER_THREADS=4 cargo test -q --workspace --offline
 echo "==> cargo test (CSO_SYNTH_CACHE=off)"
 CSO_SYNTH_CACHE=off cargo test -q --workspace --offline
 
+# The perf ledger is a standalone package (its own workspace and lock
+# file), so the workspace passes above never build it. Its tests include
+# a scan that fails when the ledger calls API the roadmap deletes.
+echo "==> ledger tests"
+cargo test -q --offline --manifest-path ledger/Cargo.toml
+
 # Miri pass over the runtime substrate (PRNG, pool, prop, trace): the
 # rest of the workspace forbids `unsafe` outright, so cso-runtime — the
 # one crate whose threading code could ever need it — is the only crate
@@ -95,7 +101,7 @@ CSO_TRACE="jsonl:$GOLD/trace.jsonl" cargo run -q --release --offline -p cso-benc
 diff "$GOLD/warm/table1.csv" "$GOLD/traced/table1.csv"
 
 # Lint-gated campaign: with CSO_LINT=deny the engine runs the analyzer
-# (and its box pretightening) before every synthesis; on well-formed
+# before every synthesis; on well-formed
 # sketches that must not move a single byte of the semantic CSV.
 echo "==> table1.csv golden diff (CSO_LINT=deny vs default)"
 CSO_LINT=deny cargo run -q --release --offline -p cso-bench --bin repro -- \
@@ -137,17 +143,6 @@ grep -q 'engine.iteration' "$GOLD/flame.txt"
 grep -q 'solver.bnp' "$GOLD/flame.txt"
 rm -rf "$GOLD"
 
-# Steppable-engine golden: driving every repro run through the public
-# step/answer Session API (CSO_REPRO_DRIVER=session) must reproduce the
-# legacy Synthesizer::run campaign byte for byte.
-echo "==> table1.csv golden diff (session driver vs run)"
-GOLD=$(mktemp -d)
-cargo run -q --release --offline -p cso-bench --bin repro -- table1 --csv "$GOLD/run" >/dev/null
-CSO_REPRO_DRIVER=session cargo run -q --release --offline -p cso-bench --bin repro -- \
-    table1 --csv "$GOLD/stepped" >/dev/null
-diff "$GOLD/run/table1.csv" "$GOLD/stepped/table1.csv"
-rm -rf "$GOLD"
-
 # Service smoke: a 64-session fleet with snapshot eviction enabled must
 # drive every session to Done and emit a parseable BENCH_serve.json.
 echo "==> cso-serve fleet smoke (64 sessions, eviction on, metrics on)"
@@ -185,6 +180,18 @@ cargo run -q --release --offline -p cso-bench --bin perf-diff -- \
 if cargo run -q --release --offline -p cso-bench --bin perf-diff -- \
     crates/bench/fixtures/perf_base.json crates/bench/fixtures/perf_slow.json; then
     echo "perf-diff missed the injected regression" >&2
+    exit 1
+fi
+
+# Ledger smoke: every workload, untraced and traced, on a shortened run.
+# The runner exits nonzero when any correctness check fails; the result
+# lines it collects in ledger/out/ledger.json must all read
+# "correct": true.
+echo "==> ledger --all --smoke"
+cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --all --smoke
+grep -q '"correct": true' ledger/out/ledger.json
+if grep -q '"correct": false' ledger/out/ledger.json; then
+    echo "ledger smoke reported an incorrect workload" >&2
     exit 1
 fi
 

@@ -21,11 +21,6 @@
 //! Diagnostics ([`diag`]) carry byte spans from the sketch parser, a
 //! severity, stable lint codes, and render both pretty (for stderr) and
 //! as deterministic JSON (for golden files and tooling).
-//!
-//! The derived hole enclosures are outward-rounded supersets of the
-//! declared bounds, so feeding them back to the solver as initial box
-//! tightening is an exact no-op on well-formed sketches — synthesis
-//! outcomes stay byte-identical (see the engine's pretightening tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

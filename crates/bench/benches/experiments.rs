@@ -117,8 +117,8 @@ fn fig5(c: &mut Criterion) {
 
 /// The incremental synthesis loop: identical runs with the caches cold
 /// (`incremental = false`, every query solved from scratch) and warm
-/// (`incremental = true`, the default: clause reuse, exact memo replay
-/// and warm-started refutation). Both arms synthesize the same objective
+/// (`incremental = true`, the default: clause reuse and exact memo
+/// replay). Both arms synthesize the same objective
 /// byte for byte — the `incremental_equivalence` tests enforce that — so
 /// the timing gap here is pure cache effect. This is the group CI smokes
 /// and the one `BENCH_synth.json` baselines.

@@ -5,34 +5,8 @@ use cso_sketch::swan::{swan_sketch, swan_target_with};
 use cso_synth::verify::preference_agreement;
 use cso_synth::{
     GroundTruthOracle, IndifferenceOracle, MetricSpace, NoisyOracle, Oracle, RunSummary,
-    StepResult, SynthConfig, SynthError, SynthOutcome, SynthResult, Synthesizer,
+    SynthConfig, SynthOutcome, Synthesizer,
 };
-
-/// Run `synth` against `oracle` to completion.
-///
-/// With `CSO_REPRO_DRIVER=session` the loop is driven through the public
-/// step/answer session machinery instead of the in-process
-/// [`Synthesizer::run`] driver. Synthesis outcomes are byte-identical
-/// either way (CI golden-diffs `table1.csv` across both drivers); the
-/// session path ranks while the engine is parked, so the non-deterministic
-/// `oracle_secs` telemetry column reads 0 there — park time is excluded
-/// from synthesis time by design.
-fn drive(synth: &mut Synthesizer, oracle: &mut dyn Oracle) -> Result<SynthResult, SynthError> {
-    let by_session = std::env::var("CSO_REPRO_DRIVER").is_ok_and(|v| v == "session");
-    if !by_session {
-        return synth.run(oracle);
-    }
-    loop {
-        match synth.step() {
-            StepResult::NeedsRanking { scenarios, .. } => {
-                let ranking = oracle.rank(&scenarios);
-                synth.answer(&ranking)?;
-            }
-            StepResult::Done(r) => return Ok(*r),
-            StepResult::Rejected(e) => return Err(e),
-        }
-    }
-}
 
 /// How heavy an experiment campaign to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,13 +82,6 @@ pub struct RunOutcome {
     /// Preference-edge clauses served from the query-layer cache instead
     /// of recompiled (zero when the cache is off).
     pub clauses_reused: usize,
-    /// Frontier boxes carried across iterations and re-refuted under a
-    /// strengthened query (zero when the cache is off).
-    pub boxes_carried: usize,
-    /// Solver dimensions the static analyzer's inferred enclosures
-    /// strictly tightened before the run (zero on well-formed sketches —
-    /// the byte-identity invariant).
-    pub boxes_pretightened: usize,
     /// Wall-clock seconds spent in solver seeding phases (not
     /// deterministic — telemetry CSV only).
     pub seeding_secs: f64,
@@ -134,7 +101,7 @@ fn one_run(target: (i64, i64, i64, i64), cfg_template: &SynthConfig, seed: u64) 
     let mut synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), cfg)
         .expect("SWAN sketch matches its metric space");
     let mut oracle = GroundTruthOracle::new(target_obj.clone());
-    let result = drive(&mut synth, &mut oracle).expect("ground-truth oracle is consistent");
+    let result = synth.run(&mut oracle).expect("ground-truth oracle is consistent");
     let agreement = preference_agreement(
         &result.objective,
         &target_obj,
@@ -156,8 +123,6 @@ fn one_run(target: (i64, i64, i64, i64), cfg_template: &SynthConfig, seed: u64) 
         eval_errors: solver.eval_errors,
         cache_hits: solver.cache_hits,
         clauses_reused: solver.clauses_reused,
-        boxes_carried: solver.boxes_carried,
-        boxes_pretightened: solver.boxes_pretightened,
         seeding_secs: solver.seeding_time.as_secs_f64(),
         bnp_secs: solver.bnp_time.as_secs_f64(),
         oracle_secs: result.stats.oracle_secs(),
@@ -374,7 +339,7 @@ pub fn ablation(profile: ExperimentProfile) -> Vec<AblationRow> {
             let mut synth =
                 Synthesizer::new(swan_sketch(), MetricSpace::swan(), cfg).expect("valid setup");
             let mut oracle = GroundTruthOracle::new(target.clone());
-            if let Ok(r) = drive(&mut synth, &mut oracle) {
+            if let Ok(r) = synth.run(&mut oracle) {
                 completed += 1;
                 iters.push(r.stats.iterations() as f64);
                 totals.push(r.stats.total_secs());
@@ -410,7 +375,7 @@ pub fn ablation(profile: ExperimentProfile) -> Vec<AblationRow> {
             let mut synth =
                 Synthesizer::new(swan_sketch(), MetricSpace::swan(), c).expect("valid setup");
             let mut oracle = IndifferenceOracle::new(target.clone(), Rat::from_int(10));
-            if let Ok(r) = drive(&mut synth, &mut oracle) {
+            if let Ok(r) = synth.run(&mut oracle) {
                 completed += 1;
                 iters.push(r.stats.iterations() as f64);
                 totals.push(r.stats.total_secs());
@@ -451,7 +416,7 @@ pub fn ablation(profile: ExperimentProfile) -> Vec<AblationRow> {
                 Synthesizer::new(swan_sketch(), MetricSpace::swan(), c).expect("valid setup");
             let mut oracle =
                 NoisyOracle::new(GroundTruthOracle::new(target.clone()), 0.1, 77 + i as u64);
-            if let Ok(r) = drive(&mut synth, &mut oracle) {
+            if let Ok(r) = synth.run(&mut oracle) {
                 completed += 1;
                 iters.push(r.stats.iterations() as f64);
                 totals.push(r.stats.total_secs());
@@ -491,7 +456,7 @@ pub fn run_with_oracle<O: Oracle>(
     oracle: &mut O,
 ) -> Result<cso_synth::SynthResult, cso_synth::SynthError> {
     let mut synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), cfg)?;
-    drive(&mut synth, oracle)
+    synth.run(oracle)
 }
 
 #[cfg(test)]
@@ -541,8 +506,7 @@ mod tests {
         let tel = crate::report::csv_table1_telemetry(&a_res);
         assert!(tel.starts_with(
             "run,solver_queries,boxes_explored,boxes_pruned,eval_errors,\
-             cache_hits,clauses_reused,boxes_carried,boxes_pretightened,\
-             seeding_secs,bnp_secs,oracle_secs\n"
+             cache_hits,clauses_reused,seeding_secs,bnp_secs,oracle_secs\n"
         ));
         assert_eq!(tel.lines().count(), 4, "header + 3 runs:\n{tel}");
     }

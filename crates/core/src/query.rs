@@ -62,9 +62,9 @@ pub struct QueryBuilder {
     edge_clauses: RefCell<HashMap<(ScenarioId, ScenarioId), CachedClause>>,
     /// Like `edge_clauses`, for the two tie atoms of an indifference pair.
     tie_clauses: RefCell<HashMap<(ScenarioId, ScenarioId), (CachedClause, Formula)>>,
-    /// Whole-feasibility cache, keyed by the graph's `(revision, epoch)`.
+    /// Whole-feasibility cache, keyed by the graph's revision.
     /// Valid only because one builder serves one graph per run.
-    feas_cache: RefCell<Option<(u64, u64, Formula)>>,
+    feas_cache: RefCell<Option<(u64, Formula)>>,
     clauses_reused: Cell<usize>,
     clauses_compiled: Cell<usize>,
 }
@@ -119,9 +119,9 @@ impl QueryBuilder {
     ///
     /// Caching is pure memoization of deterministic compilation, so the
     /// produced formulas are byte-identical either way. The composite
-    /// feasibility cache is keyed by graph `(revision, epoch)`, so a
-    /// caching builder must serve a *single* graph whose counters only
-    /// move forward — exactly the engine's usage.
+    /// feasibility cache is keyed by the graph's revision, so a caching
+    /// builder must serve a *single* graph whose revision only moves
+    /// forward — exactly the engine's usage.
     pub fn set_caching(&self, on: bool) {
         self.caching.set(on);
         if !on {
@@ -173,13 +173,13 @@ impl QueryBuilder {
     /// With [`QueryBuilder::set_caching`] enabled, each preference edge's
     /// clause is compiled once and reused while the edge's scenarios are
     /// unchanged, and the composite formula is reused as long as the
-    /// graph's `(revision, epoch)` pair is — caching never changes the
+    /// graph's revision is — caching never changes the
     /// produced formula, only how much of it is recompiled.
     #[must_use]
     pub fn feasibility(&self, graph: &PrefGraph<Scenario>) -> Formula {
         if self.caching.get() {
-            if let Some((rev, ep, f)) = &*self.feas_cache.borrow() {
-                if *rev == graph.revision() && *ep == graph.epoch() {
+            if let Some((rev, f)) = &*self.feas_cache.borrow() {
+                if *rev == graph.revision() {
                     trace::counter("query.feas_cache", || vec![("hit", Value::U64(1))]);
                     return f.clone();
                 }
@@ -205,7 +205,7 @@ impl QueryBuilder {
         }
         let f = Formula::and(conjuncts);
         if self.caching.get() {
-            *self.feas_cache.borrow_mut() = Some((graph.revision(), graph.epoch(), f.clone()));
+            *self.feas_cache.borrow_mut() = Some((graph.revision(), f.clone()));
         }
         f
     }

@@ -44,24 +44,15 @@ pub struct SolverTelemetry {
     /// Preference-edge clauses served from the query-layer cache instead
     /// of being recompiled.
     pub clauses_reused: usize,
-    /// Frontier boxes carried from an earlier unsat-like query and
-    /// re-verified refuted under a strengthened one (warm-started Unsat).
-    pub boxes_carried: usize,
-    /// Solver dimensions whose initial box the static analyzer's inferred
-    /// enclosures strictly tightened before the run. Zero on well-formed
-    /// sketches — the enclosures are supersets of the declared ranges by
-    /// construction, which is what keeps synthesis outcomes byte-identical
-    /// with pretightening on or off.
-    pub boxes_pretightened: usize,
 }
 
 impl SolverTelemetry {
     /// Fold one solver query's statistics into the aggregate.
     ///
     /// Only covers what [`SolverStats`] reports — physical solver work.
-    /// The cache-layer fields (`cache_hits`, `clauses_reused`,
-    /// `boxes_carried`) come from the engine's cache paths and flow in
-    /// through [`SolverTelemetry::merge`].
+    /// The cache-layer fields (`cache_hits`, `clauses_reused`) come from
+    /// the engine's cache paths and flow in through
+    /// [`SolverTelemetry::merge`].
     pub fn absorb(&mut self, s: &SolverStats) {
         self.queries += 1;
         self.boxes_explored += s.boxes_processed;
@@ -91,8 +82,6 @@ impl SolverTelemetry {
             max_workers,
             cache_hits,
             clauses_reused,
-            boxes_carried,
-            boxes_pretightened,
         } = *other;
         self.queries += queries;
         self.boxes_explored += boxes_explored;
@@ -105,14 +94,12 @@ impl SolverTelemetry {
         self.max_workers = self.max_workers.max(max_workers);
         self.cache_hits += cache_hits;
         self.clauses_reused += clauses_reused;
-        self.boxes_carried += boxes_carried;
-        self.boxes_pretightened += boxes_pretightened;
     }
 
     /// Reconstruct an aggregate from a trace event stream — the bridge
     /// that keeps counters and traces from ever disagreeing. Folds the
     /// counter events the engine emits (`solver.query`, `cache.memo_hit`,
-    /// `cache.warm_unsat`, `query.clauses`, `engine.pretighten`); phase
+    /// `query.clauses`); phase
     /// times travel as whole nanoseconds, so the reconstruction is exact,
     /// not approximate.
     #[must_use]
@@ -135,14 +122,8 @@ impl SolverTelemetry {
                     t.max_workers = t.max_workers.max(e.field_u64("workers").unwrap_or(0) as usize);
                 }
                 "cache.memo_hit" => t.cache_hits += 1,
-                "cache.warm_unsat" => {
-                    t.boxes_carried += e.field_u64("boxes").unwrap_or(0) as usize;
-                }
                 "query.clauses" => {
                     t.clauses_reused += e.field_u64("reused").unwrap_or(0) as usize;
-                }
-                "engine.pretighten" => {
-                    t.boxes_pretightened += e.field_u64("dims").unwrap_or(0) as usize;
                 }
                 _ => {}
             }
@@ -344,10 +325,9 @@ mod tests {
         // fields flow through `merge` and must stay untouched here.
         assert_eq!(t.cache_hits, 0);
         assert_eq!(t.clauses_reused, 0);
-        assert_eq!(t.boxes_carried, 0);
     }
 
-    /// Every field — including the PR 3 cache fields — survives
+    /// Every field — including the cache-layer fields — survives
     /// aggregation; a dropped field here would silently zero a
     /// `table1_telemetry.csv` column.
     #[test]
@@ -364,8 +344,6 @@ mod tests {
             max_workers: 8,
             cache_hits: 9,
             clauses_reused: 10,
-            boxes_carried: 11,
-            boxes_pretightened: 12,
         };
         let mut t = a;
         t.merge(&SolverTelemetry { max_workers: 3, ..a });
@@ -383,8 +361,6 @@ mod tests {
                 max_workers: 8,
                 cache_hits: 18,
                 clauses_reused: 20,
-                boxes_carried: 22,
-                boxes_pretightened: 24,
             }
         );
     }
@@ -422,9 +398,7 @@ mod tests {
             ),
             counter("cache.memo_hit", vec![("site", 2)]),
             counter("cache.memo_hit", vec![("site", 3)]),
-            counter("cache.warm_unsat", vec![("site", 2), ("boxes", 12)]),
             counter("query.clauses", vec![("reused", 30), ("compiled", 5)]),
-            counter("engine.pretighten", vec![("dims", 2)]),
         ];
         let t = SolverTelemetry::from_events(&events);
         let mut expect = SolverTelemetry::default();
@@ -441,9 +415,7 @@ mod tests {
         });
         expect.merge(&SolverTelemetry {
             cache_hits: 2,
-            boxes_carried: 12,
             clauses_reused: 30,
-            boxes_pretightened: 2,
             ..SolverTelemetry::default()
         });
         assert_eq!(t, expect);

@@ -1,9 +1,9 @@
 //! Differential harness: the incremental caches are *purely* an
 //! optimization.
 //!
-//! The engine's clause cache, exact solver-query memoization and
-//! warm-started refutation may only change how much physical work the
-//! solver does — never what the synthesis loop observes. This test runs
+//! The engine's clause cache and exact solver-query memoization may only
+//! change how much physical work the solver does — never what the
+//! synthesis loop observes. This test runs
 //! the full SWAN synthesis twice per configuration, once with
 //! `SynthConfig::incremental = true` (the default) and once with the
 //! kill-switch thrown, and asserts the two trajectories are
@@ -20,8 +20,8 @@
 //!
 //! The matrix crosses ≥ 3 seeds with solver thread counts {1, 4}: the
 //! parallel solver is thread-count-invariant by construction, and the
-//! caches must preserve that (frontier order, memo replay and clause
-//! reuse are all deterministic regardless of worker count).
+//! caches must preserve that (memo replay and clause reuse are both
+//! deterministic regardless of worker count).
 
 use cso_numeric::Rat;
 use cso_sketch::swan::{swan_sketch, swan_target};

@@ -126,13 +126,6 @@ pub struct SolverConfig {
     pub seed: u64,
     /// Enable phase 1 (seeding). Disabled for the seeding ablation.
     pub use_seeding: bool,
-    /// Record the undecided *frontier* of an unsat-like run: the residual
-    /// boxes (and, on [`Outcome::Exhausted`], the unexplored stack). The
-    /// frontier over-approximates wherever a model could still hide, so a
-    /// later **strengthened** query may soundly skip branch-and-prune if it
-    /// interval-refutes every frontier box (see [`crate::cache`]).
-    /// Observation only: outcomes and counters are unchanged by this flag.
-    pub collect_frontier: bool,
     /// Worker threads for branch-and-prune (1 = sequential). Outcomes are
     /// byte-identical for every value; this knob only buys wall-clock.
     /// Defaults to `CSO_SOLVER_THREADS` when set, else 1 — engine runs are
@@ -161,7 +154,6 @@ impl Default for SolverConfig {
             jitters_per_seed: 16,
             seed: 0xC50_5EED,
             use_seeding: true,
-            collect_frontier: false,
             threads: default_threads(),
             tape: tape_default(),
         }
@@ -234,9 +226,6 @@ pub struct Solver {
     rng: Rng,
     /// Statistics from the most recent `solve` call.
     pub stats: SolverStats,
-    /// Frontier of the most recent unsat-like run, when
-    /// [`SolverConfig::collect_frontier`] is set (see [`Solver::take_frontier`]).
-    frontier: Option<Vec<BoxDomain>>,
 }
 
 /// Boxes per branch-and-prune round. Fixed — never derived from the
@@ -472,19 +461,7 @@ impl Solver {
     #[must_use]
     pub fn new(cfg: SolverConfig) -> Solver {
         let rng = Rng::seed_from_u64(cfg.seed);
-        Solver { cfg, rng, stats: SolverStats::default(), frontier: None }
-    }
-
-    /// Take the frontier recorded by the last unsat-like `solve` call, if
-    /// [`SolverConfig::collect_frontier`] was set.
-    ///
-    /// The returned boxes **cover** every point the run did not soundly
-    /// refute: the residual sub-δ boxes, plus — on [`Outcome::Exhausted`] —
-    /// the entire unexplored stack. An empty vector is an [`Outcome::Unsat`]
-    /// certificate (nothing survived). `None` means the run was satisfiable,
-    /// decided before branch-and-prune, or collection was off.
-    pub fn take_frontier(&mut self) -> Option<Vec<BoxDomain>> {
-        self.frontier.take()
+        Solver { cfg, rng, stats: SolverStats::default() }
     }
 
     /// The active configuration.
@@ -509,10 +486,9 @@ impl Solver {
 
     /// Solve a query the caller compiled once with
     /// [`CompiledQuery::prepare`] — the engine prepares per query so the
-    /// solver, the exact certifier, and the cache's warm-start refutation
-    /// share one compilation. `dom` must be contained in the box the query
-    /// was prepared over (the tape's domain-seeded verdicts are only sound
-    /// on sub-boxes).
+    /// solver and the exact certifier share one compilation. `dom` must be
+    /// contained in the box the query was prepared over (the tape's
+    /// domain-seeded verdicts are only sound on sub-boxes).
     pub fn solve_compiled(
         &mut self,
         q: &CompiledQuery,
@@ -566,18 +542,12 @@ impl Solver {
     ) -> Outcome {
         self.stats = SolverStats::default();
         self.stats.workers = 1;
-        self.frontier = None;
         match q.simplified {
             Formula::True => {
                 let m = self.certify(&Formula::True, &Solver::mid_values(dom));
                 return Outcome::Sat(m.unwrap_or_else(|| Model::new(Solver::mid_values(dom))));
             }
-            Formula::False => {
-                if self.cfg.collect_frontier {
-                    self.frontier = Some(Vec::new());
-                }
-                return Outcome::Unsat;
-            }
+            Formula::False => return Outcome::Unsat,
             _ => {}
         }
 
@@ -672,9 +642,6 @@ impl Solver {
                 Tri::False => {
                     self.stats.boxes_processed = 1;
                     self.stats.boxes_pruned = 1;
-                    if self.cfg.collect_frontier {
-                        self.frontier = Some(Vec::new());
-                    }
                     return Outcome::Unsat;
                 }
                 Tri::Unknown => root_pending.push(i as u32),
@@ -689,18 +656,10 @@ impl Solver {
         // Depth-first stack of unexplored boxes; the top is the deepest.
         let mut stack = vec![BoxTask { dom: dom.clone(), pending: root_pending, id: 0 }];
         let mut next_id: u64 = 1;
-        // Residual box domains, kept only for frontier collection.
-        let mut residual_doms: Vec<BoxDomain> = Vec::new();
 
         while !stack.is_empty() {
             let remaining = self.cfg.max_boxes.saturating_sub(self.stats.boxes_processed);
             if remaining == 0 {
-                if self.cfg.collect_frontier {
-                    // The frontier is everything not yet refuted: the
-                    // residual boxes plus the whole unexplored stack.
-                    residual_doms.extend(stack.iter().map(|t| t.dom.clone()));
-                    self.frontier = Some(residual_doms);
-                }
                 return Outcome::Exhausted;
             }
             // Pop a fixed-size batch; batch[0] is the stack top — exactly
@@ -730,7 +689,7 @@ impl Solver {
             // every counter matches the sequential solver exactly.
             let mut sat: Option<Model> = None;
             let mut child_sets: Vec<Vec<(BoxDomain, Vec<u32>)>> = Vec::with_capacity(b);
-            for (i, res) in results.into_iter().enumerate() {
+            for res in results {
                 match res.verdict {
                     TaskVerdict::Skipped => {
                         // Unreachable before the winning index by
@@ -748,12 +707,7 @@ impl Solver {
                                 sat = Some(m);
                                 break;
                             }
-                            TaskVerdict::Residual => {
-                                self.stats.residual_boxes += 1;
-                                if self.cfg.collect_frontier {
-                                    residual_doms.push(batch[i].dom.clone());
-                                }
-                            }
+                            TaskVerdict::Residual => self.stats.residual_boxes += 1,
                             TaskVerdict::Split(children) => child_sets.push(children),
                             TaskVerdict::Skipped => unreachable!("matched above"),
                         }
@@ -773,9 +727,6 @@ impl Solver {
             }
         }
 
-        if self.cfg.collect_frontier {
-            self.frontier = Some(residual_doms);
-        }
         if self.stats.residual_boxes == 0 {
             Outcome::Unsat
         } else {

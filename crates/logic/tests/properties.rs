@@ -200,99 +200,6 @@ fn solver_unsat_is_sound() {
     );
 }
 
-/// Corners and centre of a box, as exact rationals (every finite f64 is
-/// exactly representable as a `Rat`).
-fn box_probe_points(dom: &BoxDomain) -> Vec<Vec<Rat>> {
-    let ivs = dom.intervals();
-    let n = ivs.len();
-    let mut pts = Vec::with_capacity((1 << n) + 1);
-    for mask in 0..(1u32 << n) {
-        let pt: Vec<Rat> = (0..n)
-            .map(|i| {
-                let iv = &ivs[i];
-                let x = if mask & (1 << i) != 0 { iv.hi() } else { iv.lo() };
-                Rat::from_f64(x).expect("finite bound")
-            })
-            .collect();
-        pts.push(pt);
-    }
-    pts.push(ivs.iter().map(|iv| Rat::from_f64((iv.lo() + iv.hi()) / 2.0).unwrap()).collect());
-    pts
-}
-
-/// Warm-start soundness: solve a random formula `f` with frontier
-/// collection on; the frontier boxes cover everything the run did not
-/// soundly refute. Strengthen to `f ∧ c` (which entails `f` — exactly the
-/// contract the synthesis engine maintains between iterations) and check
-/// both halves of the warm-start bargain:
-///
-/// * **dropped boxes are genuinely killed** — any frontier box that
-///   interval evaluation refutes under `f ∧ c` really contains no
-///   satisfying point (checked exactly at its corners and centre);
-/// * **a warm Unsat claim is sound** — when every carried box is refuted
-///   and the cache short-circuits to Unsat, a cold solve of `f ∧ c` must
-///   not find a model (Sat models are exactly certified, so one would be
-///   an irrefutable counterexample).
-///
-/// Kept (unrefuted) boxes force the fallback path; the cache must then
-/// answer nothing and leave the cold solver in charge.
-#[test]
-fn warm_start_frontier_is_sound() {
-    use cso_logic::cache::{refutes, SolverCache};
-    prop::check_with(
-        &cfg128(),
-        "warm_start_frontier_is_sound",
-        &zip2(arb_formula(), arb_formula()),
-        |(f, extra)| {
-            let mut dom = BoxDomain::with_len(NVARS);
-            for i in 0..NVARS {
-                dom.set(VarId::from_index(i), Interval::new(-10.0, 10.0));
-            }
-            let cfg = SolverConfig {
-                max_boxes: 1_000,
-                initial_samples: 32,
-                collect_frontier: true,
-                ..SolverConfig::default()
-            };
-            let mut s = Solver::new(cfg.clone());
-            if let Outcome::Sat(_) = s.solve(f, &dom) {
-                return Ok(()); // sat runs carry no frontier
-            }
-            let frontier = s.take_frontier().expect("unsat-like run collects a frontier");
-            let f2 = Formula::and(vec![f.clone(), extra.clone()]);
-
-            for b in &frontier {
-                if refutes(&f2, b) {
-                    for pt in box_probe_points(b) {
-                        prop_assert!(
-                            !eval_formula(&f2, &pt).expect("division-free"),
-                            "refuted frontier box contains a satisfying point of {f2}"
-                        );
-                    }
-                }
-            }
-
-            let mut cache = SolverCache::new();
-            cache.store_frontier(1, 0, 0, frontier.clone());
-            if cache.try_warm_unsat(1, 0, 1, &f2) {
-                let mut cold = Solver::new(cfg);
-                let out = cold.solve(&f2, &dom);
-                prop_assert!(
-                    !matches!(out, Outcome::Sat(_)),
-                    "warm-start claimed Unsat but a cold solve found a model of {f2}"
-                );
-            } else {
-                prop_assert_eq!(
-                    cache.stats.warm_fallbacks,
-                    1,
-                    "a surviving box must be counted as a fallback"
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Random term over NVARS variables *with* division and inexact rational
 /// constants (e.g. `1/3`, whose `f64` enclosure must be widened outward).
 /// Only the tape differential properties use it: they compare the two

@@ -6,7 +6,7 @@
 
 use cso_numeric::{BigInt, Interval, Rat};
 use cso_runtime::prop::{
-    self, f64_in, i128_any, i64_any, int_in, one_of, u8_any, zip2, zip3, zip4, Gen,
+    self, f64_in, i128_any, i64_any, int_in, just, one_of, u8_any, zip2, zip3, zip4, Gen,
 };
 use cso_runtime::{prop_assert, prop_assert_eq, prop_assume};
 
@@ -201,17 +201,35 @@ fn rat_floor_le_ceil() {
 /// `(interval, interval, point-in-first, point-in-second)` for soundness
 /// checks of the interval operations.
 fn arb_two_intervals_with_points() -> Gen<(Interval, Interval, f64, f64)> {
-    zip4(arb_interval(), arb_interval(), f64_in(0.0, 1.0), f64_in(0.0, 1.0)).map(|(i, j, t, u)| {
-        let x = i.lo() + t * (i.hi() - i.lo());
-        let y = j.lo() + u * (j.hi() - j.lo());
+    // Endpoints are where an unrounded bound first excludes the exact result.
+    let at = || one_of(vec![just(0.0), just(1.0), f64_in(0.0, 1.0)]);
+    zip4(arb_interval(), arb_interval(), at(), at()).map(|(i, j, t, u)| {
+        // The interpolation can round one ulp past an endpoint; the
+        // exact-soundness checks need points truly inside the inputs.
+        let x = (i.lo() + t * (i.hi() - i.lo())).clamp(i.lo(), i.hi());
+        let y = (j.lo() + u * (j.hi() - j.lo())).clamp(j.lo(), j.hi());
         (i, j, x, y)
     })
+}
+
+/// Exact membership of `q` in `iv`: every finite `f64` converts exactly
+/// to a `Rat`, and an infinite endpoint leaves that side unbounded.
+fn contains_exact(iv: Interval, q: &Rat) -> bool {
+    let above_lo =
+        iv.lo() == f64::NEG_INFINITY || Rat::from_f64(iv.lo()).is_some_and(|lo| lo <= *q);
+    let below_hi = iv.hi() == f64::INFINITY || Rat::from_f64(iv.hi()).is_some_and(|hi| *q <= hi);
+    above_lo && below_hi
+}
+
+/// Exact operands: `x` and `y` are finite, so the conversion is exact.
+fn exact(x: f64) -> Rat {
+    Rat::from_f64(x).expect("finite point")
 }
 
 #[test]
 fn interval_add_sound() {
     prop::check("interval_add_sound", &arb_two_intervals_with_points(), |&(i, j, x, y)| {
-        prop_assert!((i + j).contains_f64(x + y));
+        prop_assert!(contains_exact(i + j, &(&exact(x) + &exact(y))));
         Ok(())
     });
 }
@@ -219,7 +237,7 @@ fn interval_add_sound() {
 #[test]
 fn interval_mul_sound() {
     prop::check("interval_mul_sound", &arb_two_intervals_with_points(), |&(i, j, x, y)| {
-        prop_assert!((i * j).contains_f64(x * y));
+        prop_assert!(contains_exact(i * j, &(&exact(x) * &exact(y))));
         Ok(())
     });
 }
@@ -228,7 +246,7 @@ fn interval_mul_sound() {
 fn interval_div_sound() {
     prop::check("interval_div_sound", &arb_two_intervals_with_points(), |&(i, j, x, y)| {
         prop_assume!(y != 0.0);
-        prop_assert!((i / j).contains_f64(x / y));
+        prop_assert!(contains_exact(i / j, &(&exact(x) / &exact(y))));
         Ok(())
     });
 }
@@ -236,7 +254,7 @@ fn interval_div_sound() {
 #[test]
 fn interval_sub_sound() {
     prop::check("interval_sub_sound", &arb_two_intervals_with_points(), |&(i, j, x, y)| {
-        prop_assert!((i - j).contains_f64(x - y));
+        prop_assert!(contains_exact(i - j, &(&exact(x) - &exact(y))));
         Ok(())
     });
 }

@@ -102,18 +102,11 @@ pub struct PrefGraph<S> {
     edges: Vec<PrefEdge>,
     dsu: Dsu,
     revision: u64,
-    epoch: u64,
 }
 
 impl<S> Default for PrefGraph<S> {
     fn default() -> PrefGraph<S> {
-        PrefGraph {
-            scenarios: Vec::new(),
-            edges: Vec::new(),
-            dsu: Dsu::default(),
-            revision: 0,
-            epoch: 0,
-        }
+        PrefGraph { scenarios: Vec::new(), edges: Vec::new(), dsu: Dsu::default(), revision: 0 }
     }
 }
 
@@ -152,22 +145,13 @@ impl<S> PrefGraph<S> {
         self.edges.iter().filter(|e| !e.removed).count()
     }
 
-    /// Monotone change counter: bumped by every mutation that can only
-    /// *strengthen* the constraint set the graph denotes ([`Self::prefer`],
-    /// [`Self::prefer_unchecked`], [`Self::mark_indifferent`]). Two equal
-    /// `(epoch, revision)` pairs mean the constraint set is unchanged; a
-    /// larger revision at the same epoch means a superset.
+    /// Monotone change counter: bumped by every mutation of the constraint
+    /// set the graph denotes ([`Self::prefer`], [`Self::prefer_unchecked`],
+    /// [`Self::mark_indifferent`], [`Self::remove_edge`]). Two equal
+    /// revisions of one graph mean the constraint set is unchanged.
     #[must_use]
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    /// Weakening counter: bumped by [`Self::remove_edge`], which can grow
-    /// the solution set. Any derived state (carried solver frontiers,
-    /// compiled formulas) keyed to an older epoch is invalid.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// All scenario ids.
@@ -255,14 +239,9 @@ impl<S> PrefGraph<S> {
         Ok(())
     }
 
-    /// Remove an edge (used by the repair pass). Bumps the epoch — removal
-    /// may weaken the denoted constraint set, so monotonicity-based caches
-    /// must flush. Removing an edge whose ordered pair is still entailed by
-    /// the remaining graph (check [`Self::reaches`] afterwards) leaves the
-    /// semantics unchanged; callers holding such proof may ignore the bump.
+    /// Remove an edge (used by the repair pass).
     pub fn remove_edge(&mut self, id: EdgeId) {
         self.edges[id.0].removed = true;
-        self.epoch += 1;
         self.revision += 1;
     }
 
@@ -304,7 +283,7 @@ impl<S> PrefGraph<S> {
 
     /// Decompose the graph into plain data for serialization. The parts
     /// capture the exact internal state — including union-find parent
-    /// links and the revision/epoch counters — so
+    /// links and the revision counter — so
     /// [`PrefGraph::from_parts`] rebuilds a structurally identical graph
     /// (same ids, same class representatives, same counters).
     #[must_use]
@@ -314,7 +293,6 @@ impl<S> PrefGraph<S> {
             edges: self.edges,
             dsu_parents: self.dsu.parent,
             revision: self.revision,
-            epoch: self.epoch,
         }
     }
 
@@ -346,7 +324,6 @@ impl<S> PrefGraph<S> {
             edges: parts.edges,
             dsu: Dsu { parent: parts.dsu_parents },
             revision: parts.revision,
-            epoch: parts.epoch,
         })
     }
 }
@@ -362,10 +339,8 @@ pub struct GraphParts<S> {
     pub edges: Vec<PrefEdge>,
     /// Union-find parent links for the indifference classes.
     pub dsu_parents: Vec<usize>,
-    /// Strengthening counter (see [`PrefGraph::revision`]).
+    /// Change counter (see [`PrefGraph::revision`]).
     pub revision: u64,
-    /// Weakening counter (see [`PrefGraph::epoch`]).
-    pub epoch: u64,
 }
 
 #[cfg(test)]
@@ -441,18 +416,17 @@ mod tests {
     }
 
     #[test]
-    fn revision_and_epoch_track_mutations() {
+    fn revision_tracks_mutations() {
         let (mut g, a, b, c) = three();
-        assert_eq!((g.revision(), g.epoch()), (0, 0));
+        assert_eq!(g.revision(), 0);
         g.prefer(a, b).unwrap();
-        assert_eq!((g.revision(), g.epoch()), (1, 0));
+        assert_eq!(g.revision(), 1);
         let e = g.prefer_unchecked(b, c, 0.5);
-        assert_eq!((g.revision(), g.epoch()), (2, 0));
+        assert_eq!(g.revision(), 2);
         g.mark_indifferent(a, c).unwrap_err(); // rejected: must not bump
-        assert_eq!((g.revision(), g.epoch()), (2, 0));
+        assert_eq!(g.revision(), 2);
         g.remove_edge(e);
-        assert_eq!(g.epoch(), 1, "removal weakens: epoch bumps");
-        assert!(g.revision() > 2);
+        assert_eq!(g.revision(), 3, "removal changes the constraint set");
     }
 
     #[test]
@@ -462,9 +436,9 @@ mod tests {
         let e = g.prefer_unchecked(b, c, 0.5);
         g.mark_indifferent(a, c).unwrap_err();
         g.remove_edge(e);
-        let before = (g.revision(), g.epoch(), g.edge_count(), g.class_of(a));
+        let before = (g.revision(), g.edge_count(), g.class_of(a));
         let back = PrefGraph::from_parts(g.to_parts()).unwrap();
-        assert_eq!((back.revision(), back.epoch(), back.edge_count(), back.class_of(a)), before);
+        assert_eq!((back.revision(), back.edge_count(), back.class_of(a)), before);
         assert!(back.reaches(a, b));
     }
 
@@ -475,7 +449,6 @@ mod tests {
             edges: Vec::new(),
             dsu_parents: vec![0], // wrong length
             revision: 0,
-            epoch: 0,
         };
         assert!(PrefGraph::from_parts(parts).is_err());
         let parts = GraphParts {
@@ -488,7 +461,6 @@ mod tests {
             }],
             dsu_parents: vec![0, 1],
             revision: 0,
-            epoch: 0,
         };
         assert!(PrefGraph::from_parts(parts).is_err());
         let parts = GraphParts {
@@ -496,7 +468,6 @@ mod tests {
             edges: Vec::new(),
             dsu_parents: vec![3], // parent out of range
             revision: 0,
-            epoch: 0,
         };
         assert!(PrefGraph::from_parts(parts).is_err());
     }
