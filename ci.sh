@@ -82,6 +82,15 @@ CSO_SYNTH_CACHE=off cargo run -q --release --offline -p cso-bench --bin repro --
     table1 --csv "$GOLD/cold" >/dev/null
 diff "$GOLD/warm/table1.csv" "$GOLD/cold/table1.csv"
 
+# The diffs in this block compare fresh campaigns with each other, so a
+# change that re-seeds every run the same way would pass them all. Pin the
+# fresh run to the committed goldens as well: table1.csv byte for byte, and
+# table1_telemetry.csv's work counters (`run` through `clauses_reused`; the
+# columns after them are wall-clock seconds).
+echo "==> table1.csv + telemetry work counters vs committed goldens"
+diff results/table1.csv "$GOLD/warm/table1.csv"
+diff <(cut -d, -f1-7 results/table1_telemetry.csv) <(cut -d, -f1-7 "$GOLD/warm/table1_telemetry.csv")
+
 # Compiled-tape kill-switch golden: tape evaluation is decision-identical
 # to the tree walkers (DESIGN.md §11), so the semantic CSV must not move
 # a byte with CSO_EVAL_TAPE=off. (table1_telemetry.csv may differ — the

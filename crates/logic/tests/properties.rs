@@ -9,12 +9,14 @@
 //!    every error-free input.
 
 use cso_logic::eval::{eval_formula, eval_term};
-use cso_logic::ieval::{ieval_formula, ieval_term, Tri};
+use cso_logic::ieval::{ieval_formula, ieval_term, rat_enclosure, Tri};
 use cso_logic::simplify::{simplify_formula, simplify_term};
 use cso_logic::solver::{Outcome, Solver, SolverConfig};
 use cso_logic::{BoxDomain, CmpOp, Formula, Term, VarId};
-use cso_numeric::{Interval, Rat};
-use cso_runtime::prop::{self, int_in, one_of, recursive, vec_of, zip2, zip3, Config, Gen};
+use cso_numeric::{BigInt, Interval, Rat};
+use cso_runtime::prop::{
+    self, i64_any, int_in, one_of, recursive, vec_of, zip2, zip3, Config, Gen,
+};
 use cso_runtime::{prop_assert, prop_assert_eq};
 
 const NVARS: usize = 3;
@@ -329,6 +331,78 @@ fn tape_batched_verdicts_match_single_box() {
                     b,
                     f
                 );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Whether `r` equals some finite `f64`, decided from its reduced parts
+/// alone (not through `to_f64`/`from_f64`): the denominator is `2^k`, and
+/// the odd part of the numerator fits the 53-bit significand at an
+/// exponent the format has.
+fn representable(r: &Rat) -> bool {
+    let (num, den) = (r.numer().abs(), r.denom());
+    let k = den.bit_len() - 1;
+    if *den != BigInt::one().shl(k) {
+        return false;
+    }
+    if k > 0 {
+        // `num` is odd: num · 2^-k needs 53 bits and k ≤ 1074.
+        return num.bit_len() <= 53 && k <= 1074;
+    }
+    let mut odd = num.clone();
+    while !odd.is_zero() && odd.shr(1).shl(1) == odd {
+        odd = odd.shr(1);
+    }
+    odd.bit_len() <= 53 && num.bit_len() <= 1024
+}
+
+/// Rationals for `rat_enclosure`: ratios of machine integers, sampled
+/// points snapped to `k/10^6` as the solver does, inexact constants such
+/// as 1/3, values read from doubles (subnormals and huge ones included),
+/// and tiny or huge rationals around the ends of the `f64` range.
+fn arb_constant() -> Gen<Rat> {
+    let pow2 = |k: i64| BigInt::one().shl(k as u64);
+    one_of(vec![
+        zip2(i64_any(), int_in(1, i64::MAX)).map(|(p, q)| Rat::from_frac(p, q)),
+        int_in(-9_000_000_000_000_000, 9_000_000_000_000_000).map(|k| Rat::from_frac(k, 1_000_000)),
+        int_in(-100_000_000, 100_000_000).map(|k| Rat::from_frac(k, 1_000_000)),
+        zip2(int_in(-20, 20), int_in(1, 40))
+            .map(|(p, j)| Rat::from_frac(p, 3) / Rat::from(BigInt::one().shl(j as u64))),
+        zip2(int_in(0, (1 << 62) - 1), int_in(0, 2046)).map(|(m, e)| {
+            let x = f64::from_bits(((e as u64) << 52) | (m as u64 & ((1 << 52) - 1)));
+            Rat::from_f64(if m & (1 << 61) == 0 { x } else { -x }).unwrap()
+        }),
+        zip2(int_in(-1_000_000, 1_000_000), int_in(900, 1140))
+            .map(move |(p, k)| Rat::new(BigInt::from(p), pow2(k))),
+        zip3(int_in(1, 1_000_000), int_in(1, 100), int_in(900, 1140))
+            .map(move |(p, q, k)| Rat::new(BigInt::from(p), &BigInt::from(q) * &pow2(k))),
+        zip2(int_in(-1_000_000, 1_000_000), int_in(1000, 1040))
+            .map(move |(p, k)| Rat::from(&BigInt::from(p) * &pow2(k)) / Rat::from_int(3)),
+    ])
+}
+
+#[test]
+fn rat_enclosure_is_exactly_sound() {
+    prop::check_with(
+        &Config { cases: 2000, ..Config::default() },
+        "rat_enclosure_is_exactly_sound",
+        &arb_constant(),
+        |r| {
+            let iv = rat_enclosure(r);
+            let lo_ok =
+                iv.lo() == f64::NEG_INFINITY || Rat::from_f64(iv.lo()).is_some_and(|lo| lo <= *r);
+            let hi_ok =
+                iv.hi() == f64::INFINITY || Rat::from_f64(iv.hi()).is_some_and(|hi| *r <= hi);
+            prop_assert!(lo_ok && hi_ok, "{r} outside [{:e}, {:e}]", iv.lo(), iv.hi());
+            // Sharp where `to_f64` is accurate: a point iff `r` is a double.
+            // Below about 2^-960 the conversion underflows and the
+            // enclosure is only sound, not sharp.
+            let tiny = Rat::from_f64(2f64.powi(-960)).unwrap();
+            if r.abs() >= tiny {
+                let point = iv.lo() == iv.hi();
+                prop_assert_eq!(point, representable(r), "{} -> [{:e}, {:e}]", r, iv.lo(), iv.hi());
             }
             Ok(())
         },

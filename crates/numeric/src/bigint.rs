@@ -4,11 +4,21 @@
 //! trailing zero limbs. All operations are total (no overflow); division by
 //! zero panics, matching the standard library's integer semantics.
 //!
-//! The implementation favours simplicity and robustness over raw speed, in
-//! the spirit of the workspace's design goals: schoolbook multiplication,
-//! Knuth Algorithm D division with a single-limb fast path, and binary GCD.
-//! Numbers in this workspace come from simplex pivots and rational
-//! normalization of small inputs, so limb counts stay modest.
+//! Multi-limb operations favour simplicity over raw speed: schoolbook
+//! multiplication, Knuth Algorithm D division and binary GCD on limb
+//! vectors. Most numbers the solver touches fit one limb (sampled points
+//! snapped to `k/10^6`, dyadic box bounds), so the hot kernels take
+//! single-limb fast paths that compute in `u64`/`u128` and allocate at most
+//! the final limbs: Stein's GCD on words (after one word-sized remainder
+//! when only one side is a word) here, and `Rat::new`, `Rat::from_f64`,
+//! `Rat::to_f64` and `Rat`'s ordering in [`crate::rational`]. The
+//! multi-limb code stays the fallback, and the unit tests check each fast
+//! path against it.
+//!
+//! The representation is frozen: `sign` plus trimmed `mag` limbs with a
+//! derived `Hash`. Solver seeds hash query constants through it, so a new
+//! layout (inline small values, say) would re-seed every solver query;
+//! `tests/hash_stability.rs` pins the bytes.
 
 use crate::Sign;
 use std::cmp::Ordering;
@@ -242,8 +252,49 @@ fn mag_divrem(a: &[u64], d: &[u64]) -> (Vec<u64>, Vec<u64>) {
     }
 }
 
-/// Binary GCD of two magnitudes.
-fn mag_gcd(mut a: Vec<u64>, mut b: Vec<u64>) -> Vec<u64> {
+/// Remainder of a magnitude modulo one limb, without building the quotient.
+fn mag_rem_limb(a: &[u64], d: u64) -> u64 {
+    a.iter().rev().fold(0u64, |rem, &limb| {
+        (((u128::from(rem) << 64) | u128::from(limb)) % u128::from(d)) as u64
+    })
+}
+
+/// Stein's binary GCD of two machine words; `gcd(0, x) = x`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let common = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << common;
+        }
+    }
+}
+
+/// GCD of two magnitudes. When either side fits one limb the other is
+/// reduced modulo it and the rest runs on machine words; only two
+/// multi-limb operands take the limb-vector binary GCD.
+fn mag_gcd(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let g = match (a, b) {
+        ([], _) => return b.to_vec(),
+        (_, []) => return a.to_vec(),
+        ([x], [y]) => gcd_u64(*x, *y),
+        ([x], _) => gcd_u64(*x, mag_rem_limb(b, *x)),
+        (_, [y]) => gcd_u64(mag_rem_limb(a, *y), *y),
+        _ => return mag_gcd_limbs(a.to_vec(), b.to_vec()),
+    };
+    vec![g]
+}
+
+/// Binary GCD of two magnitudes on limb vectors (any sizes).
+fn mag_gcd_limbs(mut a: Vec<u64>, mut b: Vec<u64>) -> Vec<u64> {
     if a.is_empty() {
         return b;
     }
@@ -313,6 +364,32 @@ impl BigInt {
         BigInt::from(1i64)
     }
 
+    /// `sign · m` from a one-word magnitude (`m = 0` gives zero).
+    pub(crate) fn from_small(sign: Sign, m: u64) -> BigInt {
+        if m == 0 {
+            BigInt::zero()
+        } else {
+            debug_assert!(sign != Sign::Zero);
+            BigInt { sign, mag: vec![m] }
+        }
+    }
+
+    /// The magnitude as one machine word, when it fits (zero included).
+    pub(crate) fn small_mag(&self) -> Option<u64> {
+        match self.mag.as_slice() {
+            [] => Some(0),
+            [m] => Some(*m),
+            _ => None,
+        }
+    }
+
+    /// Overwrite a one-limb magnitude in place, keeping the sign; `m` must
+    /// be nonzero.
+    pub(crate) fn set_small_mag(&mut self, m: u64) {
+        debug_assert!(self.mag.len() == 1 && m != 0);
+        self.mag[0] = m;
+    }
+
     fn from_mag(sign: Sign, mut mag: Vec<u64>) -> BigInt {
         mag_trim(&mut mag);
         if mag.is_empty() {
@@ -374,8 +451,14 @@ impl BigInt {
     /// Greatest common divisor of the absolute values; `gcd(0, x) = |x|`.
     #[must_use]
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        let g = mag_gcd(self.mag.clone(), other.mag.clone());
-        BigInt::from_mag(Sign::Plus, g)
+        BigInt::from_mag(Sign::Plus, mag_gcd(&self.mag, &other.mag))
+    }
+
+    /// [`BigInt::gcd`] on limb vectors only: the reference the word fast
+    /// paths are tested against.
+    #[cfg(test)]
+    pub(crate) fn gcd_limbs(&self, other: &BigInt) -> BigInt {
+        BigInt::from_mag(Sign::Plus, mag_gcd_limbs(self.mag.clone(), other.mag.clone()))
     }
 
     /// Truncated division with remainder: `self = q * d + r`, `|r| < |d|`,
@@ -460,7 +543,12 @@ impl BigInt {
 
 impl From<i64> for BigInt {
     fn from(v: i64) -> BigInt {
-        BigInt::from(i128::from(v))
+        let sign = match v.cmp(&0) {
+            Ordering::Less => Sign::Minus,
+            Ordering::Equal => Sign::Zero,
+            Ordering::Greater => Sign::Plus,
+        };
+        BigInt::from_small(sign, v.unsigned_abs())
     }
 }
 
@@ -472,11 +560,7 @@ impl From<i32> for BigInt {
 
 impl From<u64> for BigInt {
     fn from(v: u64) -> BigInt {
-        if v == 0 {
-            BigInt::zero()
-        } else {
-            BigInt { sign: Sign::Plus, mag: vec![v] }
-        }
+        BigInt::from_small(Sign::Plus, v)
     }
 }
 
@@ -839,6 +923,47 @@ mod tests {
         assert_eq!(bi("17").gcd(&bi("31")), bi("1"));
         let a = bi("123456789012345678901234567890");
         assert_eq!(a.gcd(&a), a);
+    }
+
+    #[test]
+    fn gcd_word_paths_match_limbs() {
+        use crate::testgen::{arb_bigint, config};
+        use cso_runtime::prop::{self, zip2};
+        use cso_runtime::prop_assert_eq;
+        prop::check_with(
+            &config(),
+            "gcd_word_paths_match_limbs",
+            &zip2(arb_bigint(), arb_bigint()),
+            |(a, b)| {
+                prop_assert_eq!(a.gcd(b), a.gcd_limbs(b));
+                Ok(())
+            },
+        );
+        for (a, b) in [(0, 0), (0, 9), (u64::MAX, 1 << 63), (1 << 63, 1 << 62), (6, 4)] {
+            assert_eq!(BigInt::from(gcd_u64(a, b)), BigInt::from(a).gcd_limbs(&BigInt::from(b)));
+        }
+    }
+
+    #[test]
+    fn from_i64_matches_i128() {
+        use crate::testgen::arb_word;
+        use cso_runtime::prop::{self, bool_any, zip2};
+        use cso_runtime::prop_assert_eq;
+        let gen = zip2(arb_word(), bool_any()).map(|(w, neg)| {
+            let v = w as i64;
+            if neg {
+                v.wrapping_neg()
+            } else {
+                v
+            }
+        });
+        prop::check("from_i64_matches_i128", &gen, |&v| {
+            prop_assert_eq!(BigInt::from(v), BigInt::from(i128::from(v)));
+            Ok(())
+        });
+        for v in [0, 1, -1, i64::MIN, i64::MAX] {
+            assert_eq!(BigInt::from(v), BigInt::from(i128::from(v)), "{v}");
+        }
     }
 
     #[test]

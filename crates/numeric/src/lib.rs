@@ -37,6 +37,8 @@
 pub mod bigint;
 pub mod interval;
 pub mod rational;
+#[cfg(test)]
+mod testgen;
 
 pub use bigint::BigInt;
 pub use interval::Interval;

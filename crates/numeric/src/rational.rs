@@ -5,8 +5,14 @@
 //! arithmetic is exact; conversions to and from `f64` are provided for
 //! interoperation with the interval layer (`from_f64` is exact because every
 //! finite double is a dyadic rational).
+//!
+//! The solver converts every sampled point with these, so [`Rat::new`],
+//! [`Rat::from_f64`], [`Rat::to_f64`] and the ordering first try a path on
+//! machine words (`u64`/`u128`) for one-limb operands and fall back to the
+//! limb-vector code otherwise. Both paths give identical results, down to
+//! the bits of `to_f64`; the unit tests check each pair.
 
-use crate::bigint::BigInt;
+use crate::bigint::{gcd_u64, BigInt};
 use crate::Sign;
 use std::cmp::Ordering;
 use std::fmt;
@@ -28,9 +34,17 @@ impl Rat {
     #[must_use]
     pub fn new(num: BigInt, den: BigInt) -> Rat {
         assert!(!den.is_zero(), "Rat with zero denominator");
-        let (num, den) = if den.is_negative() { (-num, -den) } else { (num, den) };
+        let (mut num, mut den) = if den.is_negative() { (-num, -den) } else { (num, den) };
         if num.is_zero() {
             return Rat { num: BigInt::zero(), den: BigInt::one() };
+        }
+        if let (Some(n), Some(d)) = (num.small_mag(), den.small_mag()) {
+            let g = gcd_u64(n, d);
+            if g != 1 {
+                num.set_small_mag(n / g);
+                den.set_small_mag(d / g);
+            }
+            return Rat { num, den };
         }
         let g = num.gcd(&den);
         if g.is_one() {
@@ -84,6 +98,18 @@ impl Rat {
         // value = mant * 2^(e - 52), with implicit leading bit for normals.
         let (mant, e) =
             if exp == 0 { (frac, -1022i64 - 52) } else { (frac | (1u64 << 52), exp - 1023 - 52) };
+        if e < 0 {
+            // mant · 2^e in lowest terms: strip the common powers of two.
+            let tz = i64::from(mant.trailing_zeros()).min(-e);
+            let k = -e - tz;
+            if k < 64 {
+                let sign = if neg { Sign::Minus } else { Sign::Plus };
+                return Some(Rat {
+                    num: BigInt::from_small(sign, mant >> tz),
+                    den: BigInt::from_small(Sign::Plus, 1u64 << k),
+                });
+            }
+        }
         let m = BigInt::from(mant);
         let m = if neg { -m } else { m };
         let r = if e >= 0 {
@@ -188,6 +214,27 @@ impl Rat {
         if self.num.is_zero() {
             return 0.0;
         }
+        if let (Some(n), Some(d)) = (self.num.small_mag(), self.den.small_mag()) {
+            // The steps of `to_f64_limbs` on machine words. With one-limb
+            // operands the shift 80 - nb + db is at least 17 and the shifted
+            // numerator has 80 + db bits, so it fits a u128 for denominators
+            // of up to 48 bits. The quotient then has 80 or 81 bits, and
+            // `BigInt::to_f64` would round its top 64 (truncated) to f64.
+            if d.leading_zeros() >= 16 {
+                let shift =
+                    80 - i64::from(64 - n.leading_zeros()) + i64::from(64 - d.leading_zeros());
+                let q = (u128::from(n) << shift) / u128::from(d);
+                let drop = 128 - q.leading_zeros() - 64;
+                let x = ((q >> drop) as u64 as f64) * f64::from(drop).exp2();
+                let x = if self.num.is_negative() { -x } else { x };
+                return x * (-shift as f64).exp2();
+            }
+        }
+        self.to_f64_limbs()
+    }
+
+    /// [`Rat::to_f64`] on limb vectors (any sizes).
+    fn to_f64_limbs(&self) -> f64 {
         let nb = self.num.bit_len() as i64;
         let db = self.den.bit_len() as i64;
         // Shift num so quotient has ~80 bits.
@@ -376,6 +423,17 @@ impl Ord for Rat {
         if s != Ordering::Equal {
             return s;
         }
+        let words = (
+            self.num.small_mag(),
+            self.den.small_mag(),
+            other.num.small_mag(),
+            other.den.small_mag(),
+        );
+        if let (Some(n1), Some(d1), Some(n2), Some(d2)) = words {
+            // Same signs: compare |n1|·d2 with |n2|·d1, flipped when negative.
+            let ord = (u128::from(n1) * u128::from(d2)).cmp(&(u128::from(n2) * u128::from(d1)));
+            return if self.is_negative() { ord.reverse() } else { ord };
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
@@ -513,6 +571,127 @@ mod tests {
         let tenth = Rat::from_f64(0.1).unwrap();
         assert_eq!(tenth.to_f64(), 0.1);
         assert_ne!(tenth, r("1/10"));
+    }
+
+    /// [`Rat::new`] with limb-vector GCD and division only.
+    fn new_ref(num: BigInt, den: BigInt) -> Rat {
+        let (num, den) = if den.is_negative() { (-num, -den) } else { (num, den) };
+        if num.is_zero() {
+            return Rat::zero();
+        }
+        let g = num.gcd_limbs(&den);
+        Rat { num: num.div_rem(&g).0, den: den.div_rem(&g).0 }
+    }
+
+    /// [`Rat::from_f64`] as `±mant / 2^-e` through [`new_ref`].
+    fn from_f64_ref(x: f64) -> Rat {
+        if x == 0.0 {
+            return Rat::zero();
+        }
+        let bits = x.to_bits();
+        let exp = ((bits >> 52) & 0x7ff) as i64;
+        let frac = bits & ((1u64 << 52) - 1);
+        let (mant, e) =
+            if exp == 0 { (frac, -1022i64 - 52) } else { (frac | (1u64 << 52), exp - 1023 - 52) };
+        let m = if bits >> 63 == 1 { -BigInt::from(mant) } else { BigInt::from(mant) };
+        if e >= 0 {
+            Rat { num: m.shl(e as u64), den: BigInt::one() }
+        } else {
+            new_ref(m, BigInt::one().shl((-e) as u64))
+        }
+    }
+
+    fn arb_rat() -> cso_runtime::prop::Gen<Rat> {
+        use crate::testgen::{arb_bigint, arb_nonzero};
+        cso_runtime::prop::zip2(arb_bigint(), arb_nonzero()).map(|(n, d)| new_ref(n, d))
+    }
+
+    #[test]
+    fn new_word_path_matches_limbs() {
+        use crate::testgen::{arb_bigint, arb_nonzero, config};
+        use cso_runtime::prop::{self, zip2};
+        use cso_runtime::prop_assert_eq;
+        prop::check_with(
+            &config(),
+            "new_word_path_matches_limbs",
+            &zip2(arb_bigint(), arb_nonzero()),
+            |(n, d)| {
+                prop_assert_eq!(Rat::new(n.clone(), d.clone()), new_ref(n.clone(), d.clone()));
+                Ok(())
+            },
+        );
+        let min = BigInt::from(i64::MIN);
+        assert_eq!(Rat::new(min.clone(), BigInt::from(-2i64)), new_ref(min, BigInt::from(-2i64)));
+    }
+
+    #[test]
+    fn from_f64_word_path_matches_limbs() {
+        use crate::testgen::config;
+        use cso_runtime::prop::{self, bool_any, int_in, one_of, u64_in, zip4};
+        use cso_runtime::prop_assert_eq;
+        // Exponent fields: subnormals, tiny, the 2^63/2^64 denominator cut
+        // (k = 1075 - exp - trailing zeros), around 1, huge, and anything.
+        let exp = one_of(vec![
+            int_in(0, 0),
+            int_in(1, 8),
+            int_in(950, 1015),
+            int_in(1000, 1100),
+            int_in(2040, 2046),
+            int_in(0, 2046),
+        ]);
+        let gen = zip4(bool_any(), exp, u64_in(0, (1 << 52) - 1), int_in(0, 52)).map(
+            |(neg, exp, frac, tz)| {
+                let frac = frac >> tz << tz;
+                f64::from_bits((u64::from(neg) << 63) | ((exp as u64) << 52) | frac)
+            },
+        );
+        prop::check_with(&config(), "from_f64_word_path_matches_limbs", &gen, |&x| {
+            prop_assert_eq!(Rat::from_f64(x).unwrap(), from_f64_ref(x));
+            Ok(())
+        });
+        for x in [f64::MIN_POSITIVE, 5e-324, f64::MAX, -f64::MAX, 2f64.powi(-63), 2f64.powi(-64)] {
+            assert_eq!(Rat::from_f64(x).unwrap(), from_f64_ref(x), "{x:e}");
+        }
+    }
+
+    #[test]
+    fn to_f64_word_path_matches_limbs() {
+        use crate::testgen::config;
+        use cso_runtime::prop;
+        use cso_runtime::prop_assert_eq;
+        prop::check_with(&config(), "to_f64_word_path_matches_limbs", &arb_rat(), |r| {
+            prop_assert_eq!(r.to_f64().to_bits(), r.to_f64_limbs().to_bits());
+            Ok(())
+        });
+        // 48/49-bit denominators sit on both sides of the u128 limit. In
+        // the last two pairs the quotient's top 64 bits end in a rounding
+        // tie that its truncated low bits would break: rounding the whole
+        // quotient to f64 gives a different double there.
+        let cases = [1, 3, (1u64 << 47) + 1, (1 << 48) - 1, 1 << 48, (1 << 49) - 3]
+            .into_iter()
+            .flat_map(|d| [1, (1 << 53) - 1, 1 << 63, u64::MAX].map(|n| (n, d)))
+            .chain([(14_397_647_957_064_353_281, 3), (2_876_474_534_966_737_549, 1_000_000)]);
+        for (n, d) in cases {
+            let r = new_ref(BigInt::from(n), BigInt::from(d));
+            assert_eq!(r.to_f64().to_bits(), r.to_f64_limbs().to_bits(), "{r}");
+        }
+    }
+
+    #[test]
+    fn cmp_word_path_matches_cross_multiplication() {
+        use crate::testgen::config;
+        use cso_runtime::prop::{self, zip2};
+        use cso_runtime::prop_assert_eq;
+        prop::check_with(
+            &config(),
+            "cmp_word_path_matches_cross_multiplication",
+            &zip2(arb_rat(), arb_rat()),
+            |(a, b)| {
+                prop_assert_eq!(a.cmp(b), (&a.num * &b.den).cmp(&(&b.num * &a.den)));
+                prop_assert_eq!(a.cmp(a), std::cmp::Ordering::Equal);
+                Ok(())
+            },
+        );
     }
 
     #[test]
