@@ -91,15 +91,6 @@ echo "==> table1.csv + telemetry work counters vs committed goldens"
 diff results/table1.csv "$GOLD/warm/table1.csv"
 diff <(cut -d, -f1-7 results/table1_telemetry.csv) <(cut -d, -f1-7 "$GOLD/warm/table1_telemetry.csv")
 
-# Compiled-tape kill-switch golden: tape evaluation is decision-identical
-# to the tree walkers (DESIGN.md §11), so the semantic CSV must not move
-# a byte with CSO_EVAL_TAPE=off. (table1_telemetry.csv may differ — the
-# eval_errors column counts work the tape's fast path skips.)
-echo "==> table1.csv golden diff (CSO_EVAL_TAPE=off vs default)"
-CSO_EVAL_TAPE=off cargo run -q --release --offline -p cso-bench --bin repro -- \
-    table1 --csv "$GOLD/notape" >/dev/null
-diff "$GOLD/warm/table1.csv" "$GOLD/notape/table1.csv"
-
 # Tracing is strictly observational: rerun the same campaign with the
 # JSONL sink attached and golden-diff table1.csv against the untraced
 # run, then fold the trace with trace-digest (which re-checks stream
@@ -167,16 +158,15 @@ grep -q '^cso_serve_sessions_done 64$' "$SERVE/fleet.prom"
 rm -rf "$SERVE"
 
 # Bench smoke: the synth_loop group (cold vs warm synthesis plus the
-# tape-on vs tape-off branch-and-prune arms, the BENCH_synth.json
-# baseline) must run end to end and emit parseable rows with positive
-# medians.
+# pure branch-and-prune arm, the BENCH_synth.json baseline) must run end
+# to end and emit parseable rows with positive medians.
 echo "==> cargo bench synth_loop (smoke)"
 BENCHDIR=$(mktemp -d)
 CSO_BENCH_CSV="$BENCHDIR" cargo bench -q --offline -p cso-bench --bench experiments -- synth_loop
 awk -F, '
     NR == 1 { if ($0 != "group,benchmark,median_ns,mad_ns,siqr_ns,samples") exit 1; next }
     $1 == "synth_loop" { rows++; if ($3 + 0 <= 0) exit 1 }
-    END { exit (rows == 4 ? 0 : 1) }
+    END { exit (rows == 3 ? 0 : 1) }
 ' "$BENCHDIR/bench.csv"
 rm -rf "$BENCHDIR"
 

@@ -138,37 +138,32 @@ fn synth_loop(c: &mut Criterion) {
             });
         });
     }
-    // Compiled-tape vs tree-walking branch-and-prune. Seeding is off and
-    // the query is interval-refutable only after heavy splitting, so the
-    // measured wall clock is essentially the `solver.bnp` span; the two
-    // arms explore byte-identical box sets (the tape differential tests
-    // enforce that), making the timing gap pure evaluator effect. The
-    // committed `BENCH_synth.json` baselines the ratio.
-    for (name, tape) in [("bnp_tape_on", true), ("bnp_tape_off", false)] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &tape, |b, &tape| {
-            let (f, dom) = bnp_query();
-            b.iter(|| {
-                let cfg = SolverConfig {
-                    use_seeding: false,
-                    threads: 1,
-                    max_boxes: 2_000,
-                    tape,
-                    ..SolverConfig::default()
-                };
-                let mut solver = Solver::new(cfg);
-                black_box(solver.solve(&f, &dom))
-            });
+    // Pure branch-and-prune on the compiled tape. Seeding is off and the
+    // query is interval-refutable only after heavy splitting, so the
+    // measured wall clock is essentially the `solver.bnp` span. The
+    // committed `BENCH_synth.json` baselines it.
+    g.bench_function("bnp_tape_on", |b| {
+        let (f, dom) = bnp_query();
+        b.iter(|| {
+            let cfg = SolverConfig {
+                use_seeding: false,
+                threads: 1,
+                max_boxes: 2_000,
+                ..SolverConfig::default()
+            };
+            let mut solver = Solver::new(cfg);
+            black_box(solver.solve(&f, &dom))
         });
-    }
+    });
     g.finish();
 }
 
-/// A SWAN-shaped pure-solver query for the `bnp_tape_*` arms: one
+/// A SWAN-shaped pure-solver query for the `bnp_tape_on` arm: one
 /// piecewise (`ite`) nonlinear objective shared — via `Arc` — by every
 /// conjunct, pinned inside an empty band that interval arithmetic can
-/// only refute once boxes are narrow. The tree walker re-evaluates the
-/// shared objective once per conjunct per box; the tape evaluates it
-/// once per box and scores both split children in one batched pass.
+/// only refute once boxes are narrow. The tape evaluates the shared
+/// objective once per box and scores both split children in one batched
+/// pass.
 fn bnp_query() -> (Formula, BoxDomain) {
     let mut vars = VarRegistry::new();
     let ids: Vec<_> = ["x", "y", "z", "w"].iter().map(|n| vars.intern(n)).collect();
@@ -179,9 +174,8 @@ fn bnp_query() -> (Formula, BoxDomain) {
         Term::var(w).mul(Term::var(w)).add(Term::var(y).mul(Term::var(x))),
     );
     // A polynomial in the shared objective — four occurrences of the same
-    // `Arc`, so the tree walker pays 4× per conjunct while the tape holds
-    // one slot set. The `ite` guard stays Unknown over wide boxes, where
-    // the tree walker also evaluates both branches.
+    // `Arc`, which the tape holds as one slot set. The `ite` guard stays
+    // Unknown over wide boxes, where both branches are evaluated.
     let p = obj
         .clone()
         .mul(obj.clone())

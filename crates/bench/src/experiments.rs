@@ -72,9 +72,9 @@ pub struct RunOutcome {
     /// Boxes pruned by interval refutation over the run (deterministic).
     pub boxes_pruned: usize,
     /// Exact sample evaluations that surfaced a partiality error instead
-    /// of a verdict. The compiled tape's interval fast path can reject
-    /// such samples before the exact evaluator runs, so this is the one
-    /// counter that varies with `CSO_EVAL_TAPE` — telemetry CSV only.
+    /// of a verdict (deterministic given the seed; samples the tape's
+    /// interval point check rejects are not evaluated exactly, so never
+    /// counted) — telemetry CSV only.
     pub eval_errors: usize,
     /// Solver queries answered by exact memo replay (deterministic given
     /// the seed and cache mode; zero when the cache is off).

@@ -437,7 +437,7 @@ impl Synthesizer {
 
         // Seeded with the (fixed) query domain, which feeds the tape's
         // decided-verdict pass.
-        let q = CompiledQuery::prepare(f, Some(&domain), sc.tape);
+        let q = CompiledQuery::prepare(f, Some(&domain), true);
         let mut solver = Solver::new(sc);
         let out = solver.solve_compiled(&q, &domain, seeds);
         self.absorb_solver(&solver);

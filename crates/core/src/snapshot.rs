@@ -56,8 +56,8 @@ pub const MAGIC: [u8; 8] = *b"CSOSNAP\0";
 /// Current snapshot format version. Version 2 added the solver's `tape`
 /// toggle to the config section; version 3 dropped the warm-start
 /// frontiers, the semantic and graph epochs, and the analyzer's
-/// box-tightening toggle.
-pub const VERSION: u8 = 3;
+/// box-tightening toggle; version 4 dropped the `tape` toggle again.
+pub const VERSION: u8 = 4;
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug, Clone)]
@@ -692,7 +692,6 @@ fn write_config(w: &mut Writer, cfg: &SynthConfig) {
     w.u64(cfg.solver.seed);
     w.bool(cfg.solver.use_seeding);
     w.usize(cfg.solver.threads);
-    w.bool(cfg.solver.tape);
     w.f64(cfg.delta_rel);
     w.usize(cfg.max_exhausted_streak);
     w.bool(cfg.repair_noise);
@@ -943,7 +942,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
     let solver_seed = r.u64()?;
     let use_seeding = r.bool()?;
     let threads = r.usize()?;
-    let tape = r.bool()?;
     let solver = SolverConfig {
         delta,
         delta_per_dim,
@@ -954,7 +952,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         seed: solver_seed,
         use_seeding,
         threads,
-        tape,
     };
     let delta_rel = r.f64()?;
     let max_exhausted_streak = r.usize()?;
@@ -1168,6 +1165,9 @@ mod tests {
         let mut bytes = save(&synth, 1).expect("snapshot");
         bytes[MAGIC.len()] = 99;
         assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(99))));
+        // The previous format (with the solver's `tape` byte) is refused.
+        bytes[MAGIC.len()] = 3;
+        assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(3))));
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub struct SolverTelemetry {
     /// Exact sample evaluations (seeding + branch-and-prune).
     pub samples_tried: usize,
     /// Exact evaluations that surfaced a partiality error (division by
-    /// zero, unbound variable) instead of a verdict. The tape's interval
-    /// fast path may reject such samples before the exact evaluator runs,
-    /// so this is the one counter allowed to differ with the tape on/off.
+    /// zero, unbound variable) instead of a verdict. Samples the tape's
+    /// interval point check rejects never reach the exact evaluator, so
+    /// their errors are not counted.
     pub eval_errors: usize,
     /// Wall-clock time spent in seeding phases.
     pub seeding_time: Duration,

@@ -67,25 +67,15 @@ impl Tri {
 /// satisfying point. Exactly-representable constants (integers, dyadics —
 /// the common case) stay points so decided comparisons stay sharp;
 /// everything else is widened outward by one ulp on both sides, covering
-/// the true rational whichever way `to_f64` rounded.
-///
-/// The one-ulp bound fails at the ends of the range. Below about 2^-960,
-/// `to_f64`'s final scaling can underflow (it returns 0 for 2^-1000), so
-/// such a constant gets `[0, 2^-959]` on its side of zero. An infinite
-/// `to_f64` means `|r| > f64::MAX`, and widening ∞ gives `[f64::MAX, ∞]`.
+/// the true rational whichever way `to_f64` rounded. That holds across the
+/// whole range: tiny constants round to a subnormal (or zero) within one
+/// ulp, and an infinite `to_f64` means `|r| > f64::MAX`, where widening ∞
+/// gives `[f64::MAX, ∞]`.
 #[must_use]
 pub fn rat_enclosure(r: &Rat) -> Interval {
-    /// 2^-960: at or above it, `to_f64` is within one ulp.
-    const TINY: f64 = f64::from_bits(63 << 52);
     let x = r.to_f64();
     if x.is_finite() && Rat::from_f64(x).as_ref() == Some(r) {
         Interval::point(x)
-    } else if x.abs() < TINY {
-        if r.is_positive() {
-            Interval::new(0.0, 2.0 * TINY)
-        } else {
-            Interval::new(-2.0 * TINY, 0.0)
-        }
     } else {
         Interval::new(x.next_down(), x.next_up())
     }
@@ -280,14 +270,14 @@ mod tests {
     #[test]
     fn constants_past_the_f64_range_are_enclosed() {
         use cso_numeric::{BigInt, Rat};
-        // 2^-1000 is a double, but `to_f64` underflows to 0 on it; the old
-        // one-ulp box around 0 excluded it.
+        // 2^-1000 is a double, so its enclosure is that point.
         let tiny = Rat::new(BigInt::one(), BigInt::one().shl(1000));
-        let iv = rat_enclosure(&tiny);
-        assert!(iv.lo() <= 0.0 && 2f64.powi(-1000) <= iv.hi());
+        assert_eq!(rat_enclosure(&tiny), Interval::point(2f64.powi(-1000)));
+        // -3·2^-1075 lies halfway between two subnormals and rounds to
+        // -2·2^-1074; one ulp either side of that covers it.
         let neg_tiny = Rat::new(BigInt::from(-3i64), BigInt::one().shl(1075));
-        let iv = rat_enclosure(&neg_tiny);
-        assert!(iv.lo() < 0.0 && iv.hi() == 0.0);
+        let sub = f64::from_bits(1);
+        assert_eq!(rat_enclosure(&neg_tiny), Interval::new(-3.0 * sub, -sub));
         // Past f64::MAX, `to_f64` is infinite; the old point [∞, ∞]
         // excluded the finite value.
         let huge = Rat::from(BigInt::one().shl(1024));

@@ -1,11 +1,12 @@
 //! Compiled evaluation: flat SSA tapes for formulas and terms.
 //!
-//! Branch-and-prune bottoms out in `ieval_formula`/`eval_formula`
-//! recursively re-walking an `Arc` AST once per conjunct, per box, per
-//! round — the hottest instruction in the system. This module compiles a
+//! Branch-and-prune evaluates every pending conjunct on every box of
+//! every round — the hottest loop in the system. Re-walking the `Arc`
+//! AST there (as `ieval_formula`/`eval_formula` do) would repeat shared
+//! subtrees and constant arithmetic each time. This module compiles a
 //! simplified [`Formula`] DAG once per solver query into a flat
-//! arena-allocated tape of SSA slots and evaluates boxes off the tape
-//! instead:
+//! arena-allocated tape of SSA slots, and the solver evaluates every box
+//! and every sample off the tape; it is the solver's only evaluator:
 //!
 //! * **Hash-consing.** Every structurally identical subterm — whether
 //!   shared through an `Arc` or duplicated across conjuncts — gets exactly
@@ -24,8 +25,7 @@
 //!   box are cached: interval evaluation is inclusion-monotonic, so a
 //!   verdict of `True`/`False` over a box holds on every sub-box the
 //!   solver will ever evaluate, and the cached verdict is exactly what the
-//!   tree walker would recompute. The analyzer's pre-tightened hole
-//!   enclosures flow in through this seed box.
+//!   tree walker would recompute.
 //! * **Batched (structure-of-arrays) evaluation.** One tape pass scores
 //!   many boxes at once: scratch values are laid out slot-major
 //!   (`slot * batch + box`), so each instruction streams over contiguous
@@ -39,7 +39,9 @@
 //! evaluates only the taken branch, `And`/`Or` short-circuit but surface
 //! errors from evaluated operands) — and reproduces `eval_formula`
 //! bit-for-bit, errors included; memoizing a shared slot is sound because
-//! exact evaluation is pure, so a replay equals a recomputation.
+//! exact evaluation is pure, so a replay equals a recomputation. The tree
+//! walkers stay as the independent reference: property tests compare
+//! both interpreters against them on random formulas and boxes.
 
 use crate::eval::EvalError;
 use crate::ieval::{icmp, rat_enclosure, Tri};
@@ -922,33 +924,32 @@ impl Tape {
 }
 
 /// A solver query compiled once: the simplified formula, its conjuncts,
-/// and (when tape evaluation is on) the compiled tape — prepared by the
-/// caller so the solver and the exact certifier share one compilation.
+/// and the compiled tape — prepared by the caller so the solver and the
+/// exact certifier share one compilation.
 #[derive(Debug)]
 pub struct CompiledQuery {
     /// `simplify_formula` of the original query.
     pub simplified: Formula,
     /// `simplified.conjuncts()` — what branch-and-prune prunes on.
     pub conjuncts: Vec<Formula>,
-    /// The compiled tape; `None` when tape evaluation is disabled or the
-    /// formula is trivially `True`/`False`.
+    /// The compiled tape; `None` exactly when the formula is trivially
+    /// `True`/`False`.
     pub tape: Option<Tape>,
 }
 
 impl CompiledQuery {
-    /// Simplify `f` and, when `use_tape` is set, compile its tape under a
-    /// `solver.tape_compile` span (per-query compile counters go to the
-    /// `solver.tape` trace counter). `seed` should be the box the query
-    /// will be solved over; every box later evaluated through the tape
-    /// must be contained in it.
+    /// Simplify `f` and, unless it simplifies to `True`/`False`, compile
+    /// its tape under a `solver.tape_compile` span (per-query compile
+    /// counters go to the `solver.tape` trace counter). `seed` should be
+    /// the box the query will be solved over; every box later evaluated
+    /// through the tape must be contained in it. `_use_tape` is ignored:
+    /// the tape is the solver's only evaluator, and the parameter stays
+    /// only until its last caller drops it.
     #[must_use]
-    pub fn prepare(f: &Formula, seed: Option<&BoxDomain>, use_tape: bool) -> CompiledQuery {
+    pub fn prepare(f: &Formula, seed: Option<&BoxDomain>, _use_tape: bool) -> CompiledQuery {
         let simplified = simplify_formula(f);
         let conjuncts = simplified.conjuncts();
-        let tape = (use_tape
-            && !matches!(simplified, Formula::True | Formula::False)
-            && !conjuncts.is_empty())
-        .then(|| {
+        let tape = (!matches!(simplified, Formula::True | Formula::False)).then(|| {
             let _sp = trace::span("solver.tape_compile");
             let tape = Tape::compile(&simplified, &conjuncts, seed);
             let st = *tape.stats();
@@ -964,35 +965,6 @@ impl CompiledQuery {
             tape
         });
         CompiledQuery { simplified, conjuncts, tape }
-    }
-
-    /// Exact check of the simplified formula at `env` — tape-accelerated
-    /// when available (interval pre-filter, then memoized exact replay),
-    /// and always bit-identical to `eval_formula(&self.simplified, env)`
-    /// in its *decision*: a sound interval rejection implies the exact
-    /// path returns `Ok(false)` or an error, either of which certifies
-    /// nothing. Returns `(holds, errored)`.
-    #[must_use]
-    pub fn check_exact(
-        &self,
-        env: &[Rat],
-        iv_scratch: &mut TapeScratch,
-        ex_scratch: &mut ExactScratch,
-    ) -> (bool, bool) {
-        if let Some(tape) = &self.tape {
-            if tape.refutes_point(env, iv_scratch) {
-                return (false, false);
-            }
-            match tape.eval_exact(env, ex_scratch) {
-                Ok(v) => (v, false),
-                Err(_) => (false, true),
-            }
-        } else {
-            match crate::eval::eval_formula(&self.simplified, env) {
-                Ok(v) => (v, false),
-                Err(_) => (false, true),
-            }
-        }
     }
 }
 
@@ -1220,8 +1192,6 @@ mod tests {
         assert!(q.tape.is_none());
         let mut r = VarRegistry::new();
         let x = r.intern("x");
-        let q = CompiledQuery::prepare(&Term::var(x).ge(Term::int(1)), None, false);
-        assert!(q.tape.is_none(), "tape disabled");
         let q = CompiledQuery::prepare(&Term::var(x).ge(Term::int(1)), None, true);
         assert!(q.tape.is_some());
     }

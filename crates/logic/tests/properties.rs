@@ -396,14 +396,9 @@ fn rat_enclosure_is_exactly_sound() {
             let hi_ok =
                 iv.hi() == f64::INFINITY || Rat::from_f64(iv.hi()).is_some_and(|hi| *r <= hi);
             prop_assert!(lo_ok && hi_ok, "{r} outside [{:e}, {:e}]", iv.lo(), iv.hi());
-            // Sharp where `to_f64` is accurate: a point iff `r` is a double.
-            // Below about 2^-960 the conversion underflows and the
-            // enclosure is only sound, not sharp.
-            let tiny = Rat::from_f64(2f64.powi(-960)).unwrap();
-            if r.abs() >= tiny {
-                let point = iv.lo() == iv.hi();
-                prop_assert_eq!(point, representable(r), "{} -> [{:e}, {:e}]", r, iv.lo(), iv.hi());
-            }
+            // Sharp: a point iff `r` is a double.
+            let point = iv.lo() == iv.hi();
+            prop_assert_eq!(point, representable(r), "{} -> [{:e}, {:e}]", r, iv.lo(), iv.hi());
             Ok(())
         },
     );

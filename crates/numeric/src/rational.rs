@@ -244,7 +244,12 @@ impl Rat {
         } else {
             (&self.num.shr((-shift) as u64) / &self.den, -shift)
         };
-        q.to_f64() * (scale_back as f64).exp2()
+        // Scale in two halves: 2^scale_back alone is 0 below 2^-1074 even
+        // where the result is a normal double (q has about 80 bits). Each
+        // half keeps the intermediate normal, so the product still rounds
+        // only once.
+        let half = scale_back / 2;
+        q.to_f64() * (half as f64).exp2() * ((scale_back - half) as f64).exp2()
     }
 
     /// The midpoint of two rationals.
@@ -706,6 +711,13 @@ mod tests {
         let _ = expect;
         let lg = 100.0 * 7f64.log2() - 90.0 * 11f64.log2();
         assert!((big.to_f64().log2() - lg).abs() < 1e-9);
+        // Tiny values: the scale factor alone would underflow to 0.
+        let pow2 = |k: u64| BigInt::one().shl(k);
+        assert_eq!(Rat::new(BigInt::one(), pow2(1000)).to_f64(), 2f64.powi(-1000));
+        assert_eq!(Rat::new(BigInt::from(-3i64), pow2(1074)).to_f64(), -3.0 * f64::from_bits(1));
+        let third = Rat::new(BigInt::one(), &BigInt::from(3i64) * &pow2(1000));
+        assert_eq!(third.to_f64(), (1.0 / 3.0) * 2f64.powi(-1000));
+        assert_eq!(Rat::new(BigInt::one(), pow2(1076)).to_f64(), 0.0);
     }
 
     #[test]
