@@ -131,6 +131,28 @@ diff "$GOLD/det_a.txt" "$GOLD/det_b.txt"
 grep -q '^cso_solver_queries_total ' "$GOLD/metrics_a.prom"
 grep -q '^cso_engine_oracle_calls_total ' "$GOLD/metrics_a.prom"
 
+# The Prometheus and CSV views fold the same work records: each
+# solver-work counter of the metered campaign equals the matching
+# table1_telemetry.csv column summed over its runs (an unregistered
+# counter reads as zero).
+echo "==> exposition counters vs table1_telemetry.csv column sums"
+for pair in cso_solver_queries_total:solver_queries cso_solver_boxes_total:boxes_explored \
+    cso_solver_boxes_pruned_total:boxes_pruned cso_solver_eval_errors_total:eval_errors \
+    cso_engine_memo_hits_total:cache_hits cso_engine_clauses_reused_total:clauses_reused; do
+    counter=${pair%%:*}
+    column=${pair#*:}
+    expo=$(awk -v n="$counter" '$1 == n { v = $2 } END { printf "%d", v }' "$GOLD/metrics_a.prom")
+    csv=$(awk -F, -v c="$column" '
+        NR == 1 { for (i = 1; i <= NF; i++) if ($i == c) k = i; if (!k) exit 1; next }
+        { s += $k }
+        END { printf "%d", s }
+    ' "$GOLD/metered/table1_telemetry.csv")
+    if [ "$expo" != "$csv" ]; then
+        echo "$counter is $expo but the $column column sums to $csv"
+        exit 1
+    fi
+done
+
 # Flame smoke: folding the traced campaign's JSONL must yield non-empty
 # collapsed stacks with branch-and-prune attributed under an engine
 # iteration (the same reconciliation metrics_equivalence.rs proves

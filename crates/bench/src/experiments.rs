@@ -2,6 +2,7 @@
 
 use cso_numeric::Rat;
 use cso_sketch::swan::{swan_sketch, swan_target_with};
+use cso_synth::stats::SolverTelemetry;
 use cso_synth::verify::preference_agreement;
 use cso_synth::{
     GroundTruthOracle, IndifferenceOracle, MetricSpace, NoisyOracle, Oracle, RunSummary,
@@ -65,28 +66,9 @@ pub struct RunOutcome {
     pub agreement: f64,
     /// Termination reason.
     pub outcome: SynthOutcome,
-    /// Solver queries issued over the run (deterministic given the seed).
-    pub solver_queries: usize,
-    /// Branch-and-prune boxes explored over the run (deterministic).
-    pub boxes_explored: usize,
-    /// Boxes pruned by interval refutation over the run (deterministic).
-    pub boxes_pruned: usize,
-    /// Exact sample evaluations that surfaced a partiality error instead
-    /// of a verdict (deterministic given the seed; samples the tape's
-    /// interval point check rejects are not evaluated exactly, so never
-    /// counted) — telemetry CSV only.
-    pub eval_errors: usize,
-    /// Solver queries answered by exact memo replay (deterministic given
-    /// the seed and cache mode; zero when the cache is off).
-    pub cache_hits: usize,
-    /// Preference-edge clauses served from the query-layer cache instead
-    /// of recompiled (zero when the cache is off).
-    pub clauses_reused: usize,
-    /// Wall-clock seconds spent in solver seeding phases (not
-    /// deterministic — telemetry CSV only).
-    pub seeding_secs: f64,
-    /// Wall-clock seconds spent in branch-and-prune (not deterministic).
-    pub bnp_secs: f64,
+    /// Solver work summed over the run: the telemetry CSV's work
+    /// counters and phase times.
+    pub solver: SolverTelemetry,
     /// Wall-clock seconds spent inside oracle ranking calls — measured
     /// separately because the paper *excludes* oracle time from synthesis
     /// time (not deterministic — telemetry CSV only).
@@ -110,21 +92,13 @@ fn one_run(target: (i64, i64, i64, i64), cfg_template: &SynthConfig, seed: u64) 
         seed ^ 0xA6E,
         &Rat::from_int(20),
     );
-    let solver = result.stats.solver_totals;
     RunOutcome {
         iterations: result.stats.iterations(),
         secs_per_iteration: result.stats.avg_iteration_secs(),
         total_secs: result.stats.total_secs(),
         agreement,
         outcome: result.outcome,
-        solver_queries: solver.queries,
-        boxes_explored: solver.boxes_explored,
-        boxes_pruned: solver.boxes_pruned,
-        eval_errors: solver.eval_errors,
-        cache_hits: solver.cache_hits,
-        clauses_reused: solver.clauses_reused,
-        seeding_secs: solver.seeding_time.as_secs_f64(),
-        bnp_secs: solver.bnp_time.as_secs_f64(),
+        solver: result.stats.solver_totals,
         oracle_secs: result.stats.oracle_secs(),
     }
 }
@@ -462,6 +436,7 @@ pub fn run_with_oracle<O: Oracle>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn table1_quick_shape() {
@@ -471,14 +446,14 @@ mod tests {
         assert!(t.total_secs.average > 0.0);
         assert!(t.mean_agreement > 0.85, "agreement {}", t.mean_agreement);
         for r in &t.runs {
-            assert!(r.solver_queries > 0, "solver telemetry must be populated");
-            assert!(r.seeding_secs + r.bnp_secs > 0.0);
+            assert!(r.solver.queries > 0, "solver telemetry must be populated");
+            assert!(r.solver.seeding_time + r.solver.bnp_time > Duration::ZERO);
             // The incremental caches default on: every multi-iteration run
             // rebuilds feasibility over mostly-unchanged edges. (Vacuous
             // under the CSO_SYNTH_CACHE=off CI pass, which forces cold.)
             let env_cold =
                 matches!(std::env::var("CSO_SYNTH_CACHE").ok().as_deref(), Some("off" | "0"));
-            assert!(env_cold || r.clauses_reused > 0, "cache telemetry must be populated");
+            assert!(env_cold || r.solver.clauses_reused > 0, "cache telemetry must be populated");
         }
     }
 

@@ -149,14 +149,14 @@ pub fn csv_table1_telemetry(t: &Table1Result) -> String {
             s,
             "{},{},{},{},{},{},{},{:.6},{:.6},{:.6}",
             i,
-            r.solver_queries,
-            r.boxes_explored,
-            r.boxes_pruned,
-            r.eval_errors,
-            r.cache_hits,
-            r.clauses_reused,
-            r.seeding_secs,
-            r.bnp_secs,
+            r.solver.queries,
+            r.solver.boxes_explored,
+            r.solver.boxes_pruned,
+            r.solver.eval_errors,
+            r.solver.cache_hits,
+            r.solver.clauses_reused,
+            r.solver.seeding_time.as_secs_f64(),
+            r.solver.bnp_time.as_secs_f64(),
             r.oracle_secs
         );
     }
@@ -225,7 +225,9 @@ mod tests {
     #[test]
     fn table1_csv_columns() {
         use crate::experiments::RunOutcome;
+        use cso_synth::stats::SolverTelemetry;
         use cso_synth::SynthOutcome;
+        use std::time::Duration;
         let mut t = t1();
         t.runs.push(RunOutcome {
             iterations: 30,
@@ -233,14 +235,17 @@ mod tests {
             total_secs: 72.0,
             agreement: 0.97,
             outcome: SynthOutcome::Converged,
-            solver_queries: 120,
-            boxes_explored: 4_567,
-            boxes_pruned: 1_234,
-            eval_errors: 2,
-            cache_hits: 17,
-            clauses_reused: 88,
-            seeding_secs: 1.5,
-            bnp_secs: 3.25,
+            solver: SolverTelemetry {
+                queries: 120,
+                boxes_explored: 4_567,
+                boxes_pruned: 1_234,
+                eval_errors: 2,
+                cache_hits: 17,
+                clauses_reused: 88,
+                seeding_time: Duration::from_millis(1_500),
+                bnp_time: Duration::from_millis(3_250),
+                ..SolverTelemetry::default()
+            },
             oracle_secs: 0.125,
         });
         let csv = csv_table1(&t);

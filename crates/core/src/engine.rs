@@ -4,7 +4,7 @@ use crate::config::{LintPolicy, SynthConfig};
 use crate::oracle::{Oracle, Ranking};
 use crate::query::QueryBuilder;
 use crate::scenario::{MetricSpace, Scenario};
-use crate::stats::{IterationRecord, SolverTelemetry, SynthStats};
+use crate::stats::{IterationRecord, SolverTelemetry, SynthStats, Verdict, Work};
 use cso_analysis::{analyze, AnalysisConfig, Report};
 use cso_logic::cache::{QueryKey, SolverCache};
 use cso_logic::solver::{Outcome, Solver, SolverConfig};
@@ -426,11 +426,7 @@ impl Synthesizer {
         if let Some(k) = &key {
             let cache = self.cache.as_mut().expect("key implies cache");
             if let Some(hit) = cache.lookup(k) {
-                synth_msg(format_args!("  solver call replayed from memo (site {site})"));
-                trace::counter("cache.memo_hit", || vec![("site", Value::U64(site))]);
-                static MEMO_HITS: Counter = Counter::new("cso_engine_memo_hits_total");
-                MEMO_HITS.inc(1);
-                self.tally(&SolverTelemetry { cache_hits: 1, ..SolverTelemetry::default() });
+                self.publish(Work::MemoHit { site });
                 return (hit.outcome, hit.sat_from_seeding);
             }
         }
@@ -440,8 +436,9 @@ impl Synthesizer {
         let q = CompiledQuery::prepare(f, Some(&domain), true);
         let mut solver = Solver::new(sc);
         let out = solver.solve_compiled(&q, &domain, seeds);
-        self.absorb_solver(&solver);
-        let sat_from_seeding = solver.stats.sat_from_seeding;
+        let stats = solver.stats;
+        self.publish(Work::Query { stats, outcome: Some(Verdict::from(&out)) });
+        let sat_from_seeding = stats.sat_from_seeding;
         if let Some(k) = key {
             let cache = self.cache.as_mut().expect("key implies cache");
             cache.record(k, out.clone(), sat_from_seeding);
@@ -468,44 +465,56 @@ impl Synthesizer {
         (scaled as usize).clamp(MIN_BOX_BUDGET, MAX_BOX_BUDGET)
     }
 
-    /// Fold a telemetry delta into both the per-iteration and the per-run
-    /// aggregates — the single point keeping the two from drifting apart.
-    fn tally(&mut self, delta: &SolverTelemetry) {
-        self.iter_solver.merge(delta);
-        self.stats.solver_totals.merge(delta);
-    }
-
-    /// Fold one finished solver query into the per-iteration and per-run
-    /// telemetry aggregates, mirroring it as a `solver.query` counter
-    /// event (phase times as whole nanoseconds, so
-    /// [`SolverTelemetry::from_events`] reconstructs them exactly).
-    fn absorb_solver(&mut self, solver: &Solver) {
-        let s = &solver.stats;
-        synth_msg(format_args!(
-            "  solver call: boxes={} seeding={:.4}s bnp={:.4}s",
-            s.boxes_processed,
-            s.seeding_time.as_secs_f64(),
-            s.bnp_time.as_secs_f64()
-        ));
-        trace::counter("solver.query", || {
-            vec![
-                ("boxes", Value::U64(s.boxes_processed as u64)),
-                ("pruned", Value::U64(s.boxes_pruned as u64)),
-                ("residual", Value::U64(s.residual_boxes as u64)),
-                ("samples", Value::U64(s.samples_tried as u64)),
-                ("eval_errors", Value::U64(s.eval_errors as u64)),
-                ("workers", Value::U64(s.workers as u64)),
-                ("from_seeding", Value::U64(u64::from(s.sat_from_seeding))),
-                (
-                    "seeding_ns",
-                    Value::U64(u64::try_from(s.seeding_time.as_nanos()).unwrap_or(u64::MAX)),
-                ),
-                ("bnp_ns", Value::U64(u64::try_from(s.bnp_time.as_nanos()).unwrap_or(u64::MAX))),
-            ]
-        });
-        let mut delta = SolverTelemetry::default();
-        delta.absorb(s);
-        self.tally(&delta);
+    /// Publish one unit of solver work — the only place solver work is
+    /// published. Folds the record into the iteration and run telemetry,
+    /// emits its trace counter, and, when metrics are on, updates the
+    /// Prometheus counters.
+    pub(crate) fn publish(&mut self, work: Work) {
+        self.iter_solver.add(&work);
+        self.stats.solver_totals.add(&work);
+        trace::counter(work.name(), || work.fields());
+        if !metrics::enabled() {
+            return;
+        }
+        static QUERIES: Counter = Counter::new("cso_solver_queries_total");
+        static SAT: Counter = Counter::new("cso_solver_sat_total");
+        static UNSAT: Counter = Counter::new("cso_solver_unsat_total");
+        static DELTA_UNSAT: Counter = Counter::new("cso_solver_delta_unsat_total");
+        static EXHAUSTED: Counter = Counter::new("cso_solver_exhausted_total");
+        static BOXES: Counter = Counter::new("cso_solver_boxes_total");
+        static PRUNED: Counter = Counter::new("cso_solver_boxes_pruned_total");
+        static RESIDUAL: Counter = Counter::new("cso_solver_residual_boxes_total");
+        static SAMPLES: Counter = Counter::new("cso_solver_samples_total");
+        static EVAL_ERRORS: Counter = Counter::new("cso_solver_eval_errors_total");
+        static SEEDING_NS: Histogram = Histogram::new("cso_solver_seeding_ns");
+        static BNP_NS: Histogram = Histogram::new("cso_solver_bnp_ns");
+        static MEMO_HITS: Counter = Counter::new("cso_engine_memo_hits_total");
+        static CLAUSES_REUSED: Counter = Counter::new("cso_engine_clauses_reused_total");
+        static CLAUSES_COMPILED: Counter = Counter::new("cso_engine_clauses_compiled_total");
+        match work {
+            Work::Query { stats: s, outcome } => {
+                QUERIES.inc(1);
+                match outcome {
+                    Some(Verdict::Sat) => SAT.inc(1),
+                    Some(Verdict::Unsat) => UNSAT.inc(1),
+                    Some(Verdict::DeltaUnsat) => DELTA_UNSAT.inc(1),
+                    Some(Verdict::Exhausted) => EXHAUSTED.inc(1),
+                    None => {}
+                }
+                BOXES.inc(s.boxes_processed as u64);
+                PRUNED.inc(s.boxes_pruned as u64);
+                RESIDUAL.inc(s.residual_boxes as u64);
+                SAMPLES.inc(s.samples_tried as u64);
+                EVAL_ERRORS.inc(s.eval_errors as u64);
+                SEEDING_NS.observe_duration(s.seeding_time);
+                BNP_NS.observe_duration(s.bnp_time);
+            }
+            Work::MemoHit { .. } => MEMO_HITS.inc(1),
+            Work::Clauses { reused, compiled } => {
+                CLAUSES_REUSED.inc(reused as u64);
+                CLAUSES_COMPILED.inc(compiled as u64);
+            }
+        }
     }
 
     /// All coordinate-wise combinations of the hole vectors appearing in
@@ -1101,24 +1110,13 @@ impl Synthesizer {
         Ok(SynthResult { objective, outcome, stats: self.stats.clone() })
     }
 
-    /// Fold the query layer's clause-reuse counters into the current
-    /// iteration's telemetry and the run totals, mirroring them as a
-    /// `query.clauses` counter event.
+    /// Publish the query layer's clause counters since the last drain as
+    /// one [`Work::Clauses`] record (none when the batch is empty).
     fn drain_clause_counters(&mut self) {
         let (reused, compiled) = self.qb.take_clause_counters();
         if reused > 0 || compiled > 0 {
-            trace::counter("query.clauses", || {
-                vec![
-                    ("reused", Value::U64(reused as u64)),
-                    ("compiled", Value::U64(compiled as u64)),
-                ]
-            });
-            static CLAUSES_REUSED: Counter = Counter::new("cso_engine_clauses_reused_total");
-            static CLAUSES_COMPILED: Counter = Counter::new("cso_engine_clauses_compiled_total");
-            CLAUSES_REUSED.inc(reused as u64);
-            CLAUSES_COMPILED.inc(compiled as u64);
+            self.publish(Work::Clauses { reused, compiled });
         }
-        self.tally(&SolverTelemetry { clauses_reused: reused, ..SolverTelemetry::default() });
     }
 
     /// Ask the oracle to rank `scenarios`, timing the call under an

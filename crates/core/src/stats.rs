@@ -3,20 +3,144 @@
 //! Table 1 reports average, median and SIQR (semi-interquartile range) of
 //! the iteration count, per-iteration synthesis time and total synthesis
 //! time over nine runs; [`RunSummary`] computes exactly those.
+//!
+//! Solver work is recorded once per unit — per solver query, memo
+//! replay and clause batch — as a `Work` record, which the engine
+//! publishes from a single method. The telemetry (`SolverTelemetry::add`),
+//! the trace counter (`Work::fields`) and the Prometheus counters are
+//! folds of that record, and `Work::from_event` reads it back from the
+//! trace through the same fold ([`SolverTelemetry::from_events`]).
 
-use cso_logic::solver::SolverStats;
-use cso_runtime::trace::{Event, Kind};
+use cso_logic::solver::{Outcome, SolverStats};
+use cso_runtime::trace::{Event, Kind, Value};
 use std::time::Duration;
 
-/// Aggregated δ-solver telemetry, summed over some window of solver
-/// queries (one iteration, or a whole run).
+/// How a solver query ended, without the model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// [`Outcome::Sat`].
+    Sat,
+    /// [`Outcome::Unsat`].
+    Unsat,
+    /// [`Outcome::DeltaUnsat`].
+    DeltaUnsat,
+    /// [`Outcome::Exhausted`].
+    Exhausted,
+}
+
+impl From<&Outcome> for Verdict {
+    fn from(out: &Outcome) -> Verdict {
+        match out {
+            Outcome::Sat(_) => Verdict::Sat,
+            Outcome::Unsat => Verdict::Unsat,
+            Outcome::DeltaUnsat => Verdict::DeltaUnsat,
+            Outcome::Exhausted => Verdict::Exhausted,
+        }
+    }
+}
+
+/// One unit of solver work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Work {
+    /// A physical solver query. `outcome` is `None` only when read back
+    /// from a trace, whose `solver.query` counter does not carry it.
+    Query {
+        /// Work counters and phase times.
+        stats: SolverStats,
+        /// How the query ended.
+        outcome: Option<Verdict>,
+    },
+    /// A query answered by exact memo replay instead of a solver run.
+    MemoHit {
+        /// Call-site tag of the replayed query.
+        site: u64,
+    },
+    /// Preference-edge clauses served from the query-layer cache or
+    /// compiled afresh since the last batch.
+    Clauses {
+        /// Clauses served from the cache.
+        reused: usize,
+        /// Clauses compiled.
+        compiled: usize,
+    },
+}
+
+impl Work {
+    /// Name of the trace counter carrying this record.
+    #[must_use]
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Work::Query { .. } => "solver.query",
+            Work::MemoHit { .. } => "cache.memo_hit",
+            Work::Clauses { .. } => "query.clauses",
+        }
+    }
+
+    /// The trace counter's fields, in order; phase times travel as whole
+    /// nanoseconds, so [`Work::from_event`] reads them back exactly.
+    #[must_use]
+    pub(crate) fn fields(&self) -> Vec<(&'static str, Value)> {
+        let u = |n: usize| Value::U64(n as u64);
+        let ns = |d: Duration| Value::U64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        match *self {
+            Work::Query { stats: s, .. } => vec![
+                ("boxes", u(s.boxes_processed)),
+                ("pruned", u(s.boxes_pruned)),
+                ("residual", u(s.residual_boxes)),
+                ("samples", u(s.samples_tried)),
+                ("eval_errors", u(s.eval_errors)),
+                ("workers", u(s.workers)),
+                ("from_seeding", u(usize::from(s.sat_from_seeding))),
+                ("seeding_ns", ns(s.seeding_time)),
+                ("bnp_ns", ns(s.bnp_time)),
+            ],
+            Work::MemoHit { site } => vec![("site", Value::U64(site))],
+            Work::Clauses { reused, compiled } => {
+                vec![("reused", u(reused)), ("compiled", u(compiled))]
+            }
+        }
+    }
+
+    /// Read a record back from its trace counter (`None` for any other
+    /// event); a missing field reads as zero.
+    #[must_use]
+    pub(crate) fn from_event(e: &Event) -> Option<Work> {
+        if e.kind != Kind::Counter {
+            return None;
+        }
+        let u = |k: &str| e.field_u64(k).unwrap_or(0);
+        let n = |k: &str| u(k) as usize;
+        Some(match e.name.as_str() {
+            "solver.query" => Work::Query {
+                stats: SolverStats {
+                    boxes_processed: n("boxes"),
+                    boxes_pruned: n("pruned"),
+                    residual_boxes: n("residual"),
+                    samples_tried: n("samples"),
+                    eval_errors: n("eval_errors"),
+                    workers: n("workers"),
+                    sat_from_seeding: u("from_seeding") != 0,
+                    seeding_time: Duration::from_nanos(u("seeding_ns")),
+                    bnp_time: Duration::from_nanos(u("bnp_ns")),
+                },
+                outcome: None,
+            },
+            "cache.memo_hit" => Work::MemoHit { site: u("site") },
+            "query.clauses" => Work::Clauses { reused: n("reused"), compiled: n("compiled") },
+            _ => return None,
+        })
+    }
+}
+
+/// Aggregated δ-solver telemetry: the fold of the work records of
+/// some window (one iteration, or a whole run).
 ///
 /// Box and sample counts are deterministic given the seed; the two
 /// `*_time` fields are wall-clock and must stay out of any output that
 /// promises byte-identity across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverTelemetry {
-    /// Solver invocations absorbed.
+    /// Solver queries folded.
     pub queries: usize,
     /// Boxes popped from the branch-and-prune frontier.
     pub boxes_explored: usize,
@@ -35,7 +159,7 @@ pub struct SolverTelemetry {
     pub seeding_time: Duration,
     /// Wall-clock time spent in branch-and-prune.
     pub bnp_time: Duration,
-    /// Largest worker-thread count any absorbed query ran with.
+    /// Largest worker-thread count any folded query ran with.
     pub max_workers: usize,
     /// Queries answered by exact memo replay instead of a solver run.
     /// Replayed queries are *not* counted in `queries` or the box/sample
@@ -47,87 +171,31 @@ pub struct SolverTelemetry {
 }
 
 impl SolverTelemetry {
-    /// Fold one solver query's statistics into the aggregate.
-    ///
-    /// Only covers what [`SolverStats`] reports — physical solver work.
-    /// The cache-layer fields (`cache_hits`, `clauses_reused`) come from
-    /// the engine's cache paths and flow in through
-    /// [`SolverTelemetry::merge`].
-    pub fn absorb(&mut self, s: &SolverStats) {
-        self.queries += 1;
-        self.boxes_explored += s.boxes_processed;
-        self.boxes_pruned += s.boxes_pruned;
-        self.residual_boxes += s.residual_boxes;
-        self.samples_tried += s.samples_tried;
-        self.eval_errors += s.eval_errors;
-        self.seeding_time += s.seeding_time;
-        self.bnp_time += s.bnp_time;
-        self.max_workers = self.max_workers.max(s.workers);
+    /// Fold one work record into the aggregate.
+    pub(crate) fn add(&mut self, work: &Work) {
+        match *work {
+            Work::Query { stats: s, .. } => {
+                self.queries += 1;
+                self.boxes_explored += s.boxes_processed;
+                self.boxes_pruned += s.boxes_pruned;
+                self.residual_boxes += s.residual_boxes;
+                self.samples_tried += s.samples_tried;
+                self.eval_errors += s.eval_errors;
+                self.seeding_time += s.seeding_time;
+                self.bnp_time += s.bnp_time;
+                self.max_workers = self.max_workers.max(s.workers);
+            }
+            Work::MemoHit { .. } => self.cache_hits += 1,
+            Work::Clauses { reused, .. } => self.clauses_reused += reused,
+        }
     }
 
-    /// Fold another aggregate into this one: every additive field sums,
-    /// `max_workers` takes the max. The exhaustive destructuring makes a
-    /// new telemetry field a compile error here rather than a silently
-    /// dropped count.
-    pub fn merge(&mut self, other: &SolverTelemetry) {
-        let SolverTelemetry {
-            queries,
-            boxes_explored,
-            boxes_pruned,
-            residual_boxes,
-            samples_tried,
-            eval_errors,
-            seeding_time,
-            bnp_time,
-            max_workers,
-            cache_hits,
-            clauses_reused,
-        } = *other;
-        self.queries += queries;
-        self.boxes_explored += boxes_explored;
-        self.boxes_pruned += boxes_pruned;
-        self.residual_boxes += residual_boxes;
-        self.samples_tried += samples_tried;
-        self.eval_errors += eval_errors;
-        self.seeding_time += seeding_time;
-        self.bnp_time += bnp_time;
-        self.max_workers = self.max_workers.max(max_workers);
-        self.cache_hits += cache_hits;
-        self.clauses_reused += clauses_reused;
-    }
-
-    /// Reconstruct an aggregate from a trace event stream — the bridge
-    /// that keeps counters and traces from ever disagreeing. Folds the
-    /// counter events the engine emits (`solver.query`, `cache.memo_hit`,
-    /// `query.clauses`); phase
-    /// times travel as whole nanoseconds, so the reconstruction is exact,
-    /// not approximate.
+    /// Rebuild an aggregate from a trace event stream: its work records,
+    /// folded through the same `add` the engine uses.
     #[must_use]
     pub fn from_events(events: &[Event]) -> SolverTelemetry {
         let mut t = SolverTelemetry::default();
-        for e in events {
-            if e.kind != Kind::Counter {
-                continue;
-            }
-            match e.name.as_str() {
-                "solver.query" => {
-                    t.queries += 1;
-                    t.boxes_explored += e.field_u64("boxes").unwrap_or(0) as usize;
-                    t.boxes_pruned += e.field_u64("pruned").unwrap_or(0) as usize;
-                    t.residual_boxes += e.field_u64("residual").unwrap_or(0) as usize;
-                    t.samples_tried += e.field_u64("samples").unwrap_or(0) as usize;
-                    t.eval_errors += e.field_u64("eval_errors").unwrap_or(0) as usize;
-                    t.seeding_time += Duration::from_nanos(e.field_u64("seeding_ns").unwrap_or(0));
-                    t.bnp_time += Duration::from_nanos(e.field_u64("bnp_ns").unwrap_or(0));
-                    t.max_workers = t.max_workers.max(e.field_u64("workers").unwrap_or(0) as usize);
-                }
-                "cache.memo_hit" => t.cache_hits += 1,
-                "query.clauses" => {
-                    t.clauses_reused += e.field_u64("reused").unwrap_or(0) as usize;
-                }
-                _ => {}
-            }
-        }
+        events.iter().filter_map(Work::from_event).for_each(|w| t.add(&w));
         t
     }
 }
@@ -251,6 +319,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cso_runtime::prop::{self, CaseError, Gen};
 
     #[test]
     fn summary_of_constant_sample() {
@@ -295,130 +364,110 @@ mod tests {
         assert_eq!(s.median, 0.0);
     }
 
-    #[test]
-    fn telemetry_absorbs_solver_stats() {
-        let mut t = SolverTelemetry::default();
-        let mut s = SolverStats {
-            boxes_processed: 10,
-            boxes_pruned: 4,
-            residual_boxes: 1,
-            samples_tried: 25,
-            eval_errors: 3,
-            sat_from_seeding: false,
-            seeding_time: Duration::from_millis(3),
-            bnp_time: Duration::from_millis(7),
-            workers: 4,
-        };
-        t.absorb(&s);
-        s.workers = 2;
-        t.absorb(&s);
-        assert_eq!(t.queries, 2);
-        assert_eq!(t.boxes_explored, 20);
-        assert_eq!(t.boxes_pruned, 8);
-        assert_eq!(t.residual_boxes, 2);
-        assert_eq!(t.samples_tried, 50);
-        assert_eq!(t.eval_errors, 6);
-        assert_eq!(t.seeding_time, Duration::from_millis(6));
-        assert_eq!(t.bnp_time, Duration::from_millis(14));
-        assert_eq!(t.max_workers, 4, "max, not last");
-        // `absorb` records physical solver work only; the cache-layer
-        // fields flow through `merge` and must stay untouched here.
-        assert_eq!(t.cache_hits, 0);
-        assert_eq!(t.clauses_reused, 0);
-    }
-
-    /// Every field — including the cache-layer fields — survives
-    /// aggregation; a dropped field here would silently zero a
-    /// `table1_telemetry.csv` column.
-    #[test]
-    fn telemetry_merge_covers_every_field() {
-        let a = SolverTelemetry {
-            queries: 1,
-            boxes_explored: 2,
-            boxes_pruned: 3,
-            residual_boxes: 4,
-            samples_tried: 5,
-            eval_errors: 13,
-            seeding_time: Duration::from_millis(6),
-            bnp_time: Duration::from_millis(7),
-            max_workers: 8,
-            cache_hits: 9,
-            clauses_reused: 10,
-        };
-        let mut t = a;
-        t.merge(&SolverTelemetry { max_workers: 3, ..a });
-        assert_eq!(
-            t,
-            SolverTelemetry {
-                queries: 2,
-                boxes_explored: 4,
-                boxes_pruned: 6,
-                residual_boxes: 8,
-                samples_tried: 10,
-                eval_errors: 26,
-                seeding_time: Duration::from_millis(12),
-                bnp_time: Duration::from_millis(14),
-                max_workers: 8,
-                cache_hits: 18,
-                clauses_reused: 20,
-            }
-        );
-    }
-
-    /// The event-stream reconstruction agrees with direct aggregation:
-    /// one `solver.query` counter per physical solve, cache counters for
-    /// the cache paths, nanosecond-exact phase times.
-    #[test]
-    fn telemetry_from_events_reconstructs_counters() {
-        use cso_runtime::trace::Value;
-        let counter = |name: &str, fields: Vec<(&str, u64)>| Event {
-            kind: Kind::Counter,
-            name: name.to_owned(),
-            thread: 0,
-            worker: None,
-            session: None,
-            seq: 0,
-            wall_ns: 0,
-            dur_ns: None,
-            fields: fields.into_iter().map(|(k, v)| (k.to_owned(), Value::U64(v))).collect(),
-        };
-        let events = vec![
-            counter(
-                "solver.query",
-                vec![
-                    ("boxes", 10),
-                    ("pruned", 4),
-                    ("residual", 1),
-                    ("samples", 25),
-                    ("eval_errors", 2),
-                    ("workers", 4),
-                    ("seeding_ns", 3_000_001),
-                    ("bnp_ns", 7_000_002),
-                ],
+    /// Any work record: counters up to 2⁴⁰, phase times in whole
+    /// nanoseconds (what the trace carries), every verdict.
+    fn work_gen() -> Gen<Work> {
+        let query = prop::vec_of(prop::u64_in(0, 1 << 40), 10, 10).map(|v| Work::Query {
+            stats: SolverStats {
+                boxes_processed: v[0] as usize,
+                boxes_pruned: v[1] as usize,
+                residual_boxes: v[2] as usize,
+                samples_tried: v[3] as usize,
+                eval_errors: v[4] as usize,
+                workers: (v[5] % 64) as usize,
+                sat_from_seeding: v[6] % 2 == 1,
+                seeding_time: Duration::from_nanos(v[7]),
+                bnp_time: Duration::from_nanos(v[8]),
+            },
+            outcome: Some(
+                [Verdict::Sat, Verdict::Unsat, Verdict::DeltaUnsat, Verdict::Exhausted]
+                    [(v[9] % 4) as usize],
             ),
-            counter("cache.memo_hit", vec![("site", 2)]),
-            counter("cache.memo_hit", vec![("site", 3)]),
-            counter("query.clauses", vec![("reused", 30), ("compiled", 5)]),
-        ];
-        let t = SolverTelemetry::from_events(&events);
-        let mut expect = SolverTelemetry::default();
-        expect.absorb(&SolverStats {
-            boxes_processed: 10,
-            boxes_pruned: 4,
-            residual_boxes: 1,
-            samples_tried: 25,
-            eval_errors: 2,
-            sat_from_seeding: false,
-            seeding_time: Duration::from_nanos(3_000_001),
-            bnp_time: Duration::from_nanos(7_000_002),
-            workers: 4,
         });
-        expect.merge(&SolverTelemetry {
-            cache_hits: 2,
-            clauses_reused: 30,
-            ..SolverTelemetry::default()
+        let memo_hit = prop::u64_in(0, u64::MAX).map(|site| Work::MemoHit { site });
+        let clauses = prop::zip2(prop::usize_in(0, 1 << 20), prop::usize_in(0, 1 << 20))
+            .map(|(reused, compiled)| Work::Clauses { reused, compiled });
+        prop::one_of(vec![query, memo_hit, clauses])
+    }
+
+    /// What the engine's publish point keeps and emits agree: its
+    /// telemetry is the field-by-field fold of the records and equals the
+    /// fold of the trace it emitted, and every record survives the JSONL
+    /// round trip (minus the verdict, which the trace does not carry).
+    #[test]
+    fn published_work_folds_and_round_trips() {
+        use crate::{MetricSpace, SynthConfig, Synthesizer};
+        use cso_runtime::prop_assert;
+        use cso_runtime::trace::{self, MemorySink};
+        use cso_sketch::swan::swan_sketch;
+        use std::sync::Arc;
+
+        /// Tags this test's events: engine tests running alongside emit
+        /// into the same global sink while it is installed.
+        const SESSION: u64 = 0x5747_4154_5354_4154;
+        let gen = prop::vec_of(work_gen(), 0, 16);
+        prop::check("published_work_folds_and_round_trips", &gen, |works| {
+            let mut synth =
+                Synthesizer::new(swan_sketch(), MetricSpace::swan(), SynthConfig::fast_test())
+                    .expect("SWAN sketch matches its metric space");
+            let mem = Arc::new(MemorySink::new());
+            trace::install(mem.clone());
+            {
+                let _s = trace::session_scope(SESSION);
+                for w in works {
+                    synth.publish(*w);
+                }
+            }
+            let _ = trace::uninstall();
+            let events: Vec<Event> =
+                mem.take().into_iter().filter(|e| e.session == Some(SESSION)).collect();
+
+            // The fold itself, field by field against the records.
+            let queries: Vec<SolverStats> = works
+                .iter()
+                .filter_map(|w| match w {
+                    Work::Query { stats, .. } => Some(*stats),
+                    _ => None,
+                })
+                .collect();
+            let sum = |f: fn(&SolverStats) -> usize| queries.iter().map(f).sum::<usize>();
+            let expect = SolverTelemetry {
+                queries: queries.len(),
+                boxes_explored: sum(|s| s.boxes_processed),
+                boxes_pruned: sum(|s| s.boxes_pruned),
+                residual_boxes: sum(|s| s.residual_boxes),
+                samples_tried: sum(|s| s.samples_tried),
+                eval_errors: sum(|s| s.eval_errors),
+                seeding_time: queries.iter().map(|s| s.seeding_time).sum(),
+                bnp_time: queries.iter().map(|s| s.bnp_time).sum(),
+                max_workers: queries.iter().map(|s| s.workers).max().unwrap_or(0),
+                cache_hits: works.iter().filter(|w| matches!(w, Work::MemoHit { .. })).count(),
+                clauses_reused: works
+                    .iter()
+                    .map(|w| match w {
+                        Work::Clauses { reused, .. } => *reused,
+                        _ => 0,
+                    })
+                    .sum(),
+            };
+            let totals = synth.stats.solver_totals;
+            prop_assert!(totals == expect, "engine fold {totals:?} != {expect:?}");
+            prop_assert!(synth.iter_solver == totals, "iteration and run folds differ");
+            let rebuilt = SolverTelemetry::from_events(&events);
+            prop_assert!(rebuilt == totals, "from_events {rebuilt:?} != engine fold {totals:?}");
+            prop_assert!(events.len() == works.len(), "one counter per record");
+            for (w, e) in works.iter().zip(&events) {
+                let line = trace::to_jsonl(e);
+                let back = trace::parse_line(&line).map_err(CaseError::Fail)?;
+                let expect = match *w {
+                    Work::Query { stats, .. } => Work::Query { stats, outcome: None },
+                    other => other,
+                };
+                let read = Work::from_event(&back);
+                prop_assert!(read == Some(expect), "{line} read back as {read:?}");
+            }
+            Ok(())
         });
-        assert_eq!(t, expect);
     }
 
     #[test]

@@ -119,21 +119,33 @@ fn metrics_on_run_is_byte_identical() {
             "threads {threads}: metrics changed telemetry"
         );
 
-        // The enabled run really collected: the counter deltas agree with
-        // the imperative telemetry (this also re-checks that sharded
-        // registration under pool threads loses nothing).
+        // The enabled run really collected: every solver-work counter
+        // delta agrees with the telemetry (this also re-checks that
+        // sharded registration under pool threads loses nothing).
         let counter = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
-        assert_eq!(
-            counter("cso_solver_boxes_total"),
-            metered_totals.boxes_explored as u64,
-            "threads {threads}: box counter drifted from telemetry"
-        );
-        assert_eq!(
-            counter("cso_solver_samples_total"),
-            metered_totals.samples_tried as u64,
-            "threads {threads}: sample counter drifted from telemetry"
-        );
-        assert!(counter("cso_solver_queries_total") > 0, "threads {threads}: no queries counted");
+        let t = &metered_totals;
+        for (name, want) in [
+            ("cso_solver_queries_total", t.queries),
+            ("cso_solver_boxes_total", t.boxes_explored),
+            ("cso_solver_boxes_pruned_total", t.boxes_pruned),
+            ("cso_solver_residual_boxes_total", t.residual_boxes),
+            ("cso_solver_samples_total", t.samples_tried),
+            ("cso_solver_eval_errors_total", t.eval_errors),
+            ("cso_engine_memo_hits_total", t.cache_hits),
+            ("cso_engine_clauses_reused_total", t.clauses_reused),
+        ] {
+            assert_eq!(
+                counter(name),
+                want as u64,
+                "threads {threads}: {name} drifted from telemetry"
+            );
+        }
+        let verdicts: u64 = ["sat", "unsat", "delta_unsat", "exhausted"]
+            .iter()
+            .map(|v| counter(&format!("cso_solver_{v}_total")))
+            .sum();
+        assert_eq!(verdicts, t.queries as u64, "threads {threads}: one verdict per query");
+        assert!(t.queries > 0, "threads {threads}: no queries counted");
         assert!(
             counter("cso_engine_oracle_calls_total") > 0,
             "threads {threads}: no oracle calls counted"

@@ -62,7 +62,6 @@ use crate::tape::{CompiledQuery, ExactScratch, Tape, TapeScratch};
 use crate::term::Formula;
 use crate::vars::BoxDomain;
 use cso_numeric::{Interval, Rat};
-use cso_runtime::metrics::{self, Counter, Histogram};
 use cso_runtime::trace::{self, Value};
 use cso_runtime::{pool, Rng};
 use std::cell::RefCell;
@@ -179,7 +178,7 @@ impl Outcome {
 /// Box and sample counts are deterministic given the config and query —
 /// identical for every `threads` value; the two `*_time` fields are
 /// wall-clock and exist for telemetry only.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Boxes popped from the subdivision frontier.
     pub boxes_processed: usize,
@@ -460,51 +459,6 @@ impl Solver {
     /// contained in the box the query was prepared over (the tape's
     /// domain-seeded verdicts are only sound on sub-boxes).
     pub fn solve_compiled(
-        &mut self,
-        q: &CompiledQuery,
-        dom: &BoxDomain,
-        seeds: &[Model],
-    ) -> Outcome {
-        let out = self.solve_compiled_inner(q, dom, seeds);
-        if metrics::enabled() {
-            self.record_metrics(&out);
-        }
-        out
-    }
-
-    /// Fold the just-finished query's [`SolverStats`] into the global
-    /// metrics registry. Piggybacks on the durations already measured
-    /// for `stats` — no extra clock reads on the solve path.
-    fn record_metrics(&self, out: &Outcome) {
-        static QUERIES: Counter = Counter::new("cso_solver_queries_total");
-        static SAT: Counter = Counter::new("cso_solver_sat_total");
-        static UNSAT: Counter = Counter::new("cso_solver_unsat_total");
-        static DELTA_UNSAT: Counter = Counter::new("cso_solver_delta_unsat_total");
-        static EXHAUSTED: Counter = Counter::new("cso_solver_exhausted_total");
-        static BOXES: Counter = Counter::new("cso_solver_boxes_total");
-        static PRUNED: Counter = Counter::new("cso_solver_boxes_pruned_total");
-        static RESIDUAL: Counter = Counter::new("cso_solver_residual_boxes_total");
-        static SAMPLES: Counter = Counter::new("cso_solver_samples_total");
-        static EVAL_ERRORS: Counter = Counter::new("cso_solver_eval_errors_total");
-        static SEEDING_NS: Histogram = Histogram::new("cso_solver_seeding_ns");
-        static BNP_NS: Histogram = Histogram::new("cso_solver_bnp_ns");
-        QUERIES.inc(1);
-        match out {
-            Outcome::Sat(_) => SAT.inc(1),
-            Outcome::Unsat => UNSAT.inc(1),
-            Outcome::DeltaUnsat => DELTA_UNSAT.inc(1),
-            Outcome::Exhausted => EXHAUSTED.inc(1),
-        }
-        BOXES.inc(self.stats.boxes_processed as u64);
-        PRUNED.inc(self.stats.boxes_pruned as u64);
-        RESIDUAL.inc(self.stats.residual_boxes as u64);
-        SAMPLES.inc(self.stats.samples_tried as u64);
-        EVAL_ERRORS.inc(self.stats.eval_errors as u64);
-        SEEDING_NS.observe_duration(self.stats.seeding_time);
-        BNP_NS.observe_duration(self.stats.bnp_time);
-    }
-
-    fn solve_compiled_inner(
         &mut self,
         q: &CompiledQuery,
         dom: &BoxDomain,

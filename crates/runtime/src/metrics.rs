@@ -48,17 +48,21 @@
 //! use [`enable`] / [`disable`] programmatically and difference
 //! [`Snapshot::delta`]s instead of assuming zero baselines.
 //!
+//! This module only holds the registry. Probes live with the code they
+//! count; the solver-work counters (`cso_solver_*`,
+//! `cso_engine_memo_hits_total`, `cso_engine_clauses_*`) are one fold of
+//! the engine's work records, updated at the same single point that
+//! emits their trace counters and folds the run telemetry.
+//!
 //! # Trace bridge
 //!
 //! [`FlameFold`] folds a [`crate::trace`] event stream into per-phase
 //! duration histograms and collapsed flame stacks
 //! (`engine.run;engine.iteration;solver.bnp 1234567`, self-time
-//! nanoseconds, inferno/flamegraph-compatible). [`MetricsSink`] is the
-//! live variant: a [`trace::Sink`] feeding the same fold as events are
-//! emitted; `trace-digest --flame` / `--metrics` run the fold offline
-//! over a JSONL file.
+//! nanoseconds, inferno/flamegraph-compatible); `trace-digest --flame` /
+//! `--metrics` run the fold offline over a JSONL file.
 
-use crate::trace::{self, Event, Kind};
+use crate::trace::{Event, Kind};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -149,19 +153,6 @@ pub fn enable() {
 /// via [`Snapshot::delta`] rather than expecting resets.
 pub fn disable() {
     STATE.store(ST_OFF, Ordering::SeqCst);
-}
-
-/// Point [`flush_exposition`] at `path` (or disable file output with
-/// `None`). Programmatic override for the `CSO_METRICS=expo:<path>`
-/// wiring.
-pub fn set_exposition_path(path: Option<PathBuf>) {
-    *EXPO_PATH.lock().unwrap_or_else(PoisonError::into_inner) = path;
-}
-
-/// The exposition path currently configured, if any.
-#[must_use]
-pub fn exposition_path() -> Option<PathBuf> {
-    EXPO_PATH.lock().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 // -- registry ---------------------------------------------------------------
@@ -607,7 +598,7 @@ pub fn flush_exposition() -> Option<PathBuf> {
     if !enabled() {
         return None;
     }
-    let path = exposition_path()?;
+    let path = EXPO_PATH.lock().unwrap_or_else(PoisonError::into_inner).clone()?;
     let text = exposition();
     let tmp = path.with_extension("tmp");
     let res = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path));
@@ -640,7 +631,7 @@ struct Frame {
 /// inside itself, the sum of self-times over all stacks containing the
 /// name equals the sum of its span durations exactly (integer
 /// nanoseconds) — the reconciliation the integration tests pin against
-/// [`trace`] durations.
+/// [`crate::trace`] durations.
 #[derive(Default)]
 pub struct FlameFold {
     stacks_by_thread: HashMap<u32, Vec<Frame>>,
@@ -757,38 +748,6 @@ impl FlameReport {
             .filter(|(path, _)| path.split(';').any(|frame| frame == name))
             .map(|(_, ns)| ns)
             .sum()
-    }
-}
-
-/// A live [`trace::Sink`] feeding a [`FlameFold`]: attach it (alone or
-/// behind a fan-out sink) to profile a run in process without writing a
-/// JSONL file first.
-pub struct MetricsSink {
-    fold: Mutex<FlameFold>,
-}
-
-impl MetricsSink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> MetricsSink {
-        MetricsSink { fold: Mutex::new(FlameFold::new()) }
-    }
-
-    /// Take the fold's current report, resetting the sink.
-    pub fn take(&self) -> FlameReport {
-        std::mem::take(&mut *self.fold.lock().unwrap_or_else(PoisonError::into_inner)).finish()
-    }
-}
-
-impl Default for MetricsSink {
-    fn default() -> MetricsSink {
-        MetricsSink::new()
-    }
-}
-
-impl trace::Sink for MetricsSink {
-    fn record(&self, event: &Event) {
-        self.fold.lock().unwrap_or_else(PoisonError::into_inner).feed(event);
     }
 }
 
@@ -1072,17 +1031,6 @@ mod tests {
         let report = fold.finish();
         assert_eq!(report.dropped, 2);
         assert_eq!(report.unclosed, 2);
-    }
-
-    #[test]
-    fn metrics_sink_is_a_live_fold() {
-        let sink = MetricsSink::new();
-        trace::Sink::record(&sink, &ev(Kind::SpanStart, "x", 3, None));
-        trace::Sink::record(&sink, &ev(Kind::SpanEnd, "x", 3, Some(42)));
-        let report = sink.take();
-        assert_eq!(report.stacks["x"], 42);
-        // take() resets.
-        assert!(sink.take().stacks.is_empty());
     }
 
     #[test]

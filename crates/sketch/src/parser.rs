@@ -28,6 +28,13 @@ use cso_numeric::Rat;
 use std::fmt;
 use std::sync::Arc;
 
+/// Deepest nesting of groupings (parentheses, `min`/`max`, `if`, unary
+/// `-` and `!`) the parser accepts; deeper input is a [`ParseError`], not
+/// a stack overflow. Far above any built-in sketch, and shallow enough
+/// that parsing, lowering and analysis fit a 2 MB thread stack in a
+/// debug build.
+pub const MAX_NESTING: usize = 64;
+
 /// A parse (or lex) error with source offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -61,6 +68,8 @@ struct Parser {
     holes: Vec<HoleDecl>,
     param_spans: Vec<Span>,
     hole_spans: Vec<Span>,
+    /// Groupings enclosing the cursor (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -88,6 +97,20 @@ impl Parser {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError { message: msg.into(), offset: self.offset() })
+    }
+
+    /// Run `f` one grouping deeper, refusing to pass [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
@@ -172,11 +195,13 @@ impl Parser {
         if self.peek() == Some(&Token::If) {
             let start = self.pos;
             self.pos += 1;
-            let (cond, csp) = self.parse_bexpr()?;
-            self.expect(&Token::Then)?;
-            let (then, tsp) = self.parse_expr()?;
-            self.expect(&Token::Else)?;
-            let (els, esp) = self.parse_expr()?;
+            let ((cond, csp), (then, tsp), (els, esp)) = self.nested(|p| {
+                let cond = p.parse_bexpr()?;
+                p.expect(&Token::Then)?;
+                let then = p.parse_expr()?;
+                p.expect(&Token::Else)?;
+                Ok((cond, then, p.parse_expr()?))
+            })?;
             let sp = SpanTree::node(self.span_from(start), vec![csp, tsp, esp]);
             return Ok((Expr::If(Arc::new(cond), Arc::new(then), Arc::new(els)), sp));
         }
@@ -229,7 +254,7 @@ impl Parser {
         if self.peek() == Some(&Token::Minus) {
             let start = self.pos;
             self.pos += 1;
-            let (inner, isp) = self.parse_factor()?;
+            let (inner, isp) = self.nested(Parser::parse_factor)?;
             let sp = SpanTree::node(self.span_from(start), vec![isp]);
             return Ok((Expr::Neg(Arc::new(inner)), sp));
         }
@@ -260,7 +285,7 @@ impl Parser {
             }
             Some(Token::LParen) => {
                 self.pos += 1;
-                let (e, mut sp) = self.parse_expr()?;
+                let (e, mut sp) = self.nested(Parser::parse_expr)?;
                 self.expect(&Token::RParen)?;
                 // Parentheses widen the inner node's span without adding
                 // an AST node (the span tree stays isomorphic to the AST).
@@ -270,9 +295,11 @@ impl Parser {
             Some(tok @ (Token::Min | Token::Max)) => {
                 self.pos += 1;
                 self.expect(&Token::LParen)?;
-                let (a, asp) = self.parse_expr()?;
-                self.expect(&Token::Comma)?;
-                let (b, bsp) = self.parse_expr()?;
+                let ((a, asp), (b, bsp)) = self.nested(|p| {
+                    let a = p.parse_expr()?;
+                    p.expect(&Token::Comma)?;
+                    Ok((a, p.parse_expr()?))
+                })?;
                 self.expect(&Token::RParen)?;
                 let sp = SpanTree::node(self.span_from(start), vec![asp, bsp]);
                 Ok(if tok == Token::Min {
@@ -349,7 +376,7 @@ impl Parser {
         let start = self.pos;
         if self.peek() == Some(&Token::Bang) {
             self.pos += 1;
-            let (inner, isp) = self.parse_bfact()?;
+            let (inner, isp) = self.nested(Parser::parse_bfact)?;
             let sp = SpanTree::node(self.span_from(start), vec![isp]);
             return Ok((BExpr::Not(Arc::new(inner)), sp));
         }
@@ -363,7 +390,7 @@ impl Parser {
             self.pos += 1;
             let saved_holes = self.holes.clone();
             let saved_hole_spans = self.hole_spans.clone();
-            if let Ok((b, mut sp)) = self.parse_bexpr() {
+            if let Ok((b, mut sp)) = self.nested(Parser::parse_bexpr) {
                 if self.peek() == Some(&Token::RParen) {
                     self.pos += 1;
                     sp.span = self.span_from(start);
@@ -405,6 +432,7 @@ pub fn parse_sketch(src: &str) -> Result<Sketch, ParseError> {
         holes: Vec::new(),
         param_spans: Vec::new(),
         hole_spans: Vec::new(),
+        depth: 0,
     };
     let (name, body, body_spans) = p.parse_sketch()?;
     let spans = SketchSpans {
@@ -576,6 +604,50 @@ mod tests {
                 other => panic!("{other:?}"),
             },
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// A one-parameter sketch whose body nests `depth` groupings of one
+    /// kind around `x`.
+    fn nested_src(kind: &str, depth: usize) -> String {
+        let r = |s: &str| s.repeat(depth);
+        let body = match kind {
+            "paren" => format!("{}x{}", r("("), r(")")),
+            "neg" => format!("{}x", r("-")),
+            "if" => format!("{}x{}", r("if x > 0 then "), r(" else 0")),
+            "min" => format!("{}x{}", r("min(x, "), r(")")),
+            "max" => format!("{}x{}", r("max(x, "), r(")")),
+            // The `if` and the condition's group are two of the levels.
+            "not" => format!("if {}(x > 0) then 1 else 0", "!".repeat(depth - 2)),
+            _ => unreachable!("unknown nesting kind {kind}"),
+        };
+        format!("fn f(x) {{ {body} }}")
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (kind, depth) in [
+            ("paren", 10_000),
+            ("neg", 100_000),
+            ("if", 10_000),
+            ("min", 10_000),
+            ("max", 10_000),
+            ("not", 10_000),
+        ] {
+            let e = parse_sketch(&nested_src(kind, depth)).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{kind}: {e}");
+            assert!(e.offset.is_some(), "{kind}: error carries a source offset");
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses_and_lowers() {
+        use cso_logic::Term;
+        for kind in ["paren", "neg", "if", "min", "max", "not"] {
+            let s = parse(&nested_src(kind, MAX_NESTING));
+            let _ = s.lower(&[], &[Term::constant(Rat::from_int(1))]);
+            let past = parse_sketch(&nested_src(kind, MAX_NESTING + 1));
+            assert!(past.is_err(), "{kind}: one past the bound");
         }
     }
 }
