@@ -73,7 +73,7 @@ rm -rf "$LINT"
 
 # Golden regression: table1.csv carries semantic fields only (iterations,
 # agreement, outcome), so the cache kill-switch must not change a single
-# byte of it. Only table1_telemetry.csv (work counters, wall-clock) may
+# byte of it. Only table1_telemetry.csv (clause reuse, wall-clock) may
 # differ between the two campaigns.
 echo "==> table1.csv golden diff (cache on vs off)"
 GOLD=$(mktemp -d)
@@ -89,7 +89,7 @@ diff "$GOLD/warm/table1.csv" "$GOLD/cold/table1.csv"
 # columns after them are wall-clock seconds).
 echo "==> table1.csv + telemetry work counters vs committed goldens"
 diff results/table1.csv "$GOLD/warm/table1.csv"
-diff <(cut -d, -f1-7 results/table1_telemetry.csv) <(cut -d, -f1-7 "$GOLD/warm/table1_telemetry.csv")
+diff <(cut -d, -f1-6 results/table1_telemetry.csv) <(cut -d, -f1-6 "$GOLD/warm/table1_telemetry.csv")
 
 # Tracing is strictly observational: rerun the same campaign with the
 # JSONL sink attached and golden-diff table1.csv against the untraced
@@ -138,7 +138,7 @@ grep -q '^cso_engine_oracle_calls_total ' "$GOLD/metrics_a.prom"
 echo "==> exposition counters vs table1_telemetry.csv column sums"
 for pair in cso_solver_queries_total:solver_queries cso_solver_boxes_total:boxes_explored \
     cso_solver_boxes_pruned_total:boxes_pruned cso_solver_eval_errors_total:eval_errors \
-    cso_engine_memo_hits_total:cache_hits cso_engine_clauses_reused_total:clauses_reused; do
+    cso_engine_clauses_reused_total:clauses_reused; do
     counter=${pair%%:*}
     column=${pair#*:}
     expo=$(awk -v n="$counter" '$1 == n { v = $2 } END { printf "%d", v }' "$GOLD/metrics_a.prom")
@@ -215,5 +215,29 @@ if grep -q '"correct": false' ledger/out/ledger.json; then
     echo "ledger smoke reported an incorrect workload" >&2
     exit 1
 fi
+
+# Work-counter gate: the smoke run's deterministic per-layer counters
+# (fixed seeds, so noise-free) must equal the committed golden, one
+# `workload metric value` line each. A change that moves solver work,
+# iterations, preference edges or snapshot size fails here until the
+# golden is regenerated with this command and the change explained.
+echo "==> ledger smoke work counters vs results/ledger_counters.txt"
+awk -v list="solver.queries solver.boxes solver.pruned solver.samples engine.iterations \
+tape.slots cache.memo_hits prefgraph.edges snapshot.bytes" '
+    BEGIN { n = split(list, m, " ") }
+    match($0, /"name": "[^"]*"/) {
+        workload = substr($0, RSTART + 9, RLENGTH - 10)
+        for (i = 1; i <= n; i++) {
+            key = "\"" m[i] "\": {\"value\": "
+            p = index($0, key)
+            if (!p) {
+                print workload, m[i], "missing"
+                continue
+            }
+            rest = substr($0, p + length(key))
+            print workload, m[i], substr(rest, 1, match(rest, /[,}]/) - 1)
+        }
+    }
+' ledger/out/ledger.json | diff results/ledger_counters.txt -
 
 echo "CI green."

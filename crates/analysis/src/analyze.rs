@@ -576,19 +576,26 @@ mod tests {
         assert_eq!(a.monotonicity, vec![Monotonicity::Unknown; 2]);
     }
 
-    /// The parser's nesting bound leaves room for analysis: a sketch
-    /// nested exactly [`cso_sketch::parser::MAX_NESTING`] deep analyzes
-    /// on a default test thread.
+    /// The parser's bounds leave room for analysis: a sketch nested
+    /// exactly [`cso_sketch::parser::MAX_NESTING`] deep, or whose flat
+    /// operator chain makes an AST exactly
+    /// [`cso_sketch::parser::MAX_DEPTH`] deep, analyzes on a default test
+    /// thread.
     #[test]
     fn sketches_nested_at_the_parse_bound_analyze() {
         let d = cso_sketch::parser::MAX_NESTING;
+        let n = cso_sketch::parser::MAX_DEPTH;
         let r = |s: &str, n: usize| s.repeat(n);
+        let chain = |atom: &str, op: &str, n: usize| vec![atom; n].join(op);
         for body in [
             format!("{}x{}", r("(", d), r(")", d)),
             format!("{}x", r("-", d)),
             format!("{}x{}", r("if x > 0 then ", d), r(" else 0", d)),
             format!("{}x{}", r("min(x, ", d), r(")", d)),
             format!("if {}(x > 0) then 1 else 0", r("!", d - 2)),
+            chain("x", " + ", n),
+            chain("x", " * ", n),
+            format!("if {} then 1 else 0", chain("x > 0", " && ", n - 2)),
         ] {
             let sketch = Sketch::parse(&format!("fn f(x) {{ {body} }}")).expect("at the bound");
             let a = analyze(&sketch, &cfg(&[(0, 10)]));

@@ -115,12 +115,12 @@ fn fig5(c: &mut Criterion) {
     g.finish();
 }
 
-/// The incremental synthesis loop: identical runs with the caches cold
-/// (`incremental = false`, every query solved from scratch) and warm
-/// (`incremental = true`, the default: clause reuse and exact memo
-/// replay). Both arms synthesize the same objective
-/// byte for byte — the `incremental_equivalence` tests enforce that — so
-/// the timing gap here is pure cache effect. This is the group CI smokes
+/// The incremental synthesis loop: identical runs with the clause caches
+/// cold (`incremental = false`, every clause compiled afresh) and warm
+/// (`incremental = true`, the default: clause reuse). Both arms
+/// synthesize the same objective byte for byte with the same solver
+/// work — the `incremental_equivalence` tests enforce that — so the
+/// timing gap here is pure cache effect. This is the group CI smokes
 /// and the one `BENCH_synth.json` baselines.
 fn synth_loop(c: &mut Criterion) {
     let mut g = c.benchmark_group("synth_loop");

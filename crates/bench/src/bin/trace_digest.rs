@@ -31,7 +31,7 @@
 //! * **workers** — events and items per `(thread, worker)` identity, a
 //!   quick check that the pool actually spread the work;
 //! * **counters** — every counter name with occurrence count and the sum
-//!   of each numeric field (memo hits, boxes, clause reuse, ...).
+//!   of each numeric field (boxes, samples, clause reuse, ...).
 //!
 //! The digest also re-checks stream well-formedness (spans balanced per
 //! thread, logical clocks monotone) and reports any parse failures; a

@@ -481,7 +481,7 @@ mod tests {
         let tel = crate::report::csv_table1_telemetry(&a_res);
         assert!(tel.starts_with(
             "run,solver_queries,boxes_explored,boxes_pruned,eval_errors,\
-             cache_hits,clauses_reused,seeding_secs,bnp_secs,oracle_secs\n"
+             clauses_reused,seeding_secs,bnp_secs,oracle_secs\n"
         ));
         assert_eq!(tel.lines().count(), 4, "header + 3 runs:\n{tel}");
     }

@@ -50,7 +50,11 @@ pub struct SynthConfig {
     /// Relative δ: each solver dimension gets `delta_rel * range_width`.
     pub delta_rel: f64,
     /// Consecutive exhausted disambiguation queries tolerated before the
-    /// engine declares convergence-by-budget.
+    /// engine declares convergence-by-budget. A dry iteration changes no
+    /// input of the next, so the engine counts the retries without
+    /// re-solving them: the setting only decides how many iterations the
+    /// streak spends against `max_iterations`. Kept only because the perf
+    /// ledger (`ledger/src/workload.rs`) still sets it.
     pub max_exhausted_streak: usize,
     /// Repair inconsistent preference graphs (noisy oracles) instead of
     /// failing (§6.1 robustness).
@@ -61,10 +65,10 @@ pub struct SynthConfig {
     /// The final unsatisfiability proof runs at `proof_delta_factor × δ`
     /// (coarser is sound for a δ-convergence check and much cheaper).
     pub proof_delta_factor: f64,
-    /// Enable the incremental caches: per-edge clause reuse in the query
-    /// layer and exact solver-query memoization. Purely an optimization —
-    /// synthesis outcomes are byte-identical either way (enforced by the
-    /// `incremental_equivalence` differential tests). The
+    /// Enable the query layer's clause caches: per-edge and tie clause
+    /// reuse plus the whole-feasibility formula. Purely an optimization —
+    /// synthesis outcomes and solver work are identical either way
+    /// (enforced by the `incremental_equivalence` differential tests). The
     /// `CSO_SYNTH_CACHE=off` environment variable overrides this to force
     /// the cold path process-wide.
     pub incremental: bool,

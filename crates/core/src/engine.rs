@@ -6,7 +6,6 @@ use crate::query::QueryBuilder;
 use crate::scenario::{MetricSpace, Scenario};
 use crate::stats::{IterationRecord, SolverTelemetry, SynthStats, Verdict, Work};
 use cso_analysis::{analyze, AnalysisConfig, Report};
-use cso_logic::cache::{QueryKey, SolverCache};
 use cso_logic::solver::{Outcome, Solver, SolverConfig};
 use cso_logic::BoxDomain;
 use cso_logic::{CompiledQuery, Formula, Model};
@@ -244,9 +243,8 @@ pub struct Synthesizer {
     pub(crate) sketch: Sketch,
     pub(crate) cfg: SynthConfig,
     qb: QueryBuilder,
-    /// Solver domain every query runs over: the query builder's box.
-    /// Computed once — the domain is part of every memo key, so it must
-    /// never drift mid-run.
+    /// Solver domain every query runs over: the query builder's box,
+    /// computed once per synthesizer.
     domain: BoxDomain,
     /// Static-analysis report, when the lint policy ran the analyzer.
     lint_report: Option<Report>,
@@ -260,8 +258,6 @@ pub struct Synthesizer {
     /// Solver telemetry accumulated since the current iteration started
     /// (drained into each [`IterationRecord`]).
     pub(crate) iter_solver: SolverTelemetry,
-    /// Cross-query solver memo; `None` when incremental mode is off.
-    pub(crate) cache: Option<SolverCache>,
     /// Where the steppable engine is parked (see [`EngineState`]).
     pub(crate) state: EngineState,
     /// Loop-carried iteration state (see [`LoopCtx`]).
@@ -316,8 +312,7 @@ impl Synthesizer {
             lint_report = Some(analysis.report);
         }
         let rng = Rng::seed_from_u64(cfg.seed);
-        let incremental = cfg.incremental && !cache_env_off();
-        qb.set_caching(incremental);
+        qb.set_caching(cfg.incremental && !cache_env_off());
         Ok(Synthesizer {
             sketch,
             cfg,
@@ -330,7 +325,6 @@ impl Synthesizer {
             space,
             pool: Vec::new(),
             iter_solver: SolverTelemetry::default(),
-            cache: incremental.then(SolverCache::new),
             state: EngineState::Idle,
             ctx: LoopCtx::default(),
             stats: SynthStats::default(),
@@ -343,10 +337,11 @@ impl Synthesizer {
         self.qb.set_viability(f);
     }
 
-    /// `true` when the incremental caches are active for this synthesizer.
+    /// `true` when the query layer's clause caches are active for this
+    /// synthesizer.
     #[must_use]
     pub fn incremental(&self) -> bool {
-        self.cache.is_some()
+        self.cfg.incremental && !cache_env_off()
     }
 
     /// Read-only view of the preference graph built so far.
@@ -379,9 +374,8 @@ impl Synthesizer {
     /// Content-derived solver seed salt: a hash of everything that defines
     /// the query (call site, formula, seed models, scale factors). With
     /// salts derived from content instead of the iteration number,
-    /// logically identical queries become *bit-identical* solver
-    /// invocations — the precondition for exact memo replay — and the
-    /// cold path is unchanged by whether the cache is on.
+    /// logically identical queries are *bit-identical* solver invocations,
+    /// wherever in the run they are issued.
     fn content_salt(
         site: u64,
         f: &Formula,
@@ -398,11 +392,9 @@ impl Synthesizer {
         h.finish()
     }
 
-    /// Solve `f` over the query domain through the incremental cache:
-    /// exact memo replay (byte-identical by solver determinism), else a
-    /// cold solve whose outcome is memo-recorded. Returns the outcome and
-    /// the `sat_from_seeding` flag of the (possibly replayed) run.
-    fn solve_cached(
+    /// Solve `f` over the query domain and publish the work. Returns the
+    /// outcome and whether seeding found the model.
+    fn solve(
         &mut self,
         site: u64,
         f: &Formula,
@@ -412,38 +404,14 @@ impl Synthesizer {
     ) -> (Outcome, bool) {
         let salt = Self::content_salt(site, f, seeds, delta_factor, budget_factor);
         let sc = self.scaled_config(salt, delta_factor, budget_factor);
-        let domain = self.domain.clone();
-
-        let key = self.cache.as_ref().map(|_| QueryKey {
-            formula: f.clone(),
-            domain: domain.clone(),
-            seeds: seeds.to_vec(),
-            max_boxes: sc.max_boxes,
-            seed: sc.seed,
-            delta: sc.delta,
-            delta_per_dim: sc.delta_per_dim.clone(),
-        });
-        if let Some(k) = &key {
-            let cache = self.cache.as_mut().expect("key implies cache");
-            if let Some(hit) = cache.lookup(k) {
-                self.publish(Work::MemoHit { site });
-                return (hit.outcome, hit.sat_from_seeding);
-            }
-        }
-
         // Seeded with the (fixed) query domain, which feeds the tape's
         // decided-verdict pass.
-        let q = CompiledQuery::prepare(f, Some(&domain), true);
+        let q = CompiledQuery::prepare(f, Some(&self.domain), true);
         let mut solver = Solver::new(sc);
-        let out = solver.solve_compiled(&q, &domain, seeds);
+        let out = solver.solve_compiled(&q, &self.domain, seeds);
         let stats = solver.stats;
         self.publish(Work::Query { stats, outcome: Some(Verdict::from(&out)) });
-        let sat_from_seeding = stats.sat_from_seeding;
-        if let Some(k) = key {
-            let cache = self.cache.as_mut().expect("key implies cache");
-            cache.record(k, out.clone(), sat_from_seeding);
-        }
-        (out, sat_from_seeding)
+        (out, stats.sat_from_seeding)
     }
 
     /// Scale a box budget by `factor`, clamped to `[MIN, MAX]`. A plain
@@ -488,7 +456,6 @@ impl Synthesizer {
         static EVAL_ERRORS: Counter = Counter::new("cso_solver_eval_errors_total");
         static SEEDING_NS: Histogram = Histogram::new("cso_solver_seeding_ns");
         static BNP_NS: Histogram = Histogram::new("cso_solver_bnp_ns");
-        static MEMO_HITS: Counter = Counter::new("cso_engine_memo_hits_total");
         static CLAUSES_REUSED: Counter = Counter::new("cso_engine_clauses_reused_total");
         static CLAUSES_COMPILED: Counter = Counter::new("cso_engine_clauses_compiled_total");
         match work {
@@ -509,7 +476,6 @@ impl Synthesizer {
                 SEEDING_NS.observe_duration(s.seeding_time);
                 BNP_NS.observe_duration(s.bnp_time);
             }
-            Work::MemoHit { .. } => MEMO_HITS.inc(1),
             Work::Clauses { reused, compiled } => {
                 CLAUSES_REUSED.inc(reused as u64);
                 CLAUSES_COMPILED.inc(compiled as u64);
@@ -663,7 +629,7 @@ impl Synthesizer {
             if i > 0 {
                 all_seeds.extend(combo_seeds.iter().cloned());
             }
-            let (out, _) = self.solve_cached(SITE_CANDIDATE, &feas, &all_seeds, 1.0, budget);
+            let (out, _) = self.solve(SITE_CANDIDATE, &feas, &all_seeds, 1.0, budget);
             match out {
                 Outcome::Sat(m) => {
                     let holes = self.qb.model_holes(&m);
@@ -701,10 +667,17 @@ impl Synthesizer {
         // stops the search from repeatedly moving only the easiest hole.
         let n_holes = self.qb.hole_ids().len().max(1);
         let attempts = self.cfg.disamb_attempts.max(2 * n_holes);
+        let delta_rel = self.cfg.delta_rel;
+        let round_sep = |round: i32| (0.2 * 0.5f64.powi(round)).max(delta_rel);
         for attempt in 0..attempts {
             let hole = attempt % n_holes;
             let round = (attempt / n_holes) as i32;
-            let sep_rel = (0.2 * 0.5f64.powi(round)).max(self.cfg.delta_rel);
+            let sep_rel = round_sep(round);
+            // Once the separation bottoms out at δ, a round repeats the
+            // previous one query for query, and that round found nothing.
+            if round > 0 && sep_rel == round_sep(round - 1) {
+                break;
+            }
             synth_msg(format_args!("fb search: hole {hole} sep_rel {sep_rel:.4}"));
             let fb_q = cso_logic::Formula::and(vec![
                 feas.clone(),
@@ -726,7 +699,7 @@ impl Synthesizer {
                 seeds.push(self.qb.seed_from_holes(&shifted));
             }
             seeds.extend(extra_seeds.iter().cloned());
-            let (fb_out, _) = self.solve_cached(SITE_FB, &fb_q, &seeds, 1.0, 0.25);
+            let (fb_out, _) = self.solve(SITE_FB, &fb_q, &seeds, 1.0, 0.25);
             let fb = match fb_out {
                 Outcome::Sat(m) => match self.sketch.complete(self.qb.model_holes(&m)) {
                     Ok(fb) => fb,
@@ -743,10 +716,10 @@ impl Synthesizer {
                 }
             };
             synth_msg(format_args!("fb found: {fb}"));
-            // 2. Scenarios the frozen pair disagrees on. Graph-independent
-            // (frozen candidates only), so repeats are exact memo hits.
+            // 2. Scenarios the frozen pair disagrees on (graph-independent:
+            // frozen candidates only).
             let sq = self.qb.scenario_disagreement(fa, &fb, exclusions);
-            let (sq_out, from_seeding) = self.solve_cached(SITE_SCENARIO, &sq, &[], 1.0, 0.25);
+            let (sq_out, from_seeding) = self.solve(SITE_SCENARIO, &sq, &[], 1.0, 0.25);
             match sq_out {
                 Outcome::Sat(m) => {
                     let pair = self.qb.model_pair(&m);
@@ -772,7 +745,7 @@ impl Synthesizer {
         let _proof = trace::span("engine.proof");
         let q = self.qb.disambiguation(&self.graph, fa, exclusions);
         let (q_out, from_seeding) =
-            self.solve_cached(SITE_PROOF, &q, &[], self.cfg.proof_delta_factor, 1.0);
+            self.solve(SITE_PROOF, &q, &[], self.cfg.proof_delta_factor, 1.0);
         match q_out {
             Outcome::Sat(m) => {
                 let pair = self.qb.model_pair(&m);
@@ -887,13 +860,12 @@ impl Synthesizer {
                     return out;
                 }
                 EngineState::BetweenIters => {
-                    self.state = EngineState::BetweenIters;
                     if let Err(e) = self.advance_iteration() {
                         self.state = EngineState::Failed { error: e.clone() };
                         return StepResult::Rejected(e);
                     }
-                    // advance_iteration left the next state behind: another
-                    // BetweenIters (dry iteration), AwaitPair, or Finishing.
+                    // advance_iteration left the next state behind:
+                    // AwaitPair or Finishing.
                 }
                 EngineState::AwaitPair { pairs, next, synthesis_time, sat_from_seeding, asked } => {
                     let (s1, s2) = pairs[next].clone();
@@ -948,9 +920,6 @@ impl Synthesizer {
     fn begin_run(&mut self) {
         self.stats = SynthStats::default();
         self.iter_solver = SolverTelemetry::default();
-        if let Some(c) = &mut self.cache {
-            *c = SolverCache::new();
-        }
         self.qb.take_clause_counters();
         self.ctx = LoopCtx::default();
     }
@@ -975,8 +944,7 @@ impl Synthesizer {
     /// Run one iteration's synthesis work (candidate search + pair
     /// search), leaving the next [`EngineState`] behind: `AwaitPair` when
     /// pairs need ranking, `Finishing` on convergence / budget / the
-    /// iteration cap, or `BetweenIters` for a dry iteration that records
-    /// nothing and retries.
+    /// iteration cap.
     fn advance_iteration(&mut self) -> Result<(), SynthError> {
         if self.ctx.iter >= self.cfg.max_iterations {
             self.state = EngineState::Finishing { outcome: SynthOutcome::IterationLimit };
@@ -1039,11 +1007,19 @@ impl Synthesizer {
             return Ok(());
         }
         if pairs.is_empty() {
-            if self.ctx.exhausted_streak >= self.cfg.max_exhausted_streak {
-                self.state = EngineState::Finishing { outcome: SynthOutcome::ConvergedBudget };
+            // A dry iteration records nothing, so a retry would find `fa`
+            // again (it leads the seeds) and replay the same pair search.
+            // Count the rest of the streak instead of re-solving it; the
+            // iteration cap still applies to the counted retries.
+            while self.ctx.exhausted_streak < self.cfg.max_exhausted_streak {
+                if self.ctx.iter >= self.cfg.max_iterations {
+                    self.state = EngineState::Finishing { outcome: SynthOutcome::IterationLimit };
+                    return Ok(());
+                }
+                self.ctx.iter += 1;
+                self.ctx.exhausted_streak += 1;
             }
-            // Dry iteration below the streak cap: stay BetweenIters, no
-            // IterationRecord — exactly the synchronous loop's `continue`.
+            self.state = EngineState::Finishing { outcome: SynthOutcome::ConvergedBudget };
             return Ok(());
         }
         let synthesis_time = t0.elapsed();
@@ -1382,7 +1358,6 @@ mod tests {
         assert!(!cold.incremental());
         let cold_result = cold.run(&mut GroundTruthOracle::new(swan_target())).unwrap();
         let cold_totals = cold_result.stats.solver_totals;
-        assert_eq!(cold_totals.cache_hits, 0);
         assert_eq!(cold_totals.clauses_reused, 0);
         assert_eq!(cold_result.objective.hole_values(), result.objective.hole_values());
         assert_eq!(cold_result.outcome, result.outcome);

@@ -3,8 +3,8 @@
 //! A snapshot is a versioned, deterministic byte serialization of a parked
 //! synthesis session: the sketch source, metric space and full
 //! configuration, plus every piece of dynamic state the engine carries —
-//! preference graph, RNG stream position, feasibility-seed pool, solver
-//! memo, accumulated statistics, and the exact
+//! preference graph, RNG stream position, feasibility-seed pool,
+//! accumulated statistics, and the exact
 //! [`EngineState`](crate::engine) the session is parked in. Restoring a
 //! snapshot and resuming produces *byte-identical* results to an
 //! uninterrupted run (enforced by the `session_resume` differential tests).
@@ -13,42 +13,34 @@
 //!
 //! ```text
 //! magic   8 bytes  "CSOSNAP\0"
-//! version 1 byte   currently 3
+//! version 1 byte   currently 5 (see [`VERSION`])
 //! session 8 bytes  session id, little-endian u64
 //! config  sketch source, metric space, SynthConfig
-//! state   rng, pool, graph, stats, loop context, engine state, cache
+//! state   rng, pool, graph, stats, loop context, engine state
 //! ```
 //!
 //! All integers are little-endian `u64` (or a single tag byte); strings
 //! are length-prefixed UTF-8; rationals travel as their exact decimal
-//! `numer/denom` rendering; floats as IEEE-754 bit patterns. `Arc`-shared
-//! [`Term`]/[`Formula`] subtrees are deduplicated with preorder backrefs,
-//! so a snapshot of a memo-heavy cache stays proportional to the number of
-//! *distinct* subtrees. Hash-map iteration order never leaks into the
-//! bytes: memo entries are sorted by fingerprint, so
-//! `snapshot(restore(s)) == s`.
+//! `numer/denom` rendering; floats as IEEE-754 bit patterns. The state is
+//! plain data in a fixed order, so `snapshot(restore(s)) == s`.
 //!
-//! Known limitation: a custom viability constraint installed with
-//! `set_viability` is not captured (nothing in the repo snapshots mid-run
-//! with one installed); the query builder's clause cache is also dropped,
-//! which can only affect the `clauses_reused` telemetry, never outcomes.
+//! Snapshots carry state, not caches. A custom viability constraint
+//! installed with `set_viability` is not captured (nothing in the repo
+//! snapshots mid-run with one installed); the query builder's clause
+//! cache is dropped, which can only affect the `clauses_reused`
+//! telemetry, never outcomes.
 
 use crate::config::{LintPolicy, SynthConfig};
 use crate::engine::{EngineState, LoopCtx, SynthError, SynthOutcome, SynthResult, Synthesizer};
 use crate::scenario::{MetricSpace, Scenario};
 use crate::stats::{IterationRecord, SolverTelemetry, SynthStats};
-use cso_logic::solver::{Outcome, SolverConfig};
-use cso_logic::{
-    BoxDomain, CacheExport, CacheStats, CmpOp, Formula, MemoEntry, Model, QueryKey, SolverCache,
-    Term, VarId,
-};
-use cso_numeric::{Interval, Rat};
+use cso_logic::solver::SolverConfig;
+use cso_logic::Model;
+use cso_numeric::Rat;
 use cso_prefgraph::{GraphParts, PrefEdge, PrefGraph, ScenarioId};
 use cso_runtime::Rng;
 use cso_sketch::Sketch;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Leading magic bytes of every snapshot.
@@ -56,8 +48,10 @@ pub const MAGIC: [u8; 8] = *b"CSOSNAP\0";
 /// Current snapshot format version. Version 2 added the solver's `tape`
 /// toggle to the config section; version 3 dropped the warm-start
 /// frontiers, the semantic and graph epochs, and the analyzer's
-/// box-tightening toggle; version 4 dropped the `tape` toggle again.
-pub const VERSION: u8 = 4;
+/// box-tightening toggle; version 4 dropped the `tape` toggle again;
+/// version 5 dropped the solver memo (and with it the term and formula
+/// encoding) and the telemetry's always-zero `cache_hits`.
+pub const VERSION: u8 = 5;
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug, Clone)]
@@ -102,16 +96,14 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Byte writer with `Arc` deduplication tables for terms and formulas.
+/// Byte writer.
 struct Writer {
     buf: Vec<u8>,
-    terms: HashMap<usize, u64>,
-    formulas: HashMap<usize, u64>,
 }
 
 impl Writer {
     fn new() -> Writer {
-        Writer { buf: Vec::new(), terms: HashMap::new(), formulas: HashMap::new() }
+        Writer { buf: Vec::new() }
     }
 
     fn u8(&mut self, v: u8) {
@@ -161,134 +153,12 @@ impl Writer {
         }
     }
 
-    fn interval(&mut self, iv: &Interval) {
-        self.f64(iv.lo());
-        self.f64(iv.hi());
-    }
-
-    fn box_domain(&mut self, b: &BoxDomain) {
-        self.usize(b.len());
-        for iv in b.intervals() {
-            self.interval(iv);
-        }
-    }
-
     fn model(&mut self, m: &Model) {
         self.rats(m.values());
     }
 
     fn scenario(&mut self, s: &Scenario) {
         self.rats(s.values());
-    }
-
-    fn term_arc(&mut self, t: &Arc<Term>) {
-        let key = Arc::as_ptr(t) as usize;
-        if let Some(&idx) = self.terms.get(&key) {
-            self.u8(0);
-            self.u64(idx);
-            return;
-        }
-        // Preorder index assignment: the node gets its slot before its
-        // children are written, mirroring the reader's reservation order.
-        let idx = self.terms.len() as u64;
-        self.terms.insert(key, idx);
-        self.term_node(t);
-    }
-
-    fn term_node(&mut self, t: &Term) {
-        match t {
-            Term::Const(r) => {
-                self.u8(1);
-                self.rat(r);
-            }
-            Term::Var(v) => {
-                self.u8(2);
-                self.u64(v.index() as u64);
-            }
-            Term::Neg(a) => {
-                self.u8(3);
-                self.term_arc(a);
-            }
-            Term::Add(a, b) => {
-                self.u8(4);
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-            Term::Sub(a, b) => {
-                self.u8(5);
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-            Term::Mul(a, b) => {
-                self.u8(6);
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-            Term::Div(a, b) => {
-                self.u8(7);
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-            Term::Min(a, b) => {
-                self.u8(8);
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-            Term::Max(a, b) => {
-                self.u8(9);
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-            Term::Ite(c, a, b) => {
-                self.u8(10);
-                self.formula_arc(c);
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-        }
-    }
-
-    fn formula_arc(&mut self, f: &Arc<Formula>) {
-        let key = Arc::as_ptr(f) as usize;
-        if let Some(&idx) = self.formulas.get(&key) {
-            self.u8(0);
-            self.u64(idx);
-            return;
-        }
-        let idx = self.formulas.len() as u64;
-        self.formulas.insert(key, idx);
-        self.formula_node(f);
-    }
-
-    fn formula_node(&mut self, f: &Formula) {
-        match f {
-            Formula::True => self.u8(1),
-            Formula::False => self.u8(2),
-            Formula::Cmp(op, a, b) => {
-                self.u8(3);
-                self.u8(cmp_tag(*op));
-                self.term_arc(a);
-                self.term_arc(b);
-            }
-            Formula::And(fs) => {
-                self.u8(4);
-                self.usize(fs.len());
-                for g in fs {
-                    self.formula_node(g);
-                }
-            }
-            Formula::Or(fs) => {
-                self.u8(5);
-                self.usize(fs.len());
-                for g in fs {
-                    self.formula_node(g);
-                }
-            }
-            Formula::Not(g) => {
-                self.u8(6);
-                self.formula_arc(g);
-            }
-        }
     }
 
     fn telemetry(&mut self, t: &SolverTelemetry) {
@@ -301,7 +171,6 @@ impl Writer {
         self.duration(t.seeding_time);
         self.duration(t.bnp_time);
         self.usize(t.max_workers);
-        self.usize(t.cache_hits);
         self.usize(t.clauses_reused);
     }
 
@@ -321,46 +190,21 @@ impl Writer {
         self.usize(s.edges_repaired);
         self.telemetry(&s.solver_totals);
     }
-
-    fn outcome(&mut self, o: &Outcome) {
-        match o {
-            Outcome::Unsat => self.u8(0),
-            Outcome::DeltaUnsat => self.u8(1),
-            Outcome::Exhausted => self.u8(2),
-            Outcome::Sat(m) => {
-                self.u8(3);
-                self.model(m);
-            }
-        }
-    }
-}
-
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Lt => 0,
-        CmpOp::Le => 1,
-        CmpOp::Gt => 2,
-        CmpOp::Ge => 3,
-        CmpOp::Eq => 4,
-        CmpOp::Ne => 5,
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Byte reader mirroring [`Writer`], with backref tables.
+/// Byte reader mirroring [`Writer`].
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    terms: Vec<Option<Arc<Term>>>,
-    formulas: Vec<Option<Arc<Formula>>>,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0, terms: Vec::new(), formulas: Vec::new() }
+        Reader { buf, pos: 0 }
     }
 
     fn remaining(&self) -> usize {
@@ -436,120 +280,12 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn interval(&mut self) -> Result<Interval> {
-        let lo = self.f64()?;
-        let hi = self.f64()?;
-        if lo.is_nan() || hi.is_nan() || lo > hi {
-            return Err(corrupt(format!("invalid interval [{lo}, {hi}]")));
-        }
-        Ok(Interval::new(lo, hi))
-    }
-
-    fn box_domain(&mut self) -> Result<BoxDomain> {
-        let n = self.len(16)?;
-        let mut b = BoxDomain::with_len(n);
-        for i in 0..n {
-            b.set(VarId::from_index(i), self.interval()?);
-        }
-        Ok(b)
-    }
-
     fn model(&mut self) -> Result<Model> {
         Ok(Model::new(self.rats()?))
     }
 
     fn scenario(&mut self) -> Result<Scenario> {
         Ok(Scenario::new(self.rats()?))
-    }
-
-    fn term_arc(&mut self) -> Result<Arc<Term>> {
-        let tag = self.u8()?;
-        if tag == 0 {
-            let idx = self.usize()?;
-            return match self.terms.get(idx) {
-                Some(Some(t)) => Ok(t.clone()),
-                // A node can never reference itself or an unfinished
-                // ancestor: writer backrefs always point at completed
-                // subtrees (a term cannot be its own descendant).
-                _ => Err(corrupt(format!("term backref {idx} out of range"))),
-            };
-        }
-        // Reserve the slot *before* parsing children so indices line up
-        // with the writer's preorder assignment.
-        let idx = self.terms.len();
-        self.terms.push(None);
-        let t = Arc::new(self.term_node(tag)?);
-        self.terms[idx] = Some(t.clone());
-        Ok(t)
-    }
-
-    fn term_node(&mut self, tag: u8) -> Result<Term> {
-        Ok(match tag {
-            1 => Term::Const(self.rat()?),
-            2 => {
-                let idx = self.usize()?;
-                if u32::try_from(idx).is_err() {
-                    return Err(corrupt("variable index overflow"));
-                }
-                Term::Var(VarId::from_index(idx))
-            }
-            3 => Term::Neg(self.term_arc()?),
-            4 => Term::Add(self.term_arc()?, self.term_arc()?),
-            5 => Term::Sub(self.term_arc()?, self.term_arc()?),
-            6 => Term::Mul(self.term_arc()?, self.term_arc()?),
-            7 => Term::Div(self.term_arc()?, self.term_arc()?),
-            8 => Term::Min(self.term_arc()?, self.term_arc()?),
-            9 => Term::Max(self.term_arc()?, self.term_arc()?),
-            10 => Term::Ite(self.formula_arc()?, self.term_arc()?, self.term_arc()?),
-            t => return Err(corrupt(format!("unknown term tag {t}"))),
-        })
-    }
-
-    fn formula_arc(&mut self) -> Result<Arc<Formula>> {
-        let tag = self.u8()?;
-        if tag == 0 {
-            let idx = self.usize()?;
-            return match self.formulas.get(idx) {
-                Some(Some(f)) => Ok(f.clone()),
-                _ => Err(corrupt(format!("formula backref {idx} out of range"))),
-            };
-        }
-        let idx = self.formulas.len();
-        self.formulas.push(None);
-        let f = Arc::new(self.formula_node(tag)?);
-        self.formulas[idx] = Some(f.clone());
-        Ok(f)
-    }
-
-    fn formula_node(&mut self, tag: u8) -> Result<Formula> {
-        Ok(match tag {
-            1 => Formula::True,
-            2 => Formula::False,
-            3 => {
-                let op = cmp_from_tag(self.u8()?)?;
-                Formula::Cmp(op, self.term_arc()?, self.term_arc()?)
-            }
-            4 => {
-                let n = self.len(1)?;
-                let mut fs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let t = self.u8()?;
-                    fs.push(self.formula_node(t)?);
-                }
-                Formula::And(fs)
-            }
-            5 => {
-                let n = self.len(1)?;
-                let mut fs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let t = self.u8()?;
-                    fs.push(self.formula_node(t)?);
-                }
-                Formula::Or(fs)
-            }
-            6 => Formula::Not(self.formula_arc()?),
-            t => return Err(corrupt(format!("unknown formula tag {t}"))),
-        })
     }
 
     fn telemetry(&mut self) -> Result<SolverTelemetry> {
@@ -563,7 +299,7 @@ impl<'a> Reader<'a> {
             seeding_time: self.duration()?,
             bnp_time: self.duration()?,
             max_workers: self.usize()?,
-            cache_hits: self.usize()?,
+            cache_hits: 0,
             clauses_reused: self.usize()?,
         })
     }
@@ -590,28 +326,6 @@ impl<'a> Reader<'a> {
             solver_totals: self.telemetry()?,
         })
     }
-
-    fn outcome(&mut self) -> Result<Outcome> {
-        Ok(match self.u8()? {
-            0 => Outcome::Unsat,
-            1 => Outcome::DeltaUnsat,
-            2 => Outcome::Exhausted,
-            3 => Outcome::Sat(self.model()?),
-            t => return Err(corrupt(format!("unknown outcome tag {t}"))),
-        })
-    }
-}
-
-fn cmp_from_tag(tag: u8) -> Result<CmpOp> {
-    Ok(match tag {
-        0 => CmpOp::Lt,
-        1 => CmpOp::Le,
-        2 => CmpOp::Gt,
-        3 => CmpOp::Ge,
-        4 => CmpOp::Eq,
-        5 => CmpOp::Ne,
-        t => return Err(corrupt(format!("unknown comparison tag {t}"))),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -655,13 +369,6 @@ pub fn save(synth: &Synthesizer, session_id: u64) -> Result<Vec<u8>> {
     w.stats(&synth.stats);
     write_ctx(&mut w, &synth.ctx);
     write_state(&mut w, &synth.state)?;
-    match &synth.cache {
-        Some(cache) => {
-            w.bool(true);
-            write_cache(&mut w, &cache.export());
-        }
-        None => w.bool(false),
-    }
     Ok(w.buf)
 }
 
@@ -805,35 +512,6 @@ fn write_state(w: &mut Writer, state: &EngineState) -> Result<()> {
     Ok(())
 }
 
-fn write_cache(w: &mut Writer, export: &CacheExport) {
-    w.usize(export.memo.len());
-    for (key, entry) in &export.memo {
-        w.formula_node(&key.formula);
-        w.box_domain(&key.domain);
-        w.usize(key.seeds.len());
-        for m in &key.seeds {
-            w.model(m);
-        }
-        w.usize(key.max_boxes);
-        w.u64(key.seed);
-        w.f64(key.delta);
-        match &key.delta_per_dim {
-            Some(ds) => {
-                w.bool(true);
-                w.usize(ds.len());
-                for &d in ds {
-                    w.f64(d);
-                }
-            }
-            None => w.bool(false),
-        }
-        w.outcome(&entry.outcome);
-        w.bool(entry.sat_from_seeding);
-    }
-    w.usize(export.stats.cache_hits);
-    w.usize(export.stats.cache_misses);
-}
-
 // ---------------------------------------------------------------------------
 // Load
 // ---------------------------------------------------------------------------
@@ -899,16 +577,6 @@ pub fn load(bytes: &[u8]) -> Result<(Synthesizer, u64)> {
     synth.stats = r.stats()?;
     synth.ctx = read_ctx(&mut r, &synth)?;
     synth.state = read_state(&mut r, &synth)?;
-    let has_cache = r.bool()?;
-    if has_cache {
-        let export = read_cache(&mut r)?;
-        // Re-import only if this process also runs incrementally; with the
-        // cache forced off the memo is dropped (outcomes are
-        // byte-identical either way — the cache is an optimization).
-        if synth.cache.is_some() {
-            synth.cache = Some(SolverCache::import(export));
-        }
-    }
     if r.remaining() != 0 {
         return Err(corrupt(format!("{} trailing bytes after snapshot", r.remaining())));
     }
@@ -1099,42 +767,6 @@ fn read_state(r: &mut Reader<'_>, synth: &Synthesizer) -> Result<EngineState> {
     })
 }
 
-fn read_cache(r: &mut Reader<'_>) -> Result<CacheExport> {
-    let n = r.len(8)?;
-    let mut memo = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = r.u8()?;
-        let formula = r.formula_node(tag)?;
-        let domain = r.box_domain()?;
-        let ns = r.len(8)?;
-        let mut seeds = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            seeds.push(r.model()?);
-        }
-        let max_boxes = r.usize()?;
-        let seed = r.u64()?;
-        let delta = r.f64()?;
-        let delta_per_dim = if r.bool()? {
-            let nd = r.len(8)?;
-            let mut ds = Vec::with_capacity(nd);
-            for _ in 0..nd {
-                ds.push(r.f64()?);
-            }
-            Some(ds)
-        } else {
-            None
-        };
-        let outcome = r.outcome()?;
-        let sat_from_seeding = r.bool()?;
-        memo.push((
-            QueryKey { formula, domain, seeds, max_boxes, seed, delta, delta_per_dim },
-            MemoEntry { outcome, sat_from_seeding },
-        ));
-    }
-    let stats = CacheStats { cache_hits: r.usize()?, cache_misses: r.usize()? };
-    Ok(CacheExport { memo, stats })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1165,9 +797,12 @@ mod tests {
         let mut bytes = save(&synth, 1).expect("snapshot");
         bytes[MAGIC.len()] = 99;
         assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(99))));
-        // The previous format (with the solver's `tape` byte) is refused.
-        bytes[MAGIC.len()] = 3;
-        assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(3))));
+        // Earlier formats are refused: v3 (with the solver's `tape` byte)
+        // and v4 (with the solver memo).
+        for old in [3, 4] {
+            bytes[MAGIC.len()] = old;
+            assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(v)) if v == old));
+        }
     }
 
     #[test]
@@ -1207,20 +842,5 @@ mod tests {
         w.str("1/0");
         let mut r = Reader::new(&w.buf);
         assert!(matches!(r.rat(), Err(SnapshotError::Corrupt(_))));
-    }
-
-    #[test]
-    fn term_dedup_uses_backrefs() {
-        let shared = Arc::new(Term::Var(VarId::from_index(0)));
-        let t = Term::Add(shared.clone(), shared.clone());
-        let mut w = Writer::new();
-        w.term_node(&t);
-        let mut r = Reader::new(&w.buf);
-        let tag = r.u8().expect("tag");
-        let back = r.term_node(tag).expect("decodes");
-        assert_eq!(back, t);
-        // One shared child: the writer must have emitted exactly one
-        // structural node plus one backref, not two structural nodes.
-        assert_eq!(w.terms.len(), 1);
     }
 }

@@ -4,8 +4,8 @@
 //! the iteration count, per-iteration synthesis time and total synthesis
 //! time over nine runs; [`RunSummary`] computes exactly those.
 //!
-//! Solver work is recorded once per unit — per solver query, memo
-//! replay and clause batch — as a `Work` record, which the engine
+//! Solver work is recorded once per unit — per solver query and clause
+//! batch — as a `Work` record, which the engine
 //! publishes from a single method. The telemetry (`SolverTelemetry::add`),
 //! the trace counter (`Work::fields`) and the Prometheus counters are
 //! folds of that record, and `Work::from_event` reads it back from the
@@ -50,11 +50,6 @@ pub(crate) enum Work {
         /// How the query ended.
         outcome: Option<Verdict>,
     },
-    /// A query answered by exact memo replay instead of a solver run.
-    MemoHit {
-        /// Call-site tag of the replayed query.
-        site: u64,
-    },
     /// Preference-edge clauses served from the query-layer cache or
     /// compiled afresh since the last batch.
     Clauses {
@@ -71,7 +66,6 @@ impl Work {
     pub(crate) fn name(&self) -> &'static str {
         match self {
             Work::Query { .. } => "solver.query",
-            Work::MemoHit { .. } => "cache.memo_hit",
             Work::Clauses { .. } => "query.clauses",
         }
     }
@@ -94,7 +88,6 @@ impl Work {
                 ("seeding_ns", ns(s.seeding_time)),
                 ("bnp_ns", ns(s.bnp_time)),
             ],
-            Work::MemoHit { site } => vec![("site", Value::U64(site))],
             Work::Clauses { reused, compiled } => {
                 vec![("reused", u(reused)), ("compiled", u(compiled))]
             }
@@ -125,7 +118,6 @@ impl Work {
                 },
                 outcome: None,
             },
-            "cache.memo_hit" => Work::MemoHit { site: u("site") },
             "query.clauses" => Work::Clauses { reused: n("reused"), compiled: n("compiled") },
             _ => return None,
         })
@@ -161,9 +153,10 @@ pub struct SolverTelemetry {
     pub bnp_time: Duration,
     /// Largest worker-thread count any folded query ran with.
     pub max_workers: usize,
-    /// Queries answered by exact memo replay instead of a solver run.
-    /// Replayed queries are *not* counted in `queries` or the box/sample
-    /// counters — those record physical solver work only.
+    /// Always 0: the engine has no query memo, so every query is a solver
+    /// run counted in `queries`. Kept only because the perf ledger
+    /// (`ledger/src/workload.rs`) still reads it; it goes when the ledger
+    /// stops.
     pub cache_hits: usize,
     /// Preference-edge clauses served from the query-layer cache instead
     /// of being recompiled.
@@ -185,7 +178,6 @@ impl SolverTelemetry {
                 self.bnp_time += s.bnp_time;
                 self.max_workers = self.max_workers.max(s.workers);
             }
-            Work::MemoHit { .. } => self.cache_hits += 1,
             Work::Clauses { reused, .. } => self.clauses_reused += reused,
         }
     }
@@ -384,10 +376,9 @@ mod tests {
                     [(v[9] % 4) as usize],
             ),
         });
-        let memo_hit = prop::u64_in(0, u64::MAX).map(|site| Work::MemoHit { site });
         let clauses = prop::zip2(prop::usize_in(0, 1 << 20), prop::usize_in(0, 1 << 20))
             .map(|(reused, compiled)| Work::Clauses { reused, compiled });
-        prop::one_of(vec![query, memo_hit, clauses])
+        prop::one_of(vec![query, clauses])
     }
 
     /// What the engine's publish point keeps and emits agree: its
@@ -441,7 +432,7 @@ mod tests {
                 seeding_time: queries.iter().map(|s| s.seeding_time).sum(),
                 bnp_time: queries.iter().map(|s| s.bnp_time).sum(),
                 max_workers: queries.iter().map(|s| s.workers).max().unwrap_or(0),
-                cache_hits: works.iter().filter(|w| matches!(w, Work::MemoHit { .. })).count(),
+                cache_hits: 0,
                 clauses_reused: works
                     .iter()
                     .map(|w| match w {

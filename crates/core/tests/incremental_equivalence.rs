@@ -1,9 +1,9 @@
 //! Differential harness: the incremental caches are *purely* an
 //! optimization.
 //!
-//! The engine's clause cache and exact solver-query memoization may only
-//! change how much physical work the solver does — never what the
-//! synthesis loop observes. This test runs
+//! The query layer's clause caches may only change how the solver's
+//! formulas are built — never what the synthesis loop observes, nor the
+//! solver work it issues. This test runs
 //! the full SWAN synthesis twice per configuration, once with
 //! `SynthConfig::incremental = true` (the default) and once with the
 //! kill-switch thrown, and asserts the two trajectories are
@@ -16,12 +16,14 @@
 //! can only produce identical ranking-request sequences if every solver
 //! answer — candidate models, disambiguation pairs, unsat verdicts — was
 //! identical at every step. A divergence pinpoints the first iteration
-//! where a cached answer differed from the cold one.
+//! where a cached answer differed from the cold one. The solver work
+//! counters (queries, boxes, pruned boxes, samples) must match too: a
+//! cached formula is the same formula, so it costs the solver the same.
 //!
 //! The matrix crosses ≥ 3 seeds with solver thread counts {1, 4}: the
 //! parallel solver is thread-count-invariant by construction, and the
-//! caches must preserve that (memo replay and clause reuse are both
-//! deterministic regardless of worker count).
+//! caches must preserve that (clause reuse is deterministic regardless of
+//! worker count).
 
 use cso_numeric::Rat;
 use cso_sketch::swan::{swan_sketch, swan_target};
@@ -70,11 +72,10 @@ struct Observed {
     trace: Vec<Interaction>,
 }
 
-/// Cache telemetry, kept separate: it is *expected* to differ.
+/// Solver work, and the clause reuse that is *expected* to differ.
 struct Work {
-    cache_hits: usize,
     clauses_reused: usize,
-    queries: usize,
+    solver: [usize; 4],
 }
 
 /// True when the process-wide kill-switch forces every run cold (the
@@ -109,9 +110,13 @@ fn run_swan(seed: u64, threads: usize, incremental: bool) -> (Observed, Work) {
             trace: oracle.trace,
         },
         Work {
-            cache_hits: totals.cache_hits,
             clauses_reused: totals.clauses_reused,
-            queries: totals.queries,
+            solver: [
+                totals.queries,
+                totals.boxes_explored,
+                totals.boxes_pruned,
+                totals.samples_tried,
+            ],
         },
     )
 }
@@ -129,20 +134,16 @@ fn cache_on_and_off_are_byte_identical() {
             );
             // The cold run must really have been cold, and the warm run
             // must really have cached (clause reuse is guaranteed on any
-            // multi-iteration run; memo hits depend on the trajectory).
-            assert_eq!(cold_work.cache_hits, 0, "seed {seed}: cold run replayed queries");
+            // multi-iteration run).
             assert_eq!(cold_work.clauses_reused, 0, "seed {seed}: cold run reused clauses");
             assert!(
                 env_forces_cold() || warm_work.clauses_reused > 0,
                 "seed {seed}, threads {threads}: warm run never reused a clause"
             );
-            // Memo replay skips physical solver queries, never adds them.
-            assert!(
-                warm_work.queries + warm_work.cache_hits >= cold_work.queries,
-                "seed {seed}: warm run lost queries ({} + {} hits vs {})",
-                warm_work.queries,
-                warm_work.cache_hits,
-                cold_work.queries
+            // Queries, boxes, pruned boxes and samples.
+            assert_eq!(
+                warm_work.solver, cold_work.solver,
+                "seed {seed}, threads {threads}: the caches changed the solver work"
             );
         }
     }

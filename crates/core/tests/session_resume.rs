@@ -13,7 +13,8 @@
 //! CI pass additionally crosses in the cold-cache arm).
 //!
 //! Also covered here: the snapshot encoding is itself deterministic
-//! (`snapshot(restore(s)) == s`), and wall-clock time a session spends
+//! (`snapshot(restore(s)) == s`), snapshots stay small (they carry no
+//! caches), and wall-clock time a session spends
 //! *parked* — the architect thinking — leaks into neither
 //! `SynthStats::total_time` nor `oracle_time`.
 
@@ -146,6 +147,33 @@ fn suspend_resume_is_byte_identical() {
                 "seed {seed}, threads {threads}, park {park}: suspend/resume diverged"
             );
         }
+    }
+}
+
+/// Snapshots carry state, not caches: at every park of the Table 1
+/// Quick runs (seeds 1000–1002) the blob stays under 16 KB. The engine
+/// state is 4–6 KB; a cache creeping back into the format (the solver
+/// memo once made these 50–180 KB) fails here.
+#[test]
+fn quick_run_snapshots_stay_small() {
+    const LIMIT: usize = 16 * 1024;
+    for seed in [1000u64, 1001, 1002] {
+        let mut session = fresh_session(seed, 1);
+        let mut oracle = GroundTruthOracle::new(swan_target());
+        let mut parks = 0;
+        loop {
+            match session.step() {
+                StepResult::NeedsRanking { scenarios, .. } => {
+                    let bytes = session.snapshot().expect("parked session snapshots").len();
+                    assert!(bytes < LIMIT, "seed {seed}, park {parks}: {bytes} bytes");
+                    parks += 1;
+                    session.answer(&oracle.rank(&scenarios)).expect("ranking accepted");
+                }
+                StepResult::Done(_) => break,
+                StepResult::Rejected(e) => panic!("synthesis rejected: {e}"),
+            }
+        }
+        assert!(parks > 1, "seed {seed}: the run parked only {parks} times");
     }
 }
 

@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod eval;
 pub mod ieval;
 pub mod model;
@@ -59,7 +58,6 @@ pub mod tape;
 pub mod term;
 pub mod vars;
 
-pub use cache::{CacheExport, CacheStats, MemoEntry, QueryKey, SolverCache};
 pub use model::Model;
 pub use tape::{CompiledQuery, ExactScratch, Tape, TapeScratch, TapeStats};
 pub use term::{CmpOp, Formula, Term};

@@ -49,9 +49,8 @@
 //! [`Snapshot::delta`]s instead of assuming zero baselines.
 //!
 //! This module only holds the registry. Probes live with the code they
-//! count; the solver-work counters (`cso_solver_*`,
-//! `cso_engine_memo_hits_total`, `cso_engine_clauses_*`) are one fold of
-//! the engine's work records, updated at the same single point that
+//! count; the solver-work counters (`cso_solver_*` and
+//! `cso_engine_clauses_*`) are one fold of the engine's work records, updated at the same single point that
 //! emits their trace counters and folds the run telemetry.
 //!
 //! # Trace bridge

@@ -61,19 +61,28 @@ pub struct SpanTree {
     pub span: Span,
     /// Spans of the node's children, in the fixed order above.
     pub children: Vec<SpanTree>,
+    /// Height of the subtree, counting this node (1 for a leaf).
+    depth: usize,
 }
 
 impl SpanTree {
     /// A leaf node (literal, parameter or hole reference).
     #[must_use]
     pub fn leaf(span: Span) -> SpanTree {
-        SpanTree { span, children: Vec::new() }
+        SpanTree { span, children: Vec::new(), depth: 1 }
     }
 
     /// An interior node with the given children.
     #[must_use]
     pub fn node(span: Span, children: Vec<SpanTree>) -> SpanTree {
-        SpanTree { span, children }
+        let depth = 1 + children.iter().map(|c| c.depth).max().unwrap_or(0);
+        SpanTree { span, children, depth }
+    }
+
+    /// Height of the tree (and of the AST it mirrors): 1 for a leaf.
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
     /// The i-th child.

@@ -30,10 +30,16 @@ use std::sync::Arc;
 
 /// Deepest nesting of groupings (parentheses, `min`/`max`, `if`, unary
 /// `-` and `!`) the parser accepts; deeper input is a [`ParseError`], not
-/// a stack overflow. Far above any built-in sketch, and shallow enough
-/// that parsing, lowering and analysis fit a 2 MB thread stack in a
-/// debug build.
+/// a stack overflow. Bounds the parser's own recursion.
 pub const MAX_NESTING: usize = 64;
+
+/// Deepest AST the parser builds, counting every node from the root to a
+/// leaf, so a long flat chain such as `x + x + … + x` (a left-deep tree)
+/// counts as well as nesting. Deeper input is a [`ParseError`]. Far above
+/// any built-in sketch, and shallow enough that the recursive walkers
+/// downstream (lowering, analysis, `Drop`) fit a 2 MB thread stack in a
+/// debug build.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parse (or lex) error with source offset.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +117,16 @@ impl Parser {
         let r = f(self);
         self.depth -= 1;
         r
+    }
+
+    /// The span node of an AST node built from `children`, whose tokens
+    /// start at `start_tok`; refuses to pass [`MAX_DEPTH`].
+    fn node(&self, start_tok: usize, children: Vec<SpanTree>) -> Result<SpanTree, ParseError> {
+        let sp = SpanTree::node(self.span_from(start_tok), children);
+        if sp.depth() > MAX_DEPTH {
+            return self.err(format!("expression deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(sp)
     }
 
     fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
@@ -202,7 +218,7 @@ impl Parser {
                 p.expect(&Token::Else)?;
                 Ok((cond, then, p.parse_expr()?))
             })?;
-            let sp = SpanTree::node(self.span_from(start), vec![csp, tsp, esp]);
+            let sp = self.node(start, vec![csp, tsp, esp])?;
             return Ok((Expr::If(Arc::new(cond), Arc::new(then), Arc::new(els)), sp));
         }
         self.parse_arith()
@@ -219,7 +235,7 @@ impl Parser {
             };
             self.pos += 1;
             let (rhs, rsp) = self.parse_term()?;
-            let sp = SpanTree::node(self.span_from(start), vec![lsp, rsp]);
+            let sp = self.node(start, vec![lsp, rsp])?;
             lhs = if add {
                 Expr::Add(Arc::new(lhs), Arc::new(rhs))
             } else {
@@ -240,7 +256,7 @@ impl Parser {
             };
             self.pos += 1;
             let (rhs, rsp) = self.parse_factor()?;
-            let sp = SpanTree::node(self.span_from(start), vec![lsp, rsp]);
+            let sp = self.node(start, vec![lsp, rsp])?;
             lhs = if mul {
                 Expr::Mul(Arc::new(lhs), Arc::new(rhs))
             } else {
@@ -255,7 +271,7 @@ impl Parser {
             let start = self.pos;
             self.pos += 1;
             let (inner, isp) = self.nested(Parser::parse_factor)?;
-            let sp = SpanTree::node(self.span_from(start), vec![isp]);
+            let sp = self.node(start, vec![isp])?;
             return Ok((Expr::Neg(Arc::new(inner)), sp));
         }
         self.parse_atom()
@@ -301,7 +317,7 @@ impl Parser {
                     Ok((a, p.parse_expr()?))
                 })?;
                 self.expect(&Token::RParen)?;
-                let sp = SpanTree::node(self.span_from(start), vec![asp, bsp]);
+                let sp = self.node(start, vec![asp, bsp])?;
                 Ok(if tok == Token::Min {
                     (Expr::Min(Arc::new(a), Arc::new(b)), sp)
                 } else {
@@ -352,7 +368,7 @@ impl Parser {
         while self.peek() == Some(&Token::OrOr) {
             self.pos += 1;
             let (rhs, rsp) = self.parse_bterm()?;
-            let sp = SpanTree::node(self.span_from(start), vec![lsp, rsp]);
+            let sp = self.node(start, vec![lsp, rsp])?;
             lhs = BExpr::Or(Arc::new(lhs), Arc::new(rhs));
             lsp = sp;
         }
@@ -365,7 +381,7 @@ impl Parser {
         while self.peek() == Some(&Token::AndAnd) {
             self.pos += 1;
             let (rhs, rsp) = self.parse_bfact()?;
-            let sp = SpanTree::node(self.span_from(start), vec![lsp, rsp]);
+            let sp = self.node(start, vec![lsp, rsp])?;
             lhs = BExpr::And(Arc::new(lhs), Arc::new(rhs));
             lsp = sp;
         }
@@ -377,7 +393,7 @@ impl Parser {
         if self.peek() == Some(&Token::Bang) {
             self.pos += 1;
             let (inner, isp) = self.nested(Parser::parse_bfact)?;
-            let sp = SpanTree::node(self.span_from(start), vec![isp]);
+            let sp = self.node(start, vec![isp])?;
             return Ok((BExpr::Not(Arc::new(inner)), sp));
         }
         // Disambiguate `(`: it may open a boolean group or a numeric
@@ -413,7 +429,7 @@ impl Parser {
         };
         self.pos += 1;
         let (rhs, rsp) = self.parse_arith()?;
-        let sp = SpanTree::node(self.span_from(start), vec![lsp, rsp]);
+        let sp = self.node(start, vec![lsp, rsp])?;
         Ok((BExpr::Cmp(op, Arc::new(lhs), Arc::new(rhs)), sp))
     }
 }
@@ -648,6 +664,42 @@ mod tests {
             let _ = s.lower(&[], &[Term::constant(Rat::from_int(1))]);
             let past = parse_sketch(&nested_src(kind, MAX_NESTING + 1));
             assert!(past.is_err(), "{kind}: one past the bound");
+        }
+    }
+
+    /// A one-parameter sketch whose body is a flat chain of `terms`
+    /// operands joined by `op`, and the depth of its AST.
+    fn chain_src(op: &str, terms: usize) -> (String, usize) {
+        let chain = |atom: &str| vec![atom; terms].join(&format!(" {op} "));
+        match op {
+            // `if` over the chain, whose operands are `x > 0` comparisons.
+            "&&" => (format!("fn f(x) {{ if {} then 1 else 0 }}", chain("x > 0")), terms + 2),
+            _ => (format!("fn f(x) {{ {} }}", chain("x")), terms),
+        }
+    }
+
+    #[test]
+    fn long_chains_are_an_error_not_a_stack_overflow() {
+        for op in ["+", "*", "&&"] {
+            let e = parse_sketch(&chain_src(op, 100_000).0).unwrap_err();
+            assert!(e.message.contains("expression deeper than"), "{op}: {e}");
+            assert!(e.offset.is_some(), "{op}: error carries a source offset");
+        }
+    }
+
+    #[test]
+    fn chains_at_the_bound_parse_lower_and_drop() {
+        use cso_logic::Term;
+        for op in ["+", "*", "&&"] {
+            let extra = chain_src(op, 1).1 - 1;
+            let (src, depth) = chain_src(op, MAX_DEPTH - extra);
+            assert_eq!(depth, MAX_DEPTH);
+            let s = parse(&src);
+            assert_eq!(s.spans().body.depth(), MAX_DEPTH, "{op}");
+            let _ = s.lower(&[], &[Term::constant(Rat::from_int(1))]);
+            drop(s);
+            let past = parse_sketch(&chain_src(op, MAX_DEPTH - extra + 1).0);
+            assert!(past.is_err(), "{op}: one past the bound");
         }
     }
 }
