@@ -36,6 +36,17 @@ CSO_SOLVER_THREADS=4 cargo test -q --workspace --offline
 echo "==> cargo test (CSO_SYNTH_CACHE=off)"
 CSO_SYNTH_CACHE=off cargo test -q --workspace --offline
 
+# Lane kernels at depth: the interval lane operations and the rounding
+# helpers must equal the scalar operations bit for bit, the tape's lane
+# interpreter must agree with the tree walker at every batch size, and
+# every lane slot must contain its exact rational value. Release build, so
+# the vectorized loops are the code under test.
+echo "==> lane and kernel properties (CSO_PROP_CASES=20000, release)"
+CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-numeric --test properties -- \
+    round_down_up_match_next_down_up interval_lanes_match_scalar_bit_for_bit
+CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-logic -- \
+    lane_slots_contain_exact_values tape_verdicts_match_ieval_for_every_batch_size
+
 # The perf ledger is a standalone package (its own workspace and lock
 # file), so the workspace passes above never build it. Its tests include
 # a scan that fails when the ledger calls API the roadmap deletes.

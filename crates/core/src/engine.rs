@@ -56,8 +56,12 @@ pub enum SynthError {
     },
     /// No hole assignment satisfies the recorded preferences: either the
     /// sketch cannot express the user's intent or the answers are noisy
-    /// (enable `repair_noise` for the latter).
+    /// (enable `repair_noise` for the latter). Reported only when the
+    /// feasibility query is proven unsatisfiable.
     NoViableCandidate,
+    /// The feasibility search ran out of box budget at every escalation
+    /// without finding a candidate or proving that none exists.
+    CandidateSearchExhausted,
     /// The oracle produced contradictory preferences and repair is
     /// disabled.
     InconsistentPreferences,
@@ -80,6 +84,9 @@ impl fmt::Display for SynthError {
             }
             SynthError::NoViableCandidate => {
                 write!(f, "no hole assignment satisfies the recorded preferences")
+            }
+            SynthError::CandidateSearchExhausted => {
+                write!(f, "the candidate search ran out of budget without deciding feasibility")
             }
             SynthError::InconsistentPreferences => {
                 write!(f, "oracle answers are contradictory and repair is disabled")
@@ -622,9 +629,11 @@ impl Synthesizer {
         // combinations of the candidates: each answered pair typically
         // constrains different holes, so the point taking "the right"
         // coordinate from each candidate is often feasible even when no
-        // single candidate is.
+        // single candidate is. The last two steps only run where the
+        // first three all budget out, which a consistent architect can
+        // still meet on a thin feasible set.
         let combo_seeds = self.coordinate_combinations(seeds);
-        for (i, budget) in [1.0, 4.0, 16.0].into_iter().enumerate() {
+        for (i, budget) in [1.0, 4.0, 16.0, 64.0, 256.0].into_iter().enumerate() {
             let mut all_seeds: Vec<Model> = seeds.to_vec();
             if i > 0 {
                 all_seeds.extend(combo_seeds.iter().cloned());
@@ -641,7 +650,7 @@ impl Synthesizer {
                 }
             }
         }
-        Err(SynthError::NoViableCandidate)
+        Err(SynthError::CandidateSearchExhausted)
     }
 
     /// Search for one distinguishing scenario pair against candidate `fa`.

@@ -501,6 +501,7 @@ fn write_state(w: &mut Writer, state: &EngineState) -> Result<()> {
                     w.usize(*sketch_params);
                     w.usize(*space_dims);
                 }
+                SynthError::CandidateSearchExhausted => w.u8(5),
                 SynthError::SketchRejected(_) => {
                     // Unreachable in practice: rejection happens in
                     // `Synthesizer::new`, before any session exists.
@@ -759,6 +760,7 @@ fn read_state(r: &mut Reader<'_>, synth: &Synthesizer) -> Result<EngineState> {
                 4 => {
                     SynthError::SpaceMismatch { sketch_params: r.usize()?, space_dims: r.usize()? }
                 }
+                5 => SynthError::CandidateSearchExhausted,
                 t => return Err(corrupt(format!("unknown error tag {t}"))),
             };
             EngineState::Failed { error }

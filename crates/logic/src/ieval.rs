@@ -13,6 +13,7 @@
 
 use crate::term::{CmpOp, Formula, Term};
 use crate::vars::BoxDomain;
+use cso_numeric::interval::{round_down, round_up};
 use cso_numeric::{Interval, Rat};
 
 /// Three-valued verdict of an interval formula check.
@@ -77,7 +78,7 @@ pub fn rat_enclosure(r: &Rat) -> Interval {
     if x.is_finite() && Rat::from_f64(x).as_ref() == Some(r) {
         Interval::point(x)
     } else {
-        Interval::new(x.next_down(), x.next_up())
+        Interval::new(round_down(x), round_up(x))
     }
 }
 

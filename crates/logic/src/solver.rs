@@ -38,29 +38,35 @@
 //! therefore re-evaluates only the still-unknown conjuncts that mention the
 //! split dimension.
 //!
-//! # Parallel branch-and-prune
+//! # Rounds, batched and parallel
 //!
 //! Branch-and-prune processes the subdivision frontier in deterministic
 //! *rounds*: each round pops a fixed-size batch off the depth-first stack
 //! (deepest boxes first, preserving the DFS search profile) and evaluates
-//! the batch's boxes independently — sequentially for
-//! [`SolverConfig::threads`]` == 1`, or spread over scoped worker threads
-//! pulling from the shared work queue in `cso_runtime::pool` otherwise.
-//! Every box samples from its own RNG stream forked deterministically from
-//! `(seed, box id)`, and the round winner is selected by a deterministic
-//! rule — the SAT box with the **lowest index in the batch** wins, and
-//! statistics only count boxes up to and including the winner — so the
-//! outcome, the model, and every counter are byte-identical to the
-//! sequential solver given the same seed, regardless of thread count or
+//! the batch's boxes independently. Every box samples from its own RNG
+//! stream forked deterministically from `(seed, box id)`, and the round
+//! winner is selected by a deterministic rule — the SAT box with the
+//! **lowest index in the batch** wins, and statistics only count boxes up
+//! to and including the winner.
+//!
+//! With [`SolverConfig::threads`]` == 1` a round costs two tape passes in
+//! all: one interval-refutes every box's samples, one checks every split
+//! box's children, each pass scoring its boxes [`crate::tape::LANES`] at
+//! a time (see `BnpCtx::round`). With more threads, workers pull boxes
+//! from the shared work queue in `cso_runtime::pool` and run each as a
+//! round of its own. Tape lanes are independent, so either way the
+//! outcome, the model, and every counter are byte-identical to a solver
+//! that processes one box at a time, regardless of thread count or
 //! scheduling. Engine runs keep `threads = 1` because the repro sweeps are
 //! already parallelized one level up (one thread per run); `threads > 1`
 //! is for single-query workloads where the solver is the whole show.
 
-use crate::ieval::Tri;
+use crate::ieval::{rat_enclosure, Tri};
 use crate::model::Model;
-use crate::tape::{CompiledQuery, ExactScratch, Tape, TapeScratch};
+use crate::tape::{self, CompiledQuery, ExactScratch, Tape};
 use crate::term::Formula;
 use crate::vars::BoxDomain;
+use cso_numeric::interval::{round_down, round_up};
 use cso_numeric::{Interval, Rat};
 use cso_runtime::trace::{self, Value};
 use cso_runtime::{pool, Rng};
@@ -83,13 +89,11 @@ fn default_threads() -> usize {
 }
 
 thread_local! {
-    /// Per-thread interval scratch: branch-and-prune workers certify and
-    /// prune through the shared read-only [`Tape`], each with its own
-    /// value arrays.
-    static IV_SCRATCH: RefCell<TapeScratch> = RefCell::new(TapeScratch::new());
     /// Per-thread exact-evaluation scratch (memo cells for the rational
     /// tape interpreter).
     static EX_SCRATCH: RefCell<ExactScratch> = RefCell::new(ExactScratch::new());
+    /// Per-thread branch-and-prune round buffers.
+    static ROUND_SCRATCH: RefCell<RoundScratch> = RefCell::new(RoundScratch::default());
 }
 
 /// Tuning knobs for the solver.
@@ -250,6 +254,47 @@ struct TaskResult {
     errors: usize,
 }
 
+/// Buffers a branch-and-prune round reuses, kept per thread so that no
+/// round allocates a buffer per box or per sample.
+#[derive(Default)]
+struct RoundScratch {
+    /// The sample being drawn or certified.
+    vals: Vec<Rat>,
+    /// One-ulp enclosures of every sample of the round, `dims` per sample.
+    encl: Vec<Interval>,
+    /// Conjuncts one tape pass checks, and their position in it.
+    cis: Vec<u32>,
+    pos: Vec<u32>,
+    verdicts: Vec<Tri>,
+    /// Boxes of the round that split, with their split dimension.
+    splits: Vec<(usize, usize)>,
+    /// Their children, two per split box.
+    children: Vec<BoxDomain>,
+    /// `pick_split_dim`'s per-dimension flags.
+    relevant: Vec<bool>,
+}
+
+impl RoundScratch {
+    /// Start the conjunct set of the next tape pass: empty, for a query of
+    /// `n_conj` conjuncts. Members are added by setting `pos[ci] = 0`.
+    fn reset_cis(&mut self, n_conj: usize) {
+        self.pos.clear();
+        self.pos.resize(n_conj, u32::MAX);
+    }
+
+    /// Freeze the set: `cis` lists the members in ascending order, and
+    /// `pos[ci]` becomes each member's index in it.
+    fn seal_cis(&mut self) {
+        self.cis.clear();
+        for (ci, p) in self.pos.iter_mut().enumerate() {
+            if *p == 0 {
+                *p = self.cis.len() as u32;
+                self.cis.push(ci as u32);
+            }
+        }
+    }
+}
+
 /// Shared read-only context for processing frontier boxes (worker-safe).
 struct BnpCtx<'a> {
     cfg: &'a SolverConfig,
@@ -291,8 +336,9 @@ impl BnpCtx<'_> {
     /// Split the dimension with the largest width relative to its δ, among
     /// dimensions mentioned by still-pending conjuncts (splitting a
     /// dimension no undecided conjunct reads can never change a verdict).
-    fn pick_split_dim(&self, task: &BoxTask) -> usize {
-        let mut relevant = vec![false; task.dom.len()];
+    fn pick_split_dim(&self, task: &BoxTask, relevant: &mut Vec<bool>) -> usize {
+        relevant.clear();
+        relevant.resize(task.dom.len(), false);
         for &ci in &task.pending {
             for &v in &self.mentions[ci as usize] {
                 if let Some(r) = relevant.get_mut(v as usize) {
@@ -319,77 +365,167 @@ impl BnpCtx<'_> {
         best.unwrap_or_else(|| task.dom.widest_dim())
     }
 
-    /// Process one frontier box: sample it, then either close it out
-    /// (SAT / residual) or split it and interval-check the children.
-    fn process(&self, task: &BoxTask) -> TaskResult {
+    /// Close out a box on which every conjunct is certainly true: certify
+    /// its midpoint, then up to three samples from the box's own stream.
+    fn certify_decided(&self, task: &BoxTask) -> TaskResult {
         let mut rng = self.box_rng(task.id);
-        let mut samples = 0usize;
         let mut errors = 0usize;
-        let try_certify = |vals: &[Rat], samples: &mut usize, errors: &mut usize| {
-            *samples += 1;
-            let (m, e) = certify_exact(self.tape, vals);
-            *errors += e;
-            m
-        };
-
-        if task.pending.is_empty() {
-            // Certainly true everywhere in the box; certify the midpoint
-            // (guaranteed to succeed unless evaluation errors).
-            if let Some(m) = try_certify(&Solver::mid_values(&task.dom), &mut samples, &mut errors)
-            {
-                return TaskResult { verdict: TaskVerdict::Sat(m), samples, pruned: 0, errors };
+        let mid = Solver::mid_values(&task.dom);
+        let tries =
+            std::iter::once(mid).chain((0..3).map(|_| Solver::sample_uniform(&mut rng, &task.dom)));
+        for (i, vals) in tries.enumerate() {
+            let (m, e) = certify_exact(self.tape, &vals);
+            errors += e;
+            if let Some(m) = m {
+                return TaskResult {
+                    verdict: TaskVerdict::Sat(m),
+                    samples: i + 1,
+                    pruned: 0,
+                    errors,
+                };
             }
-            for _ in 0..3 {
-                let vals = Solver::sample_uniform(&mut rng, &task.dom);
-                if let Some(m) = try_certify(&vals, &mut samples, &mut errors) {
-                    return TaskResult { verdict: TaskVerdict::Sat(m), samples, pruned: 0, errors };
+        }
+        // All evaluations errored (division by zero on a measure-zero set
+        // can do this); treat conservatively as residual.
+        TaskResult { verdict: TaskVerdict::Residual, samples: 4, pruned: 0, errors }
+    }
+
+    /// Process one round of frontier boxes in batch order, with two tape
+    /// passes for the whole round instead of one or two per box:
+    ///
+    /// 1. Every box with pending conjuncts draws its samples from its own
+    ///    stream (the values a box-at-a-time solver would draw), and one
+    ///    pass interval-refutes all their one-ulp enclosures on the union
+    ///    of the boxes' pending conjuncts. A conjunct that is not pending
+    ///    on a box is certainly true on it, so by soundness it cannot be
+    ///    refuted at a point of the box: checking more conjuncts than the
+    ///    box's own never changes a sample's decision. Only the
+    ///    enclosures are kept; a box with a surviving sample redraws its
+    ///    stream for the exact values.
+    /// 2. The survivors are certified exactly in batch order, box by box;
+    ///    the first SAT ends the round and later boxes contribute nothing.
+    /// 3. Every box before it that is neither SAT nor residual is
+    ///    bisected, and one pass checks all children on the union of their
+    ///    re-check conjuncts (each child reads only its own).
+    ///
+    /// Lanes are independent, so every verdict, and with it the outcome
+    /// and every counter, equals processing the boxes one at a time.
+    fn round(&self, batch: &[BoxTask], r: &mut RoundScratch) -> Vec<TaskResult> {
+        let spb = self.cfg.samples_per_box;
+        let n_conj = self.mentions.len();
+        let dims = batch.first().map_or(0, |t| t.dom.len());
+
+        r.encl.clear();
+        for task in batch.iter().filter(|t| !t.pending.is_empty()) {
+            let mut rng = self.box_rng(task.id);
+            for _ in 0..spb {
+                r.vals.clear();
+                Solver::sample_uniform_into(&mut rng, &task.dom, &mut r.vals);
+                r.encl.extend(r.vals.iter().map(rat_enclosure));
+            }
+        }
+        r.reset_cis(n_conj);
+        for task in batch {
+            for &ci in &task.pending {
+                r.pos[ci as usize] = 0;
+            }
+        }
+        r.seal_cis();
+        let n_samples = batch.iter().filter(|t| !t.pending.is_empty()).count() * spb;
+        let encl = &r.encl;
+        tape::with_scratch(|s| {
+            self.tape.verdicts_with(
+                n_samples,
+                |b, v| encl[b * dims + v as usize],
+                &r.cis,
+                s,
+                &mut r.verdicts,
+            );
+        });
+
+        let mut out = Vec::with_capacity(batch.len());
+        r.splits.clear();
+        let width = r.cis.len();
+        let mut sample = 0usize;
+        'boxes: for (bi, task) in batch.iter().enumerate() {
+            if task.pending.is_empty() {
+                let res = self.certify_decided(task);
+                let sat = matches!(res.verdict, TaskVerdict::Sat(_));
+                out.push(res);
+                if sat {
+                    break;
+                }
+                continue;
+            }
+            let refuted = |s: usize| r.verdicts[s * width..(s + 1) * width].contains(&Tri::False);
+            let mut errors = 0usize;
+            if (sample..sample + spb).any(|s| !refuted(s)) {
+                // Redraw the box's samples from its stream: only the
+                // survivors of refutation need their exact values.
+                let mut rng = self.box_rng(task.id);
+                for j in 0..spb {
+                    r.vals.clear();
+                    Solver::sample_uniform_into(&mut rng, &task.dom, &mut r.vals);
+                    if refuted(sample + j) {
+                        continue;
+                    }
+                    match EX_SCRATCH.with(|x| self.tape.eval_exact(&r.vals, &mut x.borrow_mut())) {
+                        Ok(true) => {
+                            let verdict = TaskVerdict::Sat(Model::new(r.vals.clone()));
+                            out.push(TaskResult { verdict, samples: j + 1, pruned: 0, errors });
+                            break 'boxes;
+                        }
+                        Ok(false) => {}
+                        Err(_) => errors += 1,
+                    }
                 }
             }
-            // All evaluations errored (division by zero on a measure-zero
-            // set can do this); treat conservatively as residual.
-            return TaskResult { verdict: TaskVerdict::Residual, samples, pruned: 0, errors };
+            sample += spb;
+            let verdict = if self.box_is_residual(task) {
+                TaskVerdict::Residual
+            } else {
+                r.splits.push((bi, self.pick_split_dim(task, &mut r.relevant)));
+                TaskVerdict::Split(Vec::new())
+            };
+            out.push(TaskResult { verdict, samples: spb, pruned: 0, errors });
+        }
+        if r.splits.is_empty() {
+            return out;
         }
 
-        // Sample inside the box.
-        for _ in 0..self.cfg.samples_per_box {
-            let vals = Solver::sample_uniform(&mut rng, &task.dom);
-            if let Some(m) = try_certify(&vals, &mut samples, &mut errors) {
-                return TaskResult { verdict: TaskVerdict::Sat(m), samples, pruned: 0, errors };
+        // Conjuncts to re-check on a child: those that mention the split
+        // dim; the others keep their verdict on the sub-box.
+        let recheck =
+            |ci: u32, dim: usize| self.mentions[ci as usize].binary_search(&(dim as u32)).is_ok();
+        r.children.clear();
+        r.reset_cis(n_conj);
+        for &(bi, dim) in &r.splits {
+            let (lo, hi) = batch[bi].dom.bisect(dim);
+            r.children.push(lo);
+            r.children.push(hi);
+            for &ci in &batch[bi].pending {
+                if recheck(ci, dim) {
+                    r.pos[ci as usize] = 0;
+                }
             }
         }
-
-        if self.box_is_residual(task) {
-            return TaskResult { verdict: TaskVerdict::Residual, samples, pruned: 0, errors };
-        }
-
-        // Split on the widest dimension among those mentioned by pending
-        // conjuncts (splitting unconstrained dims cannot help).
-        let dim = self.pick_split_dim(task);
-        let (lo, hi) = task.dom.bisect(dim);
-        let mut pruned = 0usize;
-        let mut children = Vec::with_capacity(2);
-        // Conjuncts to re-check on the children: those that mention the
-        // split dim; others keep their Unknown verdict on the sub-box.
-        // Both children's rechecks run in one batched tape pass.
-        let recheck: Vec<u32> = task
-            .pending
-            .iter()
-            .copied()
-            .filter(|&ci| self.mentions[ci as usize].binary_search(&(dim as u32)).is_ok())
-            .collect();
-        let mut verdicts = Vec::new();
-        IV_SCRATCH.with(|s| {
-            self.tape.verdicts(&[&lo, &hi], &recheck, &mut s.borrow_mut(), &mut verdicts);
-        });
-        'child: for (bi, child_dom) in [lo, hi].into_iter().enumerate() {
-            let mut pending = Vec::with_capacity(task.pending.len());
-            // Cursor into `recheck` (a subsequence of `pending`, in order).
-            let mut j = 0usize;
-            for &ci in &task.pending {
-                if j < recheck.len() && recheck[j] == ci {
-                    let v = verdicts[bi * recheck.len() + j];
-                    j += 1;
-                    match v {
+        r.seal_cis();
+        tape::with_scratch(|s| self.tape.verdicts(&r.children, &r.cis, s, &mut r.verdicts));
+        let width = r.cis.len();
+        let mut children = r.children.drain(..);
+        for (c0, &(bi, dim)) in r.splits.iter().enumerate() {
+            let task = &batch[bi];
+            let mut kept = Vec::with_capacity(2);
+            let mut pruned = 0usize;
+            'child: for c in [2 * c0, 2 * c0 + 1] {
+                let dom = children.next().expect("two children per split box");
+                let mut pending = Vec::with_capacity(task.pending.len());
+                for &ci in &task.pending {
+                    if !recheck(ci, dim) {
+                        pending.push(ci);
+                        continue;
+                    }
+                    match r.verdicts[c * width + r.pos[ci as usize] as usize] {
                         Tri::False => {
                             pruned += 1;
                             continue 'child;
@@ -397,13 +533,13 @@ impl BnpCtx<'_> {
                         Tri::Unknown => pending.push(ci),
                         Tri::True => {}
                     }
-                } else {
-                    pending.push(ci);
                 }
+                kept.push((dom, pending));
             }
-            children.push((child_dom, pending));
+            out[bi].verdict = TaskVerdict::Split(kept);
+            out[bi].pruned = pruned;
         }
-        TaskResult { verdict: TaskVerdict::Split(children), samples, pruned, errors }
+        out
     }
 }
 
@@ -415,7 +551,7 @@ impl BnpCtx<'_> {
 /// *decision* equals `eval_formula`'s and only the error tally can be
 /// lower.
 fn certify_exact(tape: &Tape, vals: &[Rat]) -> (Option<Model>, usize) {
-    if IV_SCRATCH.with(|s| tape.refutes_point(vals, &mut s.borrow_mut())) {
+    if tape::with_scratch(|s| tape.refutes_point(vals, s)) {
         return (None, 0);
     }
     match EX_SCRATCH.with(|s| tape.eval_exact(vals, &mut s.borrow_mut())) {
@@ -540,7 +676,7 @@ impl Solver {
         // scan in conjunct order; the first `False` refutes the box.
         let cis: Vec<u32> = (0..conjuncts.len() as u32).collect();
         let mut root_verdicts = Vec::new();
-        IV_SCRATCH.with(|s| tape.verdicts(&[dom], &cis, &mut s.borrow_mut(), &mut root_verdicts));
+        tape::with_scratch(|s| tape.verdicts(&[dom], &cis, s, &mut root_verdicts));
         let mut root_pending = Vec::new();
         for (i, &v) in root_verdicts.iter().enumerate() {
             match v {
@@ -639,28 +775,20 @@ impl Solver {
         }
     }
 
-    /// Sequential round: process boxes in order, stopping at the first
-    /// SAT (the boxes after it are this round's discarded work).
+    /// Sequential round: the whole batch in one [`BnpCtx::round`], which
+    /// stops at the first SAT (the boxes after it are this round's
+    /// discarded work).
     fn run_batch_sequential(ctx: &BnpCtx<'_>, batch: &[BoxTask]) -> Vec<TaskResult> {
-        let mut out = Vec::with_capacity(batch.len());
-        for task in batch {
-            let res = ctx.process(task);
-            let is_sat = matches!(res.verdict, TaskVerdict::Sat(_));
-            out.push(res);
-            if is_sat {
-                break;
-            }
-        }
-        out
+        ROUND_SCRATCH.with(|r| ctx.round(batch, &mut r.borrow_mut()))
     }
 
     /// Parallel round: workers pull box indices from the shared work
-    /// queue. `best_sat` is the early-exit flag — an `AtomicUsize`
-    /// rather than a plain "SAT found" bool because a SAT at a *higher*
-    /// index must not suppress boxes that precede it in the deterministic
-    /// order (the lowest SAT index wins the round). A skipped box is
-    /// therefore always above the winner, and the winner-prefix scan in
-    /// `branch_and_prune` never observes it.
+    /// queue and run each box as a round of its own. `best_sat` is the
+    /// early-exit flag — an `AtomicUsize` rather than a plain "SAT found"
+    /// bool because a SAT at a *higher* index must not suppress boxes that
+    /// precede it in the deterministic order (the lowest SAT index wins the
+    /// round). A skipped box is therefore always above the winner, and the
+    /// winner-prefix scan in `branch_and_prune` never observes it.
     fn run_batch_parallel(ctx: &BnpCtx<'_>, batch: &[BoxTask], workers: usize) -> Vec<TaskResult> {
         let best_sat = AtomicUsize::new(usize::MAX);
         pool::scoped_map((0..batch.len()).collect(), workers, |i: usize| {
@@ -672,7 +800,9 @@ impl Solver {
                     errors: 0,
                 };
             }
-            let res = ctx.process(&batch[i]);
+            let res = Solver::run_batch_sequential(ctx, std::slice::from_ref(&batch[i]))
+                .pop()
+                .expect("a one-box round reports its box");
             if matches!(res.verdict, TaskVerdict::Sat(_)) {
                 best_sat.fetch_min(i, Ordering::Relaxed);
             }
@@ -703,7 +833,17 @@ impl Solver {
 
     fn rat_in(iv: Interval, x: f64) -> Rat {
         let (lo, hi) = Solver::clamp_iv(iv);
-        let snapped = Solver::snap(x.clamp(lo, hi));
+        let x = x.clamp(lo, hi);
+        // `snap(x)` is `k/10^6` for `k = scaled` when `|k| < 9e15`. The
+        // product `lo·10^6` lies strictly below the next double up from its
+        // rounded value, so a `k` above that (and below the mirror bound at
+        // `hi`) puts `k/10^6` strictly inside `[lo, hi]`, where the exact
+        // clamp below returns it unchanged.
+        let scaled = (x * 1e6).round();
+        if scaled.abs() < 9e15 && round_up(lo * 1e6) < scaled && scaled < round_down(hi * 1e6) {
+            return Rat::from_frac(scaled as i64, 1_000_000);
+        }
+        let snapped = Solver::snap(x);
         // Snapping may push just outside the box; clamp exactly.
         let rlo = Rat::from_f64(lo).unwrap_or_else(Rat::zero);
         let rhi = Rat::from_f64(hi).unwrap_or_else(Rat::zero);
@@ -715,14 +855,18 @@ impl Solver {
     }
 
     fn sample_uniform(rng: &mut Rng, dom: &BoxDomain) -> Vec<Rat> {
-        (0..dom.len())
-            .map(|i| {
-                let iv = dom.intervals()[i];
-                let (lo, hi) = Solver::clamp_iv(iv);
-                let x = if lo == hi { lo } else { rng.random_range(lo..=hi) };
-                Solver::rat_in(iv, x)
-            })
-            .collect()
+        let mut vals = Vec::with_capacity(dom.len());
+        Solver::sample_uniform_into(rng, dom, &mut vals);
+        vals
+    }
+
+    /// Append one uniform sample of `dom` to `vals`.
+    fn sample_uniform_into(rng: &mut Rng, dom: &BoxDomain, vals: &mut Vec<Rat>) {
+        vals.extend(dom.intervals().iter().map(|&iv| {
+            let (lo, hi) = Solver::clamp_iv(iv);
+            let x = if lo == hi { lo } else { rng.random_range(lo..=hi) };
+            Solver::rat_in(iv, x)
+        }));
     }
 
     fn mid_values(dom: &BoxDomain) -> Vec<Rat> {
@@ -1109,6 +1253,41 @@ mod tests {
         assert_eq!(s.stats.workers, 3);
         assert!(s.stats.bnp_time > Duration::ZERO, "branch-and-prune time must be recorded");
         assert_eq!(s.stats.seeding_time, Duration::ZERO, "seeding disabled, no seeding time");
+    }
+
+    /// `rat_in`'s fast path returns exactly what the exact clamp returns,
+    /// including for box ends on, and one ulp around, the `k/10^6` grid
+    /// that snapping rounds to.
+    #[test]
+    fn rat_in_matches_the_exact_clamp() {
+        use cso_runtime::prop::{self, f64_in, int_in, just, one_of, zip3, Config, Gen};
+        let grid = || {
+            zip3(int_in(-2_000_000_000, 2_000_000_000), int_in(-1, 1), just(())).map(
+                |(k, step, ())| match (k as f64 / 1e6, step) {
+                    (v, -1) => v.next_down(),
+                    (v, 1) => v.next_up(),
+                    (v, _) => v,
+                },
+            )
+        };
+        let end = || -> Gen<f64> {
+            one_of(vec![grid(), f64_in(-1e3, 1e3), just(0.0), just(-0.0), f64_in(-1e12, 1e12)])
+        };
+        prop::check_with(
+            &Config { cases: 4000, ..Config::default() },
+            "rat_in_matches_the_exact_clamp",
+            &zip3(end(), end(), one_of(vec![end(), f64_in(0.0, 1.0)])),
+            |&(a, b, x)| {
+                let iv = Interval::new(a.min(b), a.max(b));
+                let (lo, hi) = Solver::clamp_iv(iv);
+                let want = Solver::snap(x.clamp(lo, hi)).clamp(
+                    &Rat::from_f64(lo).expect("finite"),
+                    &Rat::from_f64(hi).expect("finite"),
+                );
+                cso_runtime::prop_assert_eq!(Solver::rat_in(iv, x), want, "{} at {:e}", iv, x);
+                Ok(())
+            },
+        );
     }
 
     #[test]

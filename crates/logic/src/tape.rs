@@ -26,10 +26,26 @@
 //!   verdict of `True`/`False` over a box holds on every sub-box the
 //!   solver will ever evaluate, and the cached verdict is exactly what the
 //!   tree walker would recompute.
-//! * **Batched (structure-of-arrays) evaluation.** One tape pass scores
-//!   many boxes at once: scratch values are laid out slot-major
-//!   (`slot * batch + box`), so each instruction streams over contiguous
-//!   operands across the whole batch.
+//! * **Lanes (structure-of-arrays evaluation).** One tape pass scores up
+//!   to [`LANES`] boxes side by side: every slot holds a
+//!   [`IntervalLanes`] (separate `lo` and `hi` arrays, one entry per box)
+//!   and one verdict byte per box, and every opcode is one loop over the
+//!   live lanes, with its output slot split off by `split_at_mut` so the
+//!   loop reads and writes disjoint arrays. Verdict bytes encode
+//!   False = 0, Unknown = 1, True = 2, so Kleene `All` is the minimum,
+//!   `Any` the maximum and `Not` is `2 - x`; comparisons and `Ite` are
+//!   selects, not branches. Full chunks run loops of constant trip count,
+//!   which the compiler unrolls and vectorizes at the baseline target. A
+//!   larger batch goes through in chunks of [`LANES`].
+//!
+//! Lanes never mix, and each lane computes exactly the scalar `f64`
+//! operations of [`Interval`]'s operators — the lane kernels and the
+//! operators share one per-endpoint definition in `cso-numeric`, including
+//! the outward rounding — so every verdict is bit-identical to evaluating
+//! its box alone. (Were `f64::min`/`max` lowered differently in vector and
+//! scalar code, the only possible difference is the sign of a zero
+//! endpoint: no comparison distinguishes `-0` from `+0`, and the next
+//! rounding step maps both to the same value.)
 //!
 //! Two interpreters share the tape. The **interval** interpreter is
 //! straight-line (interval semantics is total) and reproduces
@@ -48,8 +64,11 @@ use crate::ieval::{icmp, rat_enclosure, Tri};
 use crate::simplify::simplify_formula;
 use crate::term::{CmpOp, Formula, Term};
 use crate::vars::{BoxDomain, VarId};
-use cso_numeric::{Interval, Rat};
+use cso_numeric::interval::for_each_lane;
+use cso_numeric::{Interval, IntervalLanes, Rat};
 use cso_runtime::trace::{self, Value};
+use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -75,6 +94,13 @@ enum Op {
     All(Box<[u32]>),
     Any(Box<[u32]>),
     Not(u32),
+}
+
+impl Op {
+    /// `true` for ops that produce a verdict rather than a number.
+    fn is_formula(&self) -> bool {
+        matches!(self, Op::True | Op::False | Op::Cmp(..) | Op::All(_) | Op::Any(_) | Op::Not(_))
+    }
 }
 
 /// Structural hash-consing key: operands are already-interned slot ids, so
@@ -117,15 +143,98 @@ pub struct TapeStats {
     pub decided: usize,
 }
 
-/// Reusable scratch for the interval interpreter. Holds the slot-major
-/// value arrays and the merged needed-slot bitmask; resized on demand, so
-/// one scratch serves tapes and batches of any size.
+/// Boxes the interval interpreter evaluates side by side: every slot holds
+/// one interval (or verdict) per lane, and every opcode is one loop over
+/// the lanes.
+pub const LANES: usize = 4;
+
+// Verdict bytes: the order False < Unknown < True makes Kleene `and` the
+// minimum, `or` the maximum and `not` the reflection `TRUE - x`.
+const FALSE: u8 = 0;
+const UNKNOWN: u8 = 1;
+const TRUE: u8 = 2;
+
+fn tri_byte(t: Tri) -> u8 {
+    match t {
+        Tri::False => FALSE,
+        Tri::Unknown => UNKNOWN,
+        Tri::True => TRUE,
+    }
+}
+
+fn byte_tri(b: u8) -> Tri {
+    match b {
+        FALSE => Tri::False,
+        UNKNOWN => Tri::Unknown,
+        _ => Tri::True,
+    }
+}
+
+/// Verdict byte of a comparison from its "certainly true" and "certainly
+/// false" tests; `t` wins when both hold, as in `icmp`'s branch order.
+#[inline(always)]
+fn verdict(t: bool, f: bool) -> u8 {
+    UNKNOWN + u8::from(t) - u8::from(f & !t)
+}
+
+/// Lane-wise `icmp` over lanes `0..n`: the same tests, without branches.
+fn cmp_lanes(
+    op: CmpOp,
+    a: &IntervalLanes<LANES>,
+    b: &IntervalLanes<LANES>,
+    out: &mut [u8; LANES],
+    n: usize,
+) {
+    let (a, b) = if matches!(op, CmpOp::Gt | CmpOp::Ge) { (b, a) } else { (a, b) };
+    match op {
+        CmpOp::Lt | CmpOp::Gt => for_each_lane::<LANES>(n, |k| {
+            out[k] = verdict(a.hi[k] < b.lo[k], a.lo[k] >= b.hi[k]);
+        }),
+        CmpOp::Le | CmpOp::Ge => for_each_lane::<LANES>(n, |k| {
+            out[k] = verdict(a.hi[k] <= b.lo[k], a.lo[k] > b.hi[k]);
+        }),
+        CmpOp::Eq | CmpOp::Ne => {
+            let ne = op == CmpOp::Ne;
+            for_each_lane::<LANES>(n, |k| {
+                let point = (a.lo[k] == a.hi[k]) & (b.lo[k] == b.hi[k]) & (a.lo[k] == b.lo[k]);
+                let apart = (a.hi[k] < b.lo[k]) | (b.hi[k] < a.lo[k]);
+                let v = verdict(point, apart);
+                out[k] = if ne { TRUE - v } else { v };
+            });
+        }
+    }
+}
+
+/// Lane-wise `Ite` over lanes `0..n`: the taken branch under a decided
+/// guard, else the hull of both (`Interval::hull`'s endpoint order).
+fn ite_lanes(
+    c: &[u8; LANES],
+    a: &IntervalLanes<LANES>,
+    b: &IntervalLanes<LANES>,
+    out: &mut IntervalLanes<LANES>,
+    n: usize,
+) {
+    for_each_lane::<LANES>(n, |k| {
+        let (lo, hi) = match c[k] {
+            TRUE => (a.lo[k], a.hi[k]),
+            FALSE => (b.lo[k], b.hi[k]),
+            _ => (a.lo[k].min(b.lo[k]), a.hi[k].max(b.hi[k])),
+        };
+        out.lo[k] = lo;
+        out.hi[k] = hi;
+    });
+}
+
+/// Reusable scratch for the interval interpreter: slot-major lane arrays
+/// (one [`IntervalLanes`] and one verdict-byte row per slot), the merged
+/// needed-slot bitmask, and the point enclosure `refutes_point` fills.
+/// Buffers grow on demand, so one scratch serves tapes of any size.
 #[derive(Debug, Default)]
 pub struct TapeScratch {
-    iv: Vec<Interval>,
-    tri: Vec<Tri>,
+    iv: Vec<IntervalLanes<LANES>>,
+    tri: Vec<[u8; LANES]>,
     mask: Vec<u64>,
-    batch: usize,
+    point: Vec<Interval>,
 }
 
 impl TapeScratch {
@@ -134,6 +243,21 @@ impl TapeScratch {
     pub fn new() -> TapeScratch {
         TapeScratch::default()
     }
+}
+
+thread_local! {
+    /// The calling thread's interval scratch. Domain seeding and the
+    /// solver's passes share it, so a thread holds one set of lane arrays,
+    /// sized for the largest tape it has evaluated.
+    static SCRATCH: RefCell<TapeScratch> = RefCell::new(TapeScratch::new());
+}
+
+/// Run `f` with the calling thread's interval scratch.
+///
+/// # Panics
+/// Panics if `f` calls `with_scratch` again (the scratch is borrowed).
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut TapeScratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Reusable scratch for the exact rational interpreter: one memo cell per
@@ -530,23 +654,20 @@ impl Tape {
         if self.max_var.is_some_and(|m| (m as usize) >= dom.len()) {
             return; // seed box does not cover the formula's variables
         }
-        let mut scratch = TapeScratch::new();
-        self.eval_slots(&[dom], None, &mut scratch);
-        for i in 0..self.ops.len() {
-            let is_formula = matches!(
-                self.ops[i],
-                Op::True | Op::False | Op::Cmp(..) | Op::All(_) | Op::Any(_) | Op::Not(_)
-            );
-            if is_formula && self.has_vars[i] && self.cached_tri[i].is_none() {
-                match scratch.tri[i] {
-                    v @ (Tri::True | Tri::False) => {
-                        self.cached_tri[i] = Some(v);
-                        self.stats.decided += 1;
+        with_scratch(|scratch| {
+            self.eval_lanes(1, |_, v| dom.get(VarId(v)), None, scratch);
+            for i in 0..self.ops.len() {
+                if self.ops[i].is_formula() && self.has_vars[i] && self.cached_tri[i].is_none() {
+                    match byte_tri(scratch.tri[i][0]) {
+                        v @ (Tri::True | Tri::False) => {
+                            self.cached_tri[i] = Some(v);
+                            self.stats.decided += 1;
+                        }
+                        Tri::Unknown => {}
                     }
-                    Tri::Unknown => {}
                 }
             }
-        }
+        });
     }
 
     /// Per-conjunct needed-slot bitmasks: descend from each root, stopping
@@ -615,183 +736,132 @@ impl Tape {
     // -- interval interpreter -------------------------------------------------
 
     /// Evaluate the slots selected by `mask` (all slots when `None`) over
-    /// the batch of boxes, slot-major into the scratch.
-    fn eval_slots(&self, doms: &[&BoxDomain], mask: Option<&[u64]>, s: &mut TapeScratch) {
-        let n = self.ops.len();
-        let nb = doms.len();
-        s.batch = nb;
-        s.iv.clear();
-        s.iv.resize(n * nb, Interval::point(0.0));
-        s.tri.clear();
-        s.tri.resize(n * nb, Tri::Unknown);
-        for i in 0..n {
-            if let Some(m) = mask {
-                if m[i >> 6] & (1 << (i & 63)) == 0 {
-                    continue;
-                }
-            }
-            self.eval_slot(i, doms, s);
-        }
-    }
-
-    #[inline]
-    fn eval_slot(&self, i: usize, doms: &[&BoxDomain], s: &mut TapeScratch) {
-        let nb = doms.len();
-        let base = i * nb;
-        if let Some(v) = self.cached_iv[i] {
-            s.iv[base..base + nb].fill(v);
-            return;
-        }
-        if let Some(t) = self.cached_tri[i] {
-            s.tri[base..base + nb].fill(t);
-            return;
-        }
-        match &self.ops[i] {
-            Op::Const(_) | Op::True | Op::False => unreachable!("constant slots are cached"),
-            Op::Var(v) => {
-                for (k, d) in doms.iter().enumerate() {
-                    s.iv[base + k] = d.get(VarId(*v));
-                }
-            }
-            Op::Neg(a) => {
-                let ab = *a as usize * nb;
-                for k in 0..nb {
-                    s.iv[base + k] = -s.iv[ab + k];
-                }
-            }
-            Op::Add(a, b) => {
-                let (ab, bb) = (*a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.iv[base + k] = s.iv[ab + k] + s.iv[bb + k];
-                }
-            }
-            Op::Sub(a, b) => {
-                let (ab, bb) = (*a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.iv[base + k] = s.iv[ab + k] - s.iv[bb + k];
-                }
-            }
-            Op::Mul(a, b) => {
-                let (ab, bb) = (*a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.iv[base + k] = s.iv[ab + k] * s.iv[bb + k];
-                }
-            }
-            Op::Div(a, b) => {
-                let (ab, bb) = (*a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.iv[base + k] = s.iv[ab + k] / s.iv[bb + k];
-                }
-            }
-            Op::Min(a, b) => {
-                let (ab, bb) = (*a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.iv[base + k] = s.iv[ab + k].min_i(&s.iv[bb + k]);
-                }
-            }
-            Op::Max(a, b) => {
-                let (ab, bb) = (*a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.iv[base + k] = s.iv[ab + k].max_i(&s.iv[bb + k]);
-                }
-            }
-            Op::Ite(c, a, b) => {
-                let (cb, ab, bb) = (*c as usize * nb, *a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.iv[base + k] = match s.tri[cb + k] {
-                        Tri::True => s.iv[ab + k],
-                        Tri::False => s.iv[bb + k],
-                        Tri::Unknown => s.iv[ab + k].hull(&s.iv[bb + k]),
-                    };
-                }
-            }
-            Op::Cmp(op, a, b) => {
-                let (ab, bb) = (*a as usize * nb, *b as usize * nb);
-                for k in 0..nb {
-                    s.tri[base + k] = icmp(*op, s.iv[ab + k], s.iv[bb + k]);
-                }
-            }
-            Op::All(ch) => {
-                for k in 0..nb {
-                    let mut acc = Tri::True;
-                    for &c in ch.iter() {
-                        acc = acc.and(s.tri[c as usize * nb + k]);
-                        if acc == Tri::False {
-                            break;
-                        }
-                    }
-                    s.tri[base + k] = acc;
-                }
-            }
-            Op::Any(ch) => {
-                for k in 0..nb {
-                    let mut acc = Tri::False;
-                    for &c in ch.iter() {
-                        acc = acc.or(s.tri[c as usize * nb + k]);
-                        if acc == Tri::True {
-                            break;
-                        }
-                    }
-                    s.tri[base + k] = acc;
-                }
-            }
-            Op::Not(a) => {
-                let ab = *a as usize * nb;
-                for k in 0..nb {
-                    s.tri[base + k] = s.tri[ab + k].not();
-                }
-            }
-        }
-    }
-
-    /// Evaluate the conjunct roots `cis` over a batch of boxes in one tape
-    /// pass. Clears `out`, then appends verdicts box-major:
-    /// `out[b * cis.len() + j]` is conjunct `cis[j]` on `doms[b]` — each
-    /// verdict bit-identical to `ieval_formula(&conjuncts[ci], doms[b])`.
-    pub fn verdicts(
+    /// `n <= LANES` boxes side by side, into the scratch's lane arrays.
+    /// `var(k, v)` is variable `v`'s interval on box `k`. Lanes `n..LANES`
+    /// keep whatever they held and are never read.
+    fn eval_lanes(
         &self,
-        doms: &[&BoxDomain],
+        n: usize,
+        var: impl Fn(usize, u32) -> Interval,
+        mask: Option<&[u64]>,
+        s: &mut TapeScratch,
+    ) {
+        debug_assert!(n <= LANES);
+        let slots = self.ops.len();
+        if s.iv.len() < slots {
+            s.iv.resize(slots, IntervalLanes::default());
+            s.tri.resize(slots, [UNKNOWN; LANES]);
+        }
+        for i in 0..slots {
+            if mask.is_some_and(|m| m[i >> 6] & (1 << (i & 63)) == 0) {
+                continue;
+            }
+            if let Some(v) = self.cached_iv[i] {
+                s.iv[i] = IntervalLanes::splat(v);
+                continue;
+            }
+            if let Some(t) = self.cached_tri[i] {
+                s.tri[i] = [tri_byte(t); LANES];
+                continue;
+            }
+            // Operands are earlier slots: split the output slot off so the
+            // lane loops read and write disjoint arrays.
+            let (iv, iv_rest) = s.iv.split_at_mut(i);
+            let out = &mut iv_rest[0];
+            let (tri, tri_rest) = s.tri.split_at_mut(i);
+            let tout = &mut tri_rest[0];
+            let at = |j: &u32| *j as usize;
+            match &self.ops[i] {
+                Op::Const(_) | Op::True | Op::False => unreachable!("constant slots are cached"),
+                Op::Var(v) => {
+                    for k in 0..n {
+                        out.set(k, var(k, *v));
+                    }
+                }
+                Op::Neg(a) => iv[at(a)].neg(out, n),
+                Op::Add(a, b) => iv[at(a)].add(&iv[at(b)], out, n),
+                Op::Sub(a, b) => iv[at(a)].sub(&iv[at(b)], out, n),
+                Op::Mul(a, b) => iv[at(a)].mul(&iv[at(b)], out, n),
+                Op::Div(a, b) => iv[at(a)].div(&iv[at(b)], out, n),
+                Op::Min(a, b) => iv[at(a)].min(&iv[at(b)], out, n),
+                Op::Max(a, b) => iv[at(a)].max(&iv[at(b)], out, n),
+                Op::Ite(c, a, b) => ite_lanes(&tri[at(c)], &iv[at(a)], &iv[at(b)], out, n),
+                Op::Cmp(op, a, b) => cmp_lanes(*op, &iv[at(a)], &iv[at(b)], tout, n),
+                Op::All(ch) => {
+                    *tout = [TRUE; LANES];
+                    for c in ch.iter() {
+                        let x = &tri[at(c)];
+                        for_each_lane::<LANES>(n, |k| tout[k] = tout[k].min(x[k]));
+                    }
+                }
+                Op::Any(ch) => {
+                    *tout = [FALSE; LANES];
+                    for c in ch.iter() {
+                        let x = &tri[at(c)];
+                        for_each_lane::<LANES>(n, |k| tout[k] = tout[k].max(x[k]));
+                    }
+                }
+                Op::Not(a) => {
+                    let x = &tri[at(a)];
+                    for_each_lane::<LANES>(n, |k| tout[k] = TRUE - x[k]);
+                }
+            }
+        }
+    }
+
+    /// Evaluate the conjunct roots `cis` over a batch of boxes. Clears
+    /// `out`, then appends verdicts box-major: `out[b * cis.len() + j]` is
+    /// conjunct `cis[j]` on `doms[b]` — each verdict bit-identical to
+    /// `ieval_formula(&conjuncts[ci], doms[b])`.
+    pub fn verdicts<D: Borrow<BoxDomain>>(
+        &self,
+        doms: &[D],
+        cis: &[u32],
+        scratch: &mut TapeScratch,
+        out: &mut Vec<Tri>,
+    ) {
+        self.verdicts_with(doms.len(), |b, v| doms[b].borrow().get(VarId(v)), cis, scratch, out);
+    }
+
+    /// [`Tape::verdicts`] over `n` boxes given by `var(b, v)`, variable
+    /// `v`'s interval on box `b`. Boxes go through the interpreter
+    /// [`LANES`] at a time, each pass evaluating only the slots the
+    /// conjuncts `cis` need.
+    pub(crate) fn verdicts_with(
+        &self,
+        n: usize,
+        var: impl Fn(usize, u32) -> Interval,
         cis: &[u32],
         scratch: &mut TapeScratch,
         out: &mut Vec<Tri>,
     ) {
         out.clear();
-        if doms.is_empty() || cis.is_empty() {
+        if n == 0 || cis.is_empty() {
             return;
         }
-        let words = self.all_mask.len();
-        scratch.mask.clear();
-        scratch.mask.resize(words, 0);
         let mut mask = std::mem::take(&mut scratch.mask);
+        mask.clear();
         if cis.len() == self.roots.len() {
-            mask.copy_from_slice(&self.all_mask);
+            mask.extend_from_slice(&self.all_mask);
         } else {
+            mask.resize(self.all_mask.len(), 0);
             for &ci in cis {
                 for (m, w) in mask.iter_mut().zip(&self.conj_masks[ci as usize]) {
                     *m |= *w;
                 }
             }
         }
-        self.eval_slots(doms, Some(&mask), scratch);
-        scratch.mask = mask;
-        let nb = doms.len();
-        out.reserve(nb * cis.len());
-        for b in 0..nb {
-            for &ci in cis {
-                out.push(scratch.tri[self.roots[ci as usize] as usize * nb + b]);
+        out.reserve(n * cis.len());
+        for start in (0..n).step_by(LANES) {
+            let len = LANES.min(n - start);
+            self.eval_lanes(len, |k, v| var(start + k, v), Some(&mask), scratch);
+            for k in 0..len {
+                for &ci in cis {
+                    out.push(byte_tri(scratch.tri[self.roots[ci as usize] as usize][k]));
+                }
             }
         }
-    }
-
-    /// Sound interval refutation of one box: `true` iff some conjunct is
-    /// certainly false on it — bit-identical to running `ieval_formula`
-    /// over each conjunct.
-    #[must_use]
-    pub fn refutes_box(&self, dom: &BoxDomain, scratch: &mut TapeScratch) -> bool {
-        let cis: Vec<u32> = (0..self.roots.len() as u32).collect();
-        let mut out = Vec::new();
-        self.verdicts(&[dom], &cis, scratch, &mut out);
-        out.contains(&Tri::False)
+        scratch.mask = mask;
     }
 
     /// Sound fast rejection of an exact sample: encloses each value in a
@@ -803,11 +873,12 @@ impl Tape {
         if self.max_var.is_some_and(|m| (m as usize) >= env.len()) {
             return false; // mirror eval_formula's UnboundVar path: inconclusive
         }
-        let mut dom = BoxDomain::with_len(env.len());
-        for (i, r) in env.iter().enumerate() {
-            dom.set(VarId(i as u32), rat_enclosure(r));
-        }
-        self.refutes_box(&dom, scratch)
+        let mut point = std::mem::take(&mut scratch.point);
+        point.clear();
+        point.extend(env.iter().map(rat_enclosure));
+        self.eval_lanes(1, |_, v| point[v as usize], Some(&self.all_mask), scratch);
+        scratch.point = point;
+        self.roots.iter().any(|&r| scratch.tri[r as usize][0] == FALSE)
     }
 
     // -- exact rational interpreter -------------------------------------------
@@ -975,6 +1046,11 @@ mod tests {
     use crate::ieval::ieval_formula;
     use crate::term::Term;
     use crate::vars::VarRegistry;
+    use cso_numeric::BigInt;
+    use cso_runtime::prop::{
+        self, i64_any, int_in, one_of, recursive, vec_of, zip2, zip3, Config, Gen,
+    };
+    use cso_runtime::prop_assert;
 
     fn dom2(x: (f64, f64), y: (f64, f64)) -> BoxDomain {
         let mut d = BoxDomain::with_len(2);
@@ -1182,6 +1258,107 @@ mod tests {
         let good = vec![Rat::from_int(1), Rat::from_int(6)];
         assert!(!tape.refutes_point(&good, &mut s));
         assert_eq!(eval_formula(&simplified, &good), Ok(true));
+    }
+
+    /// Random rationals for point boxes: ratios of machine integers,
+    /// solver-style `k/10^6` samples, and huge or tiny magnitudes whose
+    /// enclosures are one ulp wide or reach the ends of the `f64` range.
+    fn arb_rat() -> Gen<Rat> {
+        let pow2 = |k: i64| BigInt::one().shl(k as u64);
+        one_of(vec![
+            zip2(i64_any(), int_in(1, i64::MAX)).map(|(p, q)| Rat::from_frac(p, q)),
+            int_in(-100_000_000, 100_000_000).map(|k| Rat::from_frac(k, 1_000_000)),
+            int_in(-3, 3).map(Rat::from_int),
+            zip2(int_in(-1_000_000, 1_000_000), int_in(900, 1100))
+                .map(move |(p, k)| Rat::new(BigInt::from(p), pow2(k))),
+            zip2(int_in(-1_000_000, 1_000_000), int_in(1000, 1030))
+                .map(move |(p, k)| Rat::from(&BigInt::from(p) * &pow2(k)) / Rat::from_int(3)),
+        ])
+    }
+
+    /// Random terms over three variables with division, inexact constants
+    /// and guarded `Ite`s.
+    fn arb_term() -> Gen<Term> {
+        let leaf = one_of(vec![
+            int_in(-9, 9).map(Term::int),
+            zip2(int_in(-9, 9), int_in(1, 7)).map(|(n, d)| Term::constant(Rat::from_frac(n, d))),
+            int_in(0, 2).map(|i| Term::var(VarId(i as u32))),
+        ]);
+        recursive(leaf, 4, |inner| {
+            one_of(vec![
+                zip2(inner.clone(), inner.clone()).map(|(a, b)| a.add(b)),
+                zip2(inner.clone(), inner.clone()).map(|(a, b)| a.sub(b)),
+                zip2(inner.clone(), inner.clone()).map(|(a, b)| a.mul(b)),
+                zip2(inner.clone(), inner.clone()).map(|(a, b)| a.div(b)),
+                zip2(inner.clone(), inner.clone()).map(|(a, b)| a.min(b)),
+                zip2(inner.clone(), inner.clone()).map(|(a, b)| a.max(b)),
+                inner.clone().map(Term::neg),
+                zip3(inner.clone(), inner.clone(), inner)
+                    .map(|(c, a, b)| Term::ite(c.ge(Term::int(0)), a, b)),
+            ])
+        })
+    }
+
+    /// Exact-rational soundness of the lane interpreter, slot by slot: on
+    /// the one-ulp point boxes of random rational points (what sample
+    /// refutation evaluates), every numeric slot's lane interval contains
+    /// the slot's exact value wherever that value is defined, compared as
+    /// `Rat`; and every decided verdict agrees with exact evaluation.
+    #[test]
+    fn lane_slots_contain_exact_values() {
+        let points = vec_of(vec_of(arb_rat(), 3, 3), 1, LANES);
+        prop::check_with(
+            &Config { cases: 256, ..Config::default() },
+            "lane_slots_contain_exact_values",
+            &zip3(arb_term(), arb_term(), points),
+            |(a, b, points)| {
+                let f = a.clone().le(b.clone());
+                let (_, _, tape) = compile(&f, None);
+                let encl: Vec<Vec<Interval>> =
+                    points.iter().map(|p| p.iter().map(rat_enclosure).collect()).collect();
+                let mut s = TapeScratch::new();
+                tape.eval_lanes(points.len(), |k, v| encl[k][v as usize], None, &mut s);
+                let mut ex = ExactScratch::new();
+                for (k, env) in points.iter().enumerate() {
+                    for (i, op) in tape.ops.iter().enumerate() {
+                        ex.reset(tape.ops.len());
+                        if op.is_formula() {
+                            let exact = tape.exact_form(i as u32, env, &mut ex);
+                            let v = byte_tri(s.tri[i][k]);
+                            if let Ok(x) = exact {
+                                prop_assert!(
+                                    v == Tri::Unknown || (v == Tri::True) == x,
+                                    "slot {} verdict {:?} but exact {} at {:?} in {}",
+                                    i,
+                                    v,
+                                    x,
+                                    env,
+                                    f
+                                );
+                            }
+                            continue;
+                        }
+                        let Ok(x) = tape.exact_term(i as u32, env, &mut ex) else { continue };
+                        let (lo, hi) = (s.iv[i].lo[k], s.iv[i].hi[k]);
+                        let lo_ok =
+                            lo == f64::NEG_INFINITY || Rat::from_f64(lo).is_some_and(|l| l <= x);
+                        let hi_ok =
+                            hi == f64::INFINITY || Rat::from_f64(hi).is_some_and(|h| x <= h);
+                        prop_assert!(
+                            lo_ok && hi_ok,
+                            "slot {} = {} outside [{:e}, {:e}] at {:?} in {}",
+                            i,
+                            x,
+                            lo,
+                            hi,
+                            env,
+                            f
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cso_logic::solver::{Outcome, Solver, SolverConfig};
 use cso_logic::{BoxDomain, CmpOp, Formula, Term, VarId};
 use cso_numeric::{BigInt, Interval, Rat};
 use cso_runtime::prop::{
-    self, i64_any, int_in, one_of, recursive, vec_of, zip2, zip3, Config, Gen,
+    self, i64_any, int_in, just, one_of, recursive, vec_of, zip2, zip3, Config, Gen,
 };
 use cso_runtime::{prop_assert, prop_assert_eq};
 
@@ -331,6 +331,66 @@ fn tape_batched_verdicts_match_single_box() {
                     b,
                     f
                 );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The lane interpreter agrees with the tree walker for every batch size
+/// from one box to two full lane chunks plus one, so full chunks, partial
+/// chunks and a chunk following a full one are all covered — on sub-boxes
+/// of the seed domain, where domain seeding replays cached verdicts.
+#[test]
+fn tape_verdicts_match_ieval_for_every_batch_size() {
+    use cso_logic::tape::LANES;
+    use cso_logic::{CompiledQuery, TapeScratch};
+    let n_max = 2 * LANES + 1;
+    // Sub-box ends as percentages of the seed box, often its own integer
+    // ends, so endpoints touch integer constants and `icmp`'s boundary
+    // cases come up.
+    let end = || one_of(vec![just(0), just(100), int_in(0, 100)]);
+    let fracs = vec_of(vec_of(zip2(end(), end()), NVARS, NVARS), n_max, n_max);
+    prop::check_with(
+        &Config { cases: 1024, ..Config::default() },
+        "tape_verdicts_match_ieval_for_every_batch_size",
+        &zip3(arb_box_and_point(), arb_formula_partial(), fracs),
+        |((dom, _), f, fracs)| {
+            let q = CompiledQuery::prepare(f, Some(dom), true);
+            let Some(tape) = &q.tape else { return Ok(()) };
+            let boxes: Vec<BoxDomain> = fracs
+                .iter()
+                .map(|dims| {
+                    let mut b = dom.clone();
+                    for (i, &(s, t)) in dims.iter().enumerate() {
+                        let iv = dom.intervals()[i];
+                        let at = |p: i64| iv.lo() + (iv.hi() - iv.lo()) * p as f64 / 100.0;
+                        let (lo, hi) = (at(s.min(t)).max(iv.lo()), at(s.max(t)).min(iv.hi()));
+                        b.set(VarId::from_index(i), Interval::new(lo, hi.max(lo)));
+                    }
+                    b
+                })
+                .collect();
+            let cis: Vec<u32> = (0..q.conjuncts.len() as u32).collect();
+            let mut scratch = TapeScratch::new();
+            let mut out = Vec::new();
+            for n in 1..=n_max {
+                tape.verdicts(&boxes[..n], &cis, &mut scratch, &mut out);
+                prop_assert_eq!(out.len(), n * cis.len());
+                for (b, d) in boxes[..n].iter().enumerate() {
+                    for (j, c) in q.conjuncts.iter().enumerate() {
+                        let got = out[b * cis.len() + j];
+                        prop_assert_eq!(
+                            got,
+                            ieval_formula(c, d),
+                            "batch {} box {} conjunct {} of {}",
+                            n,
+                            b,
+                            j,
+                            f
+                        );
+                    }
+                }
             }
             Ok(())
         },

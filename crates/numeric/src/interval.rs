@@ -2,15 +2,22 @@
 //!
 //! [`Interval`] represents a closed interval `[lo, hi]` of reals with `f64`
 //! endpoints. Every arithmetic operation rounds its lower endpoint down and
-//! its upper endpoint up by one ulp (`next_down` / `next_up`), so the result
-//! is a *sound over-approximation* of the exact real interval. That soundness
-//! is what lets the branch-and-prune solver in `cso-logic` *prove* that a
-//! constraint has no solution in a box: if the outward-rounded evaluation of
+//! its upper endpoint up by one ulp ([`round_down`] / [`round_up`]), so the
+//! result is a *sound over-approximation* of the exact real interval. That
+//! soundness is what lets the branch-and-prune solver in `cso-logic`
+//! *prove* that a constraint has no solution in a box: if the outward-rounded evaluation of
 //! `t` over the box misses the constraint's satisfying set entirely, no real
 //! point in the box can satisfy it.
 //!
 //! Infinite endpoints are permitted (division by an interval containing zero
 //! yields the whole line); NaN is never produced for non-empty inputs.
+//!
+//! [`IntervalLanes`] holds `N` intervals as two endpoint arrays and applies
+//! each operation lane by lane. Both forms compute every endpoint through
+//! the same per-endpoint functions, so lane `k` of a lane operation is bit
+//! for bit the scalar operation on lane `k`'s operands. The per-lane work
+//! is branch-free (selects on float compares), so the compiler can
+//! vectorize the lane loops.
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -22,20 +29,35 @@ pub struct Interval {
     hi: f64,
 }
 
-fn down(x: f64) -> f64 {
-    if x.is_finite() {
-        x.next_down()
+const SIGN: u64 = 1 << 63;
+
+/// The next `f64` below `x`: bit-identical to `x.next_down()` for every
+/// input, `-∞` and NaN returned unchanged. In particular `+∞` rounds down
+/// to `f64::MAX`: a lower endpoint of `+∞` only arises from a finite
+/// computation that overflowed, and the exact value is below it.
+/// Branchless (two selects on float compares), so lane loops that call it
+/// vectorize.
+#[inline(always)]
+#[must_use]
+pub fn round_down(x: f64) -> f64 {
+    let bits = x.to_bits();
+    // A positive value steps its magnitude down; zero and negative values
+    // step it up with the sign set (so both zeros go to `-MIN_SUBNORMAL`).
+    let stepped = if x > 0.0 { bits.wrapping_sub(1) } else { (bits | SIGN).wrapping_add(1) };
+    if x > f64::NEG_INFINITY {
+        f64::from_bits(stepped)
     } else {
         x
     }
 }
 
-fn up(x: f64) -> f64 {
-    if x.is_finite() {
-        x.next_up()
-    } else {
-        x
-    }
+/// The next `f64` above `x`: bit-identical to `x.next_up()` for every
+/// input (`-∞` rounds up to `-f64::MAX`). Defined through [`round_down`],
+/// so outward rounding has one definition.
+#[inline(always)]
+#[must_use]
+pub fn round_up(x: f64) -> f64 {
+    -round_down(-x)
 }
 
 impl Interval {
@@ -195,22 +217,9 @@ impl Neg for Interval {
     }
 }
 
-impl Add for Interval {
-    type Output = Interval;
-    fn add(self, rhs: Interval) -> Interval {
-        Interval { lo: down(self.lo + rhs.lo), hi: up(self.hi + rhs.hi) }
-    }
-}
-
-impl Sub for Interval {
-    type Output = Interval;
-    fn sub(self, rhs: Interval) -> Interval {
-        self + (-rhs)
-    }
-}
-
 /// Multiply endpoints treating `0 * inf` as `0` (correct for interval
 /// arithmetic where an exact zero endpoint annihilates).
+#[inline(always)]
 fn mul_ep(a: f64, b: f64) -> f64 {
     if a == 0.0 || b == 0.0 {
         0.0
@@ -219,41 +228,174 @@ fn mul_ep(a: f64, b: f64) -> f64 {
     }
 }
 
+// Per-endpoint definitions of the rounded operations, shared by the scalar
+// operators and the lane loops: `(alo, ahi) op (blo, bhi) -> (lo, hi)`.
+
+#[inline(always)]
+fn add_ep(alo: f64, ahi: f64, blo: f64, bhi: f64) -> (f64, f64) {
+    (round_down(alo + blo), round_up(ahi + bhi))
+}
+
+#[inline(always)]
+fn sub_ep(alo: f64, ahi: f64, blo: f64, bhi: f64) -> (f64, f64) {
+    add_ep(alo, ahi, -bhi, -blo)
+}
+
+#[inline(always)]
+fn hull4(c: [f64; 4]) -> (f64, f64) {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for x in c {
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
+    (round_down(lo), round_up(hi))
+}
+
+#[inline(always)]
+fn mul_ep4(alo: f64, ahi: f64, blo: f64, bhi: f64) -> (f64, f64) {
+    hull4([mul_ep(alo, blo), mul_ep(alo, bhi), mul_ep(ahi, blo), mul_ep(ahi, bhi)])
+}
+
+#[inline(always)]
+fn div_ep4(alo: f64, ahi: f64, blo: f64, bhi: f64) -> (f64, f64) {
+    let (lo, hi) = hull4([alo / blo, alo / bhi, ahi / blo, ahi / bhi]);
+    // A divisor containing zero makes the image unbounded (or undefined at
+    // a point); the sound over-approximation is the whole line.
+    if blo <= 0.0 && 0.0 <= bhi {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    } else {
+        (lo, hi)
+    }
+}
+
+impl Add for Interval {
+    type Output = Interval;
+    fn add(self, rhs: Interval) -> Interval {
+        let (lo, hi) = add_ep(self.lo, self.hi, rhs.lo, rhs.hi);
+        Interval { lo, hi }
+    }
+}
+
+impl Sub for Interval {
+    type Output = Interval;
+    fn sub(self, rhs: Interval) -> Interval {
+        let (lo, hi) = sub_ep(self.lo, self.hi, rhs.lo, rhs.hi);
+        Interval { lo, hi }
+    }
+}
+
 impl Mul for Interval {
     type Output = Interval;
     fn mul(self, rhs: Interval) -> Interval {
-        let cands = [
-            mul_ep(self.lo, rhs.lo),
-            mul_ep(self.lo, rhs.hi),
-            mul_ep(self.hi, rhs.lo),
-            mul_ep(self.hi, rhs.hi),
-        ];
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for c in cands {
-            lo = lo.min(c);
-            hi = hi.max(c);
-        }
-        Interval { lo: down(lo), hi: up(hi) }
+        let (lo, hi) = mul_ep4(self.lo, self.hi, rhs.lo, rhs.hi);
+        Interval { lo, hi }
     }
 }
 
 impl Div for Interval {
     type Output = Interval;
     fn div(self, rhs: Interval) -> Interval {
-        if rhs.contains_zero() {
-            // The image is unbounded (or undefined at a point); the sound
-            // over-approximation is the whole line.
-            return Interval::whole();
-        }
-        let cands = [self.lo / rhs.lo, self.lo / rhs.hi, self.hi / rhs.lo, self.hi / rhs.hi];
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for c in cands {
-            lo = lo.min(c);
-            hi = hi.max(c);
-        }
-        Interval { lo: down(lo), hi: up(hi) }
+        let (lo, hi) = div_ep4(self.lo, self.hi, rhs.lo, rhs.hi);
+        Interval { lo, hi }
+    }
+}
+
+/// Run `lane(k)` for `k` in `0..min(n, N)`. A full batch runs a loop of
+/// constant trip count `N`, which the compiler unrolls and vectorizes; a
+/// loop bounded only by `n <= N` it leaves scalar, which suits a partial
+/// batch of a lane or two.
+#[inline(always)]
+pub fn for_each_lane<const N: usize>(n: usize, mut lane: impl FnMut(usize)) {
+    if n >= N {
+        (0..N).for_each(&mut lane);
+    } else {
+        (0..n).for_each(lane);
+    }
+}
+
+/// Up to `N` intervals in structure-of-arrays form: lane `k` is
+/// `[lo[k], hi[k]]`. Each operation writes lanes `0..n` of `out` with
+/// exactly the endpoint arithmetic of the matching [`Interval`] operation,
+/// so every lane is bit-identical to the scalar result, and leaves lanes
+/// `n..N` as they were. Lanes are not validated: a lane holding `lo > hi`
+/// or NaN computes garbage for that lane only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IntervalLanes<const N: usize> {
+    /// Lower endpoints.
+    pub lo: [f64; N],
+    /// Upper endpoints.
+    pub hi: [f64; N],
+}
+
+impl<const N: usize> Default for IntervalLanes<N> {
+    fn default() -> Self {
+        IntervalLanes { lo: [0.0; N], hi: [0.0; N] }
+    }
+}
+
+impl<const N: usize> IntervalLanes<N> {
+    /// Every lane set to `iv`.
+    #[must_use]
+    pub fn splat(iv: Interval) -> Self {
+        IntervalLanes { lo: [iv.lo; N], hi: [iv.hi; N] }
+    }
+
+    /// Store `iv` in lane `k`.
+    pub fn set(&mut self, k: usize, iv: Interval) {
+        self.lo[k] = iv.lo;
+        self.hi[k] = iv.hi;
+    }
+
+    #[inline(always)]
+    fn zip(
+        &self,
+        b: &Self,
+        out: &mut Self,
+        n: usize,
+        f: impl Fn(f64, f64, f64, f64) -> (f64, f64),
+    ) {
+        for_each_lane::<N>(n, |k| {
+            (out.lo[k], out.hi[k]) = f(self.lo[k], self.hi[k], b.lo[k], b.hi[k]);
+        });
+    }
+
+    /// Lane-wise negation of lanes `0..n` (see `Neg for Interval`).
+    pub fn neg(&self, out: &mut Self, n: usize) {
+        for_each_lane::<N>(n, |k| (out.lo[k], out.hi[k]) = (-self.hi[k], -self.lo[k]));
+    }
+
+    /// Lane-wise outward-rounded sum of lanes `0..n` (see `Add for Interval`).
+    pub fn add(&self, b: &Self, out: &mut Self, n: usize) {
+        self.zip(b, out, n, add_ep);
+    }
+
+    /// Lane-wise outward-rounded difference of lanes `0..n` (see `Sub for
+    /// Interval`).
+    pub fn sub(&self, b: &Self, out: &mut Self, n: usize) {
+        self.zip(b, out, n, sub_ep);
+    }
+
+    /// Lane-wise outward-rounded product of lanes `0..n` (see `Mul for
+    /// Interval`).
+    pub fn mul(&self, b: &Self, out: &mut Self, n: usize) {
+        self.zip(b, out, n, mul_ep4);
+    }
+
+    /// Lane-wise outward-rounded quotient of lanes `0..n` (see `Div for
+    /// Interval`).
+    pub fn div(&self, b: &Self, out: &mut Self, n: usize) {
+        self.zip(b, out, n, div_ep4);
+    }
+
+    /// Lane-wise [`Interval::min_i`] of lanes `0..n`.
+    pub fn min(&self, b: &Self, out: &mut Self, n: usize) {
+        self.zip(b, out, n, |alo, ahi, blo, bhi| (alo.min(blo), ahi.min(bhi)));
+    }
+
+    /// Lane-wise [`Interval::max_i`] of lanes `0..n`.
+    pub fn max(&self, b: &Self, out: &mut Self, n: usize) {
+        self.zip(b, out, n, |alo, ahi, blo, bhi| (alo.max(blo), ahi.max(bhi)));
     }
 }
 

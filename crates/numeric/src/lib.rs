@@ -41,7 +41,7 @@ pub mod rational;
 mod testgen;
 
 pub use bigint::BigInt;
-pub use interval::Interval;
+pub use interval::{Interval, IntervalLanes};
 pub use rational::Rat;
 
 /// Sign of a number: negative, zero or positive.

@@ -2,11 +2,15 @@
 //!
 //! These check the algebraic laws that the rest of the workspace silently
 //! relies on: field axioms for `Rat`, ring axioms and Euclidean division for
-//! `BigInt`, and soundness (containment) for `Interval`.
+//! `BigInt`, soundness (containment) for `Interval`, and bit-for-bit
+//! agreement of the lane kernels and the rounding helpers with the scalar
+//! operations they replace.
 
-use cso_numeric::{BigInt, Interval, Rat};
+use cso_numeric::interval::{round_down, round_up};
+use cso_numeric::{BigInt, Interval, IntervalLanes, Rat};
 use cso_runtime::prop::{
-    self, f64_in, i128_any, i64_any, int_in, just, one_of, u8_any, zip2, zip3, zip4, Gen,
+    self, bool_any, f64_in, i128_any, i64_any, int_in, just, one_of, u64_in, u8_any, usize_in,
+    vec_of, zip2, zip3, zip4, Config, Gen,
 };
 use cso_runtime::{prop_assert, prop_assert_eq, prop_assume};
 
@@ -295,6 +299,115 @@ fn rat_from_f64_matches_interval() {
             let exact = (&rx * &ry).to_f64();
             let iv = Interval::point(x) * Interval::point(y);
             prop_assert!(iv.contains_f64(exact));
+            Ok(())
+        },
+    );
+}
+
+/// An `f64` biased to where outward rounding and the lane selects could go
+/// wrong: signed zeros, infinities, `±f64::MAX`, subnormals, powers of two
+/// and their neighbours, and arbitrary finite bit patterns.
+fn arb_edge_f64() -> Gen<f64> {
+    let signed = |g: Gen<f64>| zip2(g, bool_any()).map(|(x, neg)| if neg { -x } else { x });
+    one_of(vec![
+        signed(just(0.0)),
+        signed(just(f64::INFINITY)),
+        signed(just(f64::MAX)),
+        signed(u64_in(1, (1 << 52) - 1).map(f64::from_bits)),
+        signed(zip2(int_in(-1074, 1023), int_in(-1, 1)).map(|(e, step)| {
+            let p = 2f64.powi(e as i32);
+            match step {
+                -1 => p.next_down(),
+                1 => p.next_up(),
+                _ => p,
+            }
+        })),
+        signed(u64_in(0, 0x7FEF_FFFF_FFFF_FFFF).map(f64::from_bits)),
+        f64_in(-1e6, 1e6),
+        f64_in(-2.0, 2.0),
+    ])
+}
+
+/// An interval with edge endpoints: points, half-infinite and whole
+/// intervals, and (often) divisors straddling zero.
+fn arb_edge_interval() -> Gen<Interval> {
+    one_of(vec![
+        zip2(arb_edge_f64(), arb_edge_f64()).map(|(a, b)| Interval::new(a.min(b), a.max(b))),
+        arb_edge_f64().map(Interval::point),
+        zip2(arb_edge_f64(), arb_edge_f64())
+            .map(|(a, b)| Interval::new(-a.abs(), b.abs()).hull(&Interval::point(0.0))),
+    ])
+}
+
+#[test]
+fn round_down_up_match_next_down_up() {
+    prop::check_with(
+        &Config { cases: 2000, ..Config::default() },
+        "round_down_up_match_next_down_up",
+        &arb_edge_f64(),
+        |&x| {
+            prop_assert_eq!(
+                round_down(x).to_bits(),
+                x.next_down().to_bits(),
+                "round_down({:e})",
+                x
+            );
+            prop_assert_eq!(round_up(x).to_bits(), x.next_up().to_bits(), "round_up({:e})", x);
+            Ok(())
+        },
+    );
+}
+
+const LANES: usize = 8;
+
+/// Every lane operation equals the scalar `Interval` operation on each
+/// lane, endpoint bits included, for full and partial batches; lanes past
+/// the live count keep their previous contents.
+#[test]
+fn interval_lanes_match_scalar_bit_for_bit() {
+    let pairs = vec_of(zip2(arb_edge_interval(), arb_edge_interval()), LANES, LANES);
+    prop::check_with(
+        &Config { cases: 2000, ..Config::default() },
+        "interval_lanes_match_scalar_bit_for_bit",
+        &zip2(pairs, usize_in(0, LANES)),
+        |(pairs, n)| {
+            let (mut a, mut b) = (IntervalLanes::<LANES>::default(), IntervalLanes::default());
+            for (k, (x, y)) in pairs.iter().enumerate() {
+                a.set(k, *x);
+                b.set(k, *y);
+            }
+            type Lanes = IntervalLanes<LANES>;
+            type Lane = fn(&Lanes, &Lanes, &mut Lanes, usize);
+            type Scalar = fn(Interval, Interval) -> Interval;
+            let ops: [(&str, Lane, Scalar); 7] = [
+                ("neg", |a, _, o, n| a.neg(o, n), |x, _| -x),
+                ("add", IntervalLanes::add, |x, y| x + y),
+                ("sub", IntervalLanes::sub, |x, y| x - y),
+                ("mul", IntervalLanes::mul, |x, y| x * y),
+                ("div", IntervalLanes::div, |x, y| x / y),
+                ("min", IntervalLanes::min, |x, y| x.min_i(&y)),
+                ("max", IntervalLanes::max, |x, y| x.max_i(&y)),
+            ];
+            for (name, lane, scalar) in ops {
+                let mut out = IntervalLanes::splat(Interval::new(-7.0, 7.0));
+                lane(&a, &b, &mut out, *n);
+                for (k, &(x, y)) in pairs.iter().enumerate() {
+                    let want = if k < *n { scalar(x, y) } else { Interval::new(-7.0, 7.0) };
+                    prop_assert_eq!(
+                        (out.lo[k].to_bits(), out.hi[k].to_bits()),
+                        (want.lo().to_bits(), want.hi().to_bits()),
+                        "{} lane {} of {} on {} and {}: got [{:e}, {:e}], want {}",
+                        name,
+                        k,
+                        n,
+                        x,
+                        y,
+                        out.lo[k],
+                        out.hi[k],
+                        want
+                    );
+                }
+            }
             Ok(())
         },
     );
