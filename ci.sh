@@ -177,7 +177,7 @@ grep -q 'solver.bnp' "$GOLD/flame.txt"
 rm -rf "$GOLD"
 
 # Service smoke: a 64-session fleet with snapshot eviction enabled must
-# drive every session to Done and emit a parseable BENCH_serve.json.
+# drive every session to Done and emit a parseable report.
 echo "==> cso-serve fleet smoke (64 sessions, eviction on, metrics on)"
 SERVE=$(mktemp -d)
 CSO_SERVE_SNAPDIR="$SERVE/snaps" CSO_METRICS="expo:$SERVE/fleet.prom" \
@@ -190,37 +190,28 @@ grep -q '^cso_serve_steps_total ' "$SERVE/fleet.prom"
 grep -q '^cso_serve_sessions_done 64$' "$SERVE/fleet.prom"
 rm -rf "$SERVE"
 
-# Bench smoke: the synth_loop group (cold vs warm synthesis plus the
-# pure branch-and-prune arm, the BENCH_synth.json baseline) must run end
-# to end and emit parseable rows with positive medians.
-echo "==> cargo bench synth_loop (smoke)"
+# Bench smoke: the harness that backs the micro-benchmarks must still
+# build, run a group end to end and emit parseable CSV rows with positive
+# medians, even on a toolchain without clippy (which otherwise builds the
+# bench targets).
+echo "==> cargo bench micro sketch/ (smoke)"
 BENCHDIR=$(mktemp -d)
-CSO_BENCH_CSV="$BENCHDIR" cargo bench -q --offline -p cso-bench --bench experiments -- synth_loop
+CSO_BENCH_CSV="$BENCHDIR" cargo bench -q --offline -p cso-bench --bench micro -- sketch/
 awk -F, '
     NR == 1 { if ($0 != "group,benchmark,median_ns,mad_ns,siqr_ns,samples") exit 1; next }
-    $1 == "synth_loop" { rows++; if ($3 + 0 <= 0) exit 1 }
-    END { exit (rows == 3 ? 0 : 1) }
+    $1 == "sketch" { rows++; if ($3 + 0 <= 0) exit 1 }
+    END { exit (rows == 2 ? 0 : 1) }
 ' "$BENCHDIR/bench.csv"
 rm -rf "$BENCHDIR"
-
-# Perf-regression gate: the committed synth baseline must self-compare
-# clean (exit 0), and a fixture whose branch-and-prune arm is 2x slower
-# than its base must trip the noise-aware threshold (nonzero exit).
-echo "==> perf-diff self-compare + injected-regression fixture"
-cargo run -q --release --offline -p cso-bench --bin perf-diff -- \
-    BENCH_synth.json BENCH_synth.json
-if cargo run -q --release --offline -p cso-bench --bin perf-diff -- \
-    crates/bench/fixtures/perf_base.json crates/bench/fixtures/perf_slow.json; then
-    echo "perf-diff missed the injected regression" >&2
-    exit 1
-fi
 
 # Ledger smoke: every workload, untraced and traced, on a shortened run.
 # The runner exits nonzero when any correctness check fails; the result
 # lines it collects in ledger/out/ledger.json must all read
-# "correct": true.
+# "correct": true. The ledger refuses to run with any CSO_* variable set,
+# so the flag that shortens this script is dropped from its environment.
 echo "==> ledger --all --smoke"
-cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --all --smoke
+env -u CSO_CI_FAST cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
+    --all --smoke
 grep -q '"correct": true' ledger/out/ledger.json
 if grep -q '"correct": false' ledger/out/ledger.json; then
     echo "ledger smoke reported an incorrect workload" >&2

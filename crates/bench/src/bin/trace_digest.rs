@@ -23,7 +23,7 @@
 //! Prints four sections:
 //!
 //! * **phases** — for every span name: call count, total / mean / max
-//!   duration, so a BENCH_* regression can be attributed to a phase
+//!   duration, so a slowdown can be attributed to a phase
 //!   (seeding vs branch-and-prune vs query compilation vs proof) instead
 //!   of eyeballed;
 //! * **iterations** — per `engine.iteration` span: duration and the

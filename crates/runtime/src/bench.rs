@@ -13,21 +13,17 @@
 //! * a positional CLI argument filters benchmarks by substring
 //!   (`cargo bench -p cso-bench --bench micro -- bigint`);
 //! * `CSO_BENCH_CSV=<dir>` appends one CSV row per benchmark to
-//!   `<dir>/bench.csv` for machine-readable tracking;
-//! * `CSO_BENCH_JSON=<file>` writes every benchmark that ran to `<file>`
-//!   (overwriting) as `{"provenance": {...}, "benchmarks": [...]}`, for
-//!   committed baselines like `BENCH_synth.json`. The [`Provenance`]
-//!   block (git sha, host cores, thread count, `CSO_*` flags) lets
-//!   `cso-bench perf-diff` refuse cross-environment comparisons instead
-//!   of reporting false regressions.
+//!   `<dir>/bench.csv` for machine-readable tracking.
+//!
+//! [`Provenance`] stamps result files written elsewhere (the perf ledger,
+//! `cso-serve --bench`) with the environment they were recorded in.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Where a benchmark result came from: enough environment identity to
 /// tell whether two result files are comparable. Every field falls back
-/// to `"unknown"`, which `perf-diff` treats as a wildcard (committed
-/// baselines recorded before provenance stamping stay comparable).
+/// to `"unknown"` when it cannot be determined.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
     /// `git rev-parse --short HEAD`, or `"unknown"` outside a checkout.
@@ -59,8 +55,8 @@ impl Provenance {
             .unwrap_or_else(|_| "unknown".to_owned());
         let mut flags: Vec<String> = std::env::vars()
             .filter(|(k, _)| {
-                // Output destinations don't change what is measured.
-                k.starts_with("CSO_") && !matches!(k.as_str(), "CSO_BENCH_JSON" | "CSO_BENCH_CSV")
+                // An output destination doesn't change what is measured.
+                k.starts_with("CSO_") && k != "CSO_BENCH_CSV"
             })
             .map(|(k, v)| format!("{k}={v}"))
             .collect();
@@ -87,7 +83,6 @@ impl Provenance {
 pub struct Criterion {
     filter: Option<String>,
     csv: Option<std::path::PathBuf>,
-    json: Option<std::path::PathBuf>,
     rows: Vec<CsvRow>,
 }
 
@@ -106,8 +101,7 @@ impl Default for Criterion {
         // positional argument is a substring filter.
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         let csv = std::env::var_os("CSO_BENCH_CSV").map(std::path::PathBuf::from);
-        let json = std::env::var_os("CSO_BENCH_JSON").map(std::path::PathBuf::from);
-        Criterion { filter, csv, json, rows: Vec::new() }
+        Criterion { filter, csv, rows: Vec::new() }
     }
 }
 
@@ -124,9 +118,8 @@ impl Criterion {
         }
     }
 
-    /// Flush CSV/JSON rows (called by [`bench_main!`] after all groups ran).
+    /// Flush CSV rows (called by [`bench_main!`] after all groups ran).
     pub fn final_summary(&mut self) {
-        self.flush_json();
         let Some(dir) = &self.csv else { return };
         if self.rows.is_empty() {
             return;
@@ -155,44 +148,14 @@ impl Criterion {
             println!("wrote {}", path.display());
         }
     }
-
-    /// Write all recorded rows to `CSO_BENCH_JSON` as
-    /// `{"provenance": {...}, "benchmarks": [...]}`. Hand-rolled: every
-    /// field is a number or an identifier-like string, so escaping
-    /// reduces to quoting.
-    fn flush_json(&self) {
-        let Some(path) = &self.json else { return };
-        if self.rows.is_empty() {
-            return;
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"provenance\": {},\n", Provenance::capture().to_json()));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let sep = if i + 1 == self.rows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"group\": \"{}\", \"benchmark\": \"{}\", \"median_ns\": {:.1}, \
-                 \"mad_ns\": {:.1}, \"siqr_ns\": {:.1}, \"samples\": {}}}{sep}\n",
-                json_escape(&r.group),
-                json_escape(&r.name),
-                r.median_ns,
-                r.mad_ns,
-                r.siqr_ns,
-                r.samples
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        if let Err(e) = std::fs::write(path, out) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("wrote {}", path.display());
-        }
-    }
 }
 
-/// Escape the two characters that can break a JSON string here.
+/// Escape `s` for the inside of a JSON string, by the trace encoder's
+/// rules (quote, backslash and every control character).
 fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(s.len());
+    crate::trace::escape_into(&mut out, s);
+    out
 }
 
 /// Identifier for a parameterized benchmark, mirroring Criterion's.
@@ -205,12 +168,6 @@ impl BenchmarkId {
     #[must_use]
     pub fn new(function_name: &str, parameter: impl fmt::Display) -> BenchmarkId {
         BenchmarkId { id: format!("{function_name}/{parameter}") }
-    }
-
-    /// Just the parameter (for groups benching one function).
-    #[must_use]
-    pub fn from_parameter(parameter: impl fmt::Display) -> BenchmarkId {
-        BenchmarkId { id: parameter.to_string() }
     }
 }
 
@@ -227,18 +184,6 @@ impl BenchmarkGroup<'_> {
     /// Number of timed samples to record (≥ 2 enforced).
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
-        self
-    }
-
-    /// Time spent warming up (and estimating iteration cost).
-    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
-        self.warm_up_time = d;
-        self
-    }
-
-    /// Target time across all samples.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.measurement_time = d;
         self
     }
 
@@ -446,7 +391,19 @@ mod tests {
     #[test]
     fn benchmark_ids_render() {
         assert_eq!(BenchmarkId::new("f", 3).id, "f/3");
-        assert_eq!(BenchmarkId::from_parameter("x").id, "x");
+    }
+
+    #[test]
+    fn provenance_json_escapes_control_characters() {
+        let p = Provenance {
+            git_sha: "abc1234".to_owned(),
+            host_cores: "2".to_owned(),
+            threads: "1".to_owned(),
+            flags: "CSO_LINT=warn\tx,CSO_X=a\nb\"c\\d".to_owned(),
+        };
+        let json = p.to_json();
+        assert!(!json.chars().any(|c| c < ' '), "raw control character in {json:?}");
+        assert!(json.ends_with(r#""flags": "CSO_LINT=warn\tx,CSO_X=a\nb\"c\\d"}"#), "{json}");
     }
 
     #[test]

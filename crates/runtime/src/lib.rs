@@ -12,7 +12,7 @@
 //!   work distribution and panic propagation (replaces `crossbeam`).
 //! * [`bench`] — a minimal benchmark harness: warmup, timed samples,
 //!   median/MAD/SIQR reporting and optional CSV emission (replaces
-//!   `criterion`).
+//!   `criterion`), plus the [`bench::Provenance`] stamp for result files.
 //! * [`prop`] — property testing with generator combinators, fixed-seed
 //!   case generation, choice-stream shrinking and failure-seed reporting
 //!   (replaces `proptest`).

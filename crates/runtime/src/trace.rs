@@ -429,7 +429,7 @@ pub fn check_well_formed(events: &[Event]) -> Result<(), String> {
 
 // -- JSONL ------------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -9,7 +9,7 @@
 //! 10000), each with its own seed and its own ground-truth architect over
 //! the SWAN sketch, and pumps them all to convergence through the
 //! [`SessionManager`]'s batched scheduler. Sessions/sec and step-latency
-//! percentiles land in `BENCH_serve.json`.
+//! percentiles land in the `--out` report (default `BENCH_serve.json`).
 //!
 //! When `CSO_SERVE_SNAPDIR` is set, a slice of parked sessions is evicted
 //! to disk each round and transparently restored when next stepped, so the
@@ -18,7 +18,7 @@
 //! With `CSO_METRICS=expo:<path>` the driver publishes a fleet snapshot
 //! to `<path>` after every round (counters, occupancy gauges including
 //! parked/done, step-latency histogram) and prints a fleet-end summary;
-//! the final exposition is left at `<path>` for scraping or `perf-diff`.
+//! the final exposition is left at `<path>` for scraping.
 
 #![forbid(unsafe_code)]
 
@@ -50,11 +50,7 @@ fn main() {
             "--bench" => bench = true,
             "--sessions" => {
                 i += 1;
-                sessions = args.get(i).and_then(|v| v.parse().ok());
-                if sessions.is_none() {
-                    eprintln!("--sessions needs a positive integer");
-                    std::process::exit(2);
-                }
+                sessions = Some(fleet_size("--sessions", args.get(i).map(String::as_str)));
             }
             "--out" => {
                 i += 1;
@@ -82,13 +78,28 @@ fn main() {
         std::process::exit(2);
     }
     let n = sessions
-        .or_else(|| std::env::var("CSO_SERVE_SESSIONS").ok().and_then(|v| v.parse().ok()))
+        .or_else(|| {
+            std::env::var_os("CSO_SERVE_SESSIONS")
+                .map(|v| fleet_size("CSO_SERVE_SESSIONS", v.to_str()))
+        })
         .unwrap_or(10_000);
     if run_bench(n, &out) {
         println!("ok: all {n} sessions reached Done ({out})");
     } else {
         eprintln!("FAIL: some sessions did not reach Done");
         std::process::exit(1);
+    }
+}
+
+/// Parse a fleet size given by `source`; anything but a positive integer
+/// exits 2 before any session runs.
+fn fleet_size(source: &str, value: Option<&str>) -> usize {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(n) if n > 0 => n,
+        _ => {
+            eprintln!("{source} needs a positive integer, got {:?}", value.unwrap_or(""));
+            std::process::exit(2);
+        }
     }
 }
 

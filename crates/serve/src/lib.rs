@@ -19,7 +19,7 @@
 //!   the session id every event is stamped with.
 //! * the `cso-serve` binary — a synthetic-architect driver
 //!   (`cso-serve --bench`) that simulates a fleet of sessions and reports
-//!   sessions/sec and step-latency percentiles into `BENCH_serve.json`.
+//!   sessions/sec and step-latency percentiles into a JSON report.
 //!
 //! Environment knobs: `CSO_SERVE_SESSIONS` (fleet size),
 //! `CSO_SERVE_BATCH` (max sessions stepped per `scoped_map` batch), and
