@@ -37,13 +37,16 @@ echo "==> cargo test (CSO_SYNTH_CACHE=off)"
 CSO_SYNTH_CACHE=off cargo test -q --workspace --offline
 
 # Lane kernels at depth: the interval lane operations and the rounding
-# helpers must equal the scalar operations bit for bit, the tape's lane
+# helpers must equal the scalar operations bit for bit, interval products
+# (subnormal operands included) must equal the hardware product, `Rat`
+# arithmetic on one-limb parts must equal `BigInt` arithmetic, the tape's lane
 # interpreter must agree with the tree walker at every batch size, and
 # every lane slot must contain its exact rational value. Release build, so
 # the vectorized loops are the code under test.
 echo "==> lane and kernel properties (CSO_PROP_CASES=20000, release)"
 CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-numeric --test properties -- \
-    round_down_up_match_next_down_up interval_lanes_match_scalar_bit_for_bit
+    round_down_up_match_next_down_up interval_lanes_match_scalar_bit_for_bit \
+    interval_mul_matches_hardware rat_ops_match_bigint_arithmetic
 CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-logic -- \
     lane_slots_contain_exact_values tape_verdicts_match_ieval_for_every_batch_size
 

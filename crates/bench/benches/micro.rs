@@ -6,7 +6,7 @@ use cso_logic::{eval::eval_term, ieval::ieval_term, BoxDomain, Term, VarRegistry
 use cso_lp::LpProblem;
 use cso_netsim::alloc::{Allocator, Instance};
 use cso_netsim::{FlowSpec, Topology, TrafficClass};
-use cso_numeric::{BigInt, Interval, Rat};
+use cso_numeric::{BigInt, Interval, IntervalLanes, Rat};
 use cso_runtime::bench::{BenchmarkId, Criterion};
 use cso_sketch::swan::{swan_sketch, swan_target};
 use std::hint::black_box;
@@ -22,6 +22,28 @@ fn numeric(c: &mut Criterion) {
     let y = Rat::from_frac(-104348, 33215);
     g.bench_function("rat_add", |bch| bch.iter(|| black_box(&x) + black_box(&y)));
     g.bench_function("rat_mul", |bch| bch.iter(|| black_box(&x) * black_box(&y)));
+    // One lane product of four boxes, as the tape runs it. In the
+    // zero-edge arm each box had a 0 endpoint that an outward-rounded add
+    // turned into -MIN_SUBNORMAL, which is what the solver's boxes at 0
+    // carry into their products.
+    let lanes = |edge: f64| {
+        let mut v = IntervalLanes::<4>::default();
+        for k in 0..4 {
+            v.set(k, Interval::new(edge, 1.5 + k as f64) + Interval::point(edge));
+        }
+        v
+    };
+    for (name, edge) in [("interval_mul_lanes_normal", 0.25), ("interval_mul_lanes_zero_edge", 0.0)]
+    {
+        let (a, b) = (lanes(edge), lanes(edge));
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                let mut out = IntervalLanes::default();
+                black_box(&a).mul(black_box(&b), &mut out, 4);
+                out
+            })
+        });
+    }
     g.finish();
 }
 

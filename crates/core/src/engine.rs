@@ -815,16 +815,19 @@ impl Synthesizer {
     /// spent recording counts toward [`SynthStats::total_time`].
     ///
     /// # Errors
-    /// [`SynthError::NoPendingQuery`] when no query is pending;
+    /// [`SynthError::NoPendingQuery`] when no query is pending; the state
+    /// is left untouched, so a stray or repeated answer neither loses a
+    /// finished result nor stops a running session.
     /// [`SynthError::InvalidRanking`] / other recording errors exactly as
-    /// the synchronous loop reported them. Errors are sticky — the
+    /// the synchronous loop reported them. Those errors are sticky — the
     /// session moves to its failed state.
     pub fn answer(&mut self, ranking: &Ranking) -> Result<(), SynthError> {
         let t0 = Instant::now();
         let out = self.answer_inner(ranking);
         self.stats.total_time += t0.elapsed();
-        if let Err(e) = &out {
-            self.state = EngineState::Failed { error: e.clone() };
+        match &out {
+            Err(SynthError::NoPendingQuery) | Ok(()) => {}
+            Err(e) => self.state = EngineState::Failed { error: e.clone() },
         }
         out
     }

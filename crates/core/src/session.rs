@@ -158,11 +158,52 @@ mod tests {
     fn answer_without_pending_query_errors() {
         let (mut session, mut oracle) = swan_session(2, 3);
         // Drive to completion first.
-        while let StepResult::NeedsRanking { scenarios, .. } = session.step() {
-            let ranking = oracle.rank(&scenarios);
-            session.answer(&ranking).expect("answer accepted");
-        }
+        let done = loop {
+            match session.step() {
+                StepResult::NeedsRanking { scenarios, .. } => {
+                    let ranking = oracle.rank(&scenarios);
+                    session.answer(&ranking).expect("answer accepted");
+                }
+                StepResult::Done(r) => break r,
+                StepResult::Rejected(e) => panic!("rejected: {e}"),
+            }
+        };
         let ranking = Ranking::total(vec![0, 1]);
         assert!(matches!(session.answer(&ranking), Err(SynthError::NoPendingQuery)));
+        // The stray answer leaves the finished result in place.
+        assert!(session.is_done());
+        let StepResult::Done(again) = session.step() else {
+            panic!("a stray answer replaced the finished result");
+        };
+        assert_eq!(again.objective.hole_values(), done.objective.hole_values());
+    }
+
+    #[test]
+    fn duplicate_answer_keeps_the_run_going() {
+        let drive = |retry: bool| {
+            let (mut session, mut oracle) = swan_session(4, 3);
+            let mut first = true;
+            loop {
+                match session.step() {
+                    StepResult::NeedsRanking { scenarios, .. } => {
+                        let ranking = oracle.rank(&scenarios);
+                        session.answer(&ranking).expect("answer accepted");
+                        // A client retry sends the first answer twice. The
+                        // query it answered is gone, so the copy is refused
+                        // and changes nothing.
+                        if retry && std::mem::take(&mut first) {
+                            let again = session.answer(&ranking);
+                            assert!(matches!(again, Err(SynthError::NoPendingQuery)));
+                        }
+                    }
+                    StepResult::Done(r) => return r,
+                    StepResult::Rejected(e) => panic!("rejected (retry {retry}): {e}"),
+                }
+            }
+        };
+        let retried = drive(true);
+        let clean = drive(false);
+        assert_eq!(retried.objective.hole_values(), clean.objective.hole_values());
+        assert_eq!(retried.stats.iterations(), clean.stats.iterations());
     }
 }

@@ -84,15 +84,15 @@ fn term_enclosure() {
         "term_enclosure",
         &zip2(arb_box_and_point(), arb_term()),
         |((dom, pt), t)| {
+            // Exact membership: the endpoints convert to `Rat` exactly, and
+            // an infinite endpoint leaves that side unbounded.
             let exact = eval_term(t, pt).expect("division-free term");
             let iv = ieval_term(t, dom);
-            prop_assert!(
-                iv.contains_f64(exact.to_f64())
-                    // Allow one ulp of slack when converting the exact value itself.
-                    || iv.contains_f64(exact.to_f64().next_down())
-                    || iv.contains_f64(exact.to_f64().next_up()),
-                "value {exact} outside enclosure {iv} for {t}"
-            );
+            let above_lo = iv.lo() == f64::NEG_INFINITY
+                || Rat::from_f64(iv.lo()).is_some_and(|lo| lo <= exact);
+            let below_hi =
+                iv.hi() == f64::INFINITY || Rat::from_f64(iv.hi()).is_some_and(|hi| exact <= hi);
+            prop_assert!(above_lo && below_hi, "value {exact} outside enclosure {iv} for {t}");
             Ok(())
         },
     );

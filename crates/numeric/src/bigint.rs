@@ -1,29 +1,37 @@
 //! Arbitrary-precision signed integers.
 //!
-//! [`BigInt`] stores a sign and a little-endian vector of `u64` limbs with no
-//! trailing zero limbs. All operations are total (no overflow); division by
-//! zero panics, matching the standard library's integer semantics.
+//! [`BigInt`] stores a sign and little-endian `u64` limbs with no trailing
+//! zero limbs. All operations are total (no overflow); division by zero
+//! panics, matching the standard library's integer semantics.
 //!
 //! Multi-limb operations favour simplicity over raw speed: schoolbook
 //! multiplication, Knuth Algorithm D division and binary GCD on limb
 //! vectors. Most numbers the solver touches fit one limb (sampled points
 //! snapped to `k/10^6`, dyadic box bounds), so the hot kernels take
 //! single-limb fast paths that compute in `u64`/`u128` and allocate at most
-//! the final limbs: Stein's GCD on words (after one word-sized remainder
-//! when only one side is a word) here, and `Rat::new`, `Rat::from_f64`,
-//! `Rat::to_f64` and `Rat`'s ordering in [`crate::rational`]. The
-//! multi-limb code stays the fallback, and the unit tests check each fast
-//! path against it.
+//! the final limbs: add, multiply, `div_rem` and Stein's GCD on words
+//! (after one word-sized remainder when only one side is a word) here, and
+//! `Rat::new`, `Rat::from_f64`, `Rat::to_f64`, `Rat`'s ordering, `Add` and
+//! `Mul` in [`crate::rational`]. The multi-limb code stays the fallback,
+//! and the unit tests check each fast path against it.
 //!
-//! The representation is frozen: `sign` plus trimmed `mag` limbs with a
-//! derived `Hash`. Solver seeds hash query constants through it, so a new
-//! layout (inline small values, say) would re-seed every solver query;
+//! A magnitude of one limb is stored inline ([`Limbs`]), so zero and
+//! every one-word value (the common case) live in the `BigInt` itself
+//! with no heap allocation; two or more limbs go to a heap vector. The
+//! magnitude derefs to a limb slice either way, and the `mag_*` kernels
+//! work on slices.
+//!
+//! The `Hash` bytes are frozen, not the layout: `Hash` writes `sign` and
+//! then the limb slice, the same byte stream the earlier derived hash of
+//! `sign` plus a `Vec<u64>` wrote. Solver seeds hash query constants
+//! through it, so a different stream would re-seed every solver query;
 //! `tests/hash_stability.rs` pins the bytes.
 
 use crate::Sign;
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
+use std::hash::{Hash, Hasher};
+use std::ops::{Add, AddAssign, Deref, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
 
 /// An arbitrary-precision signed integer.
@@ -31,11 +39,53 @@ use std::str::FromStr;
 /// Invariants:
 /// * `mag` has no trailing zero limbs;
 /// * `sign == Sign::Zero` iff `mag` is empty.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BigInt {
     sign: Sign,
     /// Little-endian magnitude limbs.
-    mag: Vec<u64>,
+    mag: Limbs,
+}
+
+/// A trimmed little-endian limb store: no limbs or one limb inline
+/// (`Word(0)` is the empty magnitude), two or more on the heap. Each
+/// magnitude has exactly one form, so the derived equality is equality of
+/// the limb slices.
+#[derive(Clone, PartialEq, Eq)]
+enum Limbs {
+    Word(u64),
+    Heap(Vec<u64>),
+}
+
+impl Limbs {
+    /// The store for trimmed limbs `v`; allocates nothing new.
+    fn from_vec(v: Vec<u64>) -> Limbs {
+        debug_assert!(v.last() != Some(&0), "untrimmed limbs");
+        match *v.as_slice() {
+            [] => Limbs::Word(0),
+            [w] => Limbs::Word(w),
+            _ => Limbs::Heap(v),
+        }
+    }
+}
+
+impl Deref for Limbs {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        match self {
+            Limbs::Word(0) => &[],
+            Limbs::Word(w) => std::slice::from_ref(w),
+            Limbs::Heap(v) => v,
+        }
+    }
+}
+
+impl Hash for BigInt {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // A slice hashes as its length and then its elements: the byte
+        // stream `tests/hash_stability.rs` pins.
+        self.sign.hash(state);
+        self.mag[..].hash(state);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -279,21 +329,23 @@ pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 }
 
 /// GCD of two magnitudes. When either side fits one limb the other is
-/// reduced modulo it and the rest runs on machine words; only two
-/// multi-limb operands take the limb-vector binary GCD.
-fn mag_gcd(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let g = match (a, b) {
-        ([], _) => return b.to_vec(),
-        (_, []) => return a.to_vec(),
+/// reduced modulo it and the rest runs on machine words, with no
+/// allocation; only two multi-limb operands take the limb-vector binary
+/// GCD.
+fn mag_gcd(a: &Limbs, b: &Limbs) -> Limbs {
+    let g = match (&**a, &**b) {
+        ([], _) => return b.clone(),
+        (_, []) => return a.clone(),
         ([x], [y]) => gcd_u64(*x, *y),
-        ([x], _) => gcd_u64(*x, mag_rem_limb(b, *x)),
-        (_, [y]) => gcd_u64(mag_rem_limb(a, *y), *y),
-        _ => return mag_gcd_limbs(a.to_vec(), b.to_vec()),
+        ([x], b) => gcd_u64(*x, mag_rem_limb(b, *x)),
+        (a, [y]) => gcd_u64(mag_rem_limb(a, *y), *y),
+        (a, b) => return Limbs::from_vec(mag_gcd_limbs(a.to_vec(), b.to_vec())),
     };
-    vec![g]
+    Limbs::Word(g)
 }
 
-/// Binary GCD of two magnitudes on limb vectors (any sizes).
+/// Binary GCD of two magnitudes on limb vectors (any sizes). Subtracts
+/// and shifts in place, so it allocates only for the shifted result.
 fn mag_gcd_limbs(mut a: Vec<u64>, mut b: Vec<u64>) -> Vec<u64> {
     if a.is_empty() {
         return b;
@@ -301,50 +353,54 @@ fn mag_gcd_limbs(mut a: Vec<u64>, mut b: Vec<u64>) -> Vec<u64> {
     if b.is_empty() {
         return a;
     }
-    let tz = |v: &[u64]| -> u64 {
-        let mut n = 0u64;
-        for &limb in v {
-            if limb == 0 {
-                n += 64;
-            } else {
-                return n + u64::from(limb.trailing_zeros());
-            }
-        }
-        n
-    };
-    let shr_bits = |v: &[u64], bits: u64| -> Vec<u64> {
-        let limbs = (bits / 64) as usize;
-        let rest = (bits % 64) as u32;
-        mag_shr_small(&v[limbs.min(v.len())..], rest)
-    };
-    let shl_bits = |v: &[u64], bits: u64| -> Vec<u64> {
-        let limbs = (bits / 64) as usize;
-        let rest = (bits % 64) as u32;
-        let mut out = vec![0u64; limbs];
-        out.extend_from_slice(&mag_shl_small(v, rest));
-        mag_trim(&mut out);
-        out
-    };
-    let za = tz(&a);
-    let zb = tz(&b);
-    let common = za.min(zb);
-    a = shr_bits(&a, za);
-    b = shr_bits(&b, zb);
+    let common = mag_strip_twos(&mut a).min(mag_strip_twos(&mut b));
     loop {
         match mag_cmp(&a, &b) {
             Ordering::Equal => break,
             Ordering::Less => std::mem::swap(&mut a, &mut b),
             Ordering::Greater => {}
         }
-        a = mag_sub(&a, &b);
-        let z = tz(&a);
-        a = shr_bits(&a, z);
-        if a.is_empty() {
-            a = b.clone();
+        // Both odd and a > b: a - b is even and nonzero.
+        mag_sub_assign(&mut a, &b);
+        mag_strip_twos(&mut a);
+    }
+    let mut out = vec![0u64; (common / 64) as usize];
+    out.extend_from_slice(&mag_shl_small(&a, (common % 64) as u32));
+    out
+}
+
+/// Divide a nonzero magnitude in place by its largest power-of-two
+/// factor, returning the exponent.
+fn mag_strip_twos(v: &mut Vec<u64>) -> u64 {
+    let zero_limbs = v.iter().take_while(|&&limb| limb == 0).count();
+    v.drain(..zero_limbs);
+    let bits = v[0].trailing_zeros();
+    if bits > 0 {
+        for i in 0..v.len() {
+            let hi = v.get(i + 1).map_or(0, |&n| n << (64 - bits));
+            v[i] = (v[i] >> bits) | hi;
+        }
+        mag_trim(v);
+    }
+    zero_limbs as u64 * 64 + u64::from(bits)
+}
+
+/// `a -= b` in place; requires `a >= b`.
+fn mag_sub_assign(a: &mut Vec<u64>, b: &[u64]) {
+    debug_assert!(mag_cmp(a, b) != Ordering::Less, "mag_sub_assign underflow");
+    let mut borrow = 0u64;
+    for (i, av) in a.iter_mut().enumerate() {
+        if i >= b.len() && borrow == 0 {
             break;
         }
+        let s = b.get(i).copied().unwrap_or(0);
+        let (x, b1) = av.overflowing_sub(s);
+        let (x, b2) = x.overflowing_sub(borrow);
+        borrow = u64::from(b1) + u64::from(b2);
+        *av = x;
     }
-    shl_bits(&a, common)
+    debug_assert_eq!(borrow, 0);
+    mag_trim(a);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +411,7 @@ impl BigInt {
     /// The integer zero.
     #[must_use]
     pub fn zero() -> BigInt {
-        BigInt { sign: Sign::Zero, mag: Vec::new() }
+        BigInt { sign: Sign::Zero, mag: Limbs::Word(0) }
     }
 
     /// The integer one.
@@ -370,16 +426,24 @@ impl BigInt {
             BigInt::zero()
         } else {
             debug_assert!(sign != Sign::Zero);
-            BigInt { sign, mag: vec![m] }
+            BigInt { sign, mag: Limbs::Word(m) }
+        }
+    }
+
+    /// `sign · m` from a two-word magnitude (`m = 0` gives zero); only a
+    /// magnitude of 2^64 or more allocates.
+    pub(crate) fn from_u128(sign: Sign, m: u128) -> BigInt {
+        match u64::try_from(m) {
+            Ok(w) => BigInt::from_small(sign, w),
+            Err(_) => BigInt { sign, mag: Limbs::Heap(vec![m as u64, (m >> 64) as u64]) },
         }
     }
 
     /// The magnitude as one machine word, when it fits (zero included).
     pub(crate) fn small_mag(&self) -> Option<u64> {
-        match self.mag.as_slice() {
-            [] => Some(0),
-            [m] => Some(*m),
-            _ => None,
+        match self.mag {
+            Limbs::Word(m) => Some(m),
+            Limbs::Heap(_) => None,
         }
     }
 
@@ -387,7 +451,7 @@ impl BigInt {
     /// be nonzero.
     pub(crate) fn set_small_mag(&mut self, m: u64) {
         debug_assert!(self.mag.len() == 1 && m != 0);
-        self.mag[0] = m;
+        self.mag = Limbs::Word(m);
     }
 
     fn from_mag(sign: Sign, mut mag: Vec<u64>) -> BigInt {
@@ -396,7 +460,7 @@ impl BigInt {
             BigInt::zero()
         } else {
             debug_assert!(sign != Sign::Zero);
-            BigInt { sign, mag }
+            BigInt { sign, mag: Limbs::from_vec(mag) }
         }
     }
 
@@ -427,7 +491,7 @@ impl BigInt {
     /// `true` iff this integer equals one.
     #[must_use]
     pub fn is_one(&self) -> bool {
-        self.sign == Sign::Plus && self.mag == [1]
+        self.sign == Sign::Plus && self.mag == Limbs::Word(1)
     }
 
     /// Absolute value.
@@ -451,14 +515,16 @@ impl BigInt {
     /// Greatest common divisor of the absolute values; `gcd(0, x) = |x|`.
     #[must_use]
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        BigInt::from_mag(Sign::Plus, mag_gcd(&self.mag, &other.mag))
+        let mag = mag_gcd(&self.mag, &other.mag);
+        let sign = if mag.is_empty() { Sign::Zero } else { Sign::Plus };
+        BigInt { sign, mag }
     }
 
     /// [`BigInt::gcd`] on limb vectors only: the reference the word fast
     /// paths are tested against.
     #[cfg(test)]
     pub(crate) fn gcd_limbs(&self, other: &BigInt) -> BigInt {
-        BigInt::from_mag(Sign::Plus, mag_gcd_limbs(self.mag.clone(), other.mag.clone()))
+        BigInt::from_mag(Sign::Plus, mag_gcd_limbs(self.mag.to_vec(), other.mag.to_vec()))
     }
 
     /// Truncated division with remainder: `self = q * d + r`, `|r| < |d|`,
@@ -472,8 +538,11 @@ impl BigInt {
         if self.is_zero() {
             return (BigInt::zero(), BigInt::zero());
         }
-        let (q_mag, r_mag) = mag_divrem(&self.mag, &d.mag);
         let q_sign = self.sign.mul(d.sign);
+        if let (Limbs::Word(x), Limbs::Word(y)) = (&self.mag, &d.mag) {
+            return (BigInt::from_small(q_sign, x / y), BigInt::from_small(self.sign, x % y));
+        }
+        let (q_mag, r_mag) = mag_divrem(&self.mag, &d.mag);
         (BigInt::from_mag(q_sign, q_mag), BigInt::from_mag(self.sign, r_mag))
     }
 
@@ -566,17 +635,12 @@ impl From<u64> for BigInt {
 
 impl From<i128> for BigInt {
     fn from(v: i128) -> BigInt {
-        match v.cmp(&0) {
-            Ordering::Equal => BigInt::zero(),
-            Ordering::Greater => {
-                let u = v as u128;
-                BigInt::from_mag(Sign::Plus, vec![u as u64, (u >> 64) as u64])
-            }
-            Ordering::Less => {
-                let u = v.unsigned_abs();
-                BigInt::from_mag(Sign::Minus, vec![u as u64, (u >> 64) as u64])
-            }
-        }
+        let sign = match v.cmp(&0) {
+            Ordering::Less => Sign::Minus,
+            Ordering::Equal => Sign::Zero,
+            Ordering::Greater => Sign::Plus,
+        };
+        BigInt::from_u128(sign, v.unsigned_abs())
     }
 }
 
@@ -597,15 +661,28 @@ impl Neg for &BigInt {
 impl Add for &BigInt {
     type Output = BigInt;
     fn add(self, rhs: &BigInt) -> BigInt {
-        match (self.sign, rhs.sign) {
-            (Sign::Zero, _) => rhs.clone(),
-            (_, Sign::Zero) => self.clone(),
-            (a, b) if a == b => BigInt::from_mag(a, mag_add(&self.mag, &rhs.mag)),
-            _ => match mag_cmp(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => BigInt::from_mag(self.sign, mag_sub(&self.mag, &rhs.mag)),
-                Ordering::Less => BigInt::from_mag(rhs.sign, mag_sub(&rhs.mag, &self.mag)),
-            },
+        let (a, b) = (self.sign, rhs.sign);
+        if a == Sign::Zero {
+            return rhs.clone();
+        }
+        if b == Sign::Zero {
+            return self.clone();
+        }
+        if let (Limbs::Word(x), Limbs::Word(y)) = (&self.mag, &rhs.mag) {
+            let (x, y) = (u128::from(*x), u128::from(*y));
+            return match (a == b, x.cmp(&y)) {
+                (true, _) => BigInt::from_u128(a, x + y),
+                (false, Ordering::Less) => BigInt::from_u128(b, y - x),
+                (false, _) => BigInt::from_u128(a, x - y),
+            };
+        }
+        if a == b {
+            return BigInt::from_mag(a, mag_add(&self.mag, &rhs.mag));
+        }
+        match mag_cmp(&self.mag, &rhs.mag) {
+            Ordering::Equal => BigInt::zero(),
+            Ordering::Greater => BigInt::from_mag(a, mag_sub(&self.mag, &rhs.mag)),
+            Ordering::Less => BigInt::from_mag(b, mag_sub(&rhs.mag, &self.mag)),
         }
     }
 }
@@ -623,6 +700,9 @@ impl Mul for &BigInt {
         let sign = self.sign.mul(rhs.sign);
         if sign == Sign::Zero {
             return BigInt::zero();
+        }
+        if let (Limbs::Word(x), Limbs::Word(y)) = (&self.mag, &rhs.mag) {
+            return BigInt::from_u128(sign, u128::from(*x) * u128::from(*y));
         }
         BigInt::from_mag(sign, mag_mul(&self.mag, &rhs.mag))
     }
@@ -713,7 +793,7 @@ impl fmt::Display for BigInt {
         }
         // Repeatedly divide by 10^19 (largest power of ten in a u64).
         const CHUNK: u64 = 10_000_000_000_000_000_000;
-        let mut mag = self.mag.clone();
+        let mut mag = self.mag.to_vec();
         let mut chunks: Vec<u64> = Vec::new();
         while !mag.is_empty() {
             let (q, r) = mag_divrem_limb(&mag, CHUNK);
@@ -914,6 +994,30 @@ mod tests {
         assert!(r2 < d2);
     }
 
+    /// Euclid's algorithm on `div_rem`: a reference for the binary GCD.
+    fn gcd_euclid(a: &BigInt, b: &BigInt) -> BigInt {
+        let (mut a, mut b) = (a.abs(), b.abs());
+        while !b.is_zero() {
+            let r = a.div_rem(&b).1;
+            a = std::mem::replace(&mut b, r);
+        }
+        a
+    }
+
+    #[test]
+    fn gcd_limbs_matches_euclid() {
+        use crate::testgen::{arb_bigint, config};
+        use cso_runtime::prop::{self, zip3};
+        use cso_runtime::prop_assert_eq;
+        // A shared factor (often with powers of two) makes the GCD nontrivial.
+        let gen = zip3(arb_bigint(), arb_bigint(), arb_bigint());
+        prop::check_with(&config(), "gcd_limbs_matches_euclid", &gen, |(a, b, f)| {
+            let (a, b) = (a * f, b * f);
+            prop_assert_eq!(a.gcd_limbs(&b), gcd_euclid(&a, &b));
+            Ok(())
+        });
+    }
+
     #[test]
     fn gcd_basic() {
         assert_eq!(bi("12").gcd(&bi("18")), bi("6"));
@@ -942,6 +1046,27 @@ mod tests {
         for (a, b) in [(0, 0), (0, 9), (u64::MAX, 1 << 63), (1 << 63, 1 << 62), (6, 4)] {
             assert_eq!(BigInt::from(gcd_u64(a, b)), BigInt::from(a).gcd_limbs(&BigInt::from(b)));
         }
+    }
+
+    #[test]
+    fn arith_word_paths_match_limbs() {
+        use crate::testgen::{arb_word, config};
+        use cso_runtime::prop::{self, bool_any, zip4};
+        use cso_runtime::prop_assert_eq;
+        let gen = zip4(arb_word(), bool_any(), arb_word(), bool_any());
+        prop::check_with(&config(), "arith_word_paths_match_limbs", &gen, |&(x, nx, y, ny)| {
+            let signed = |w: u64, neg: bool| if neg { -i128::from(w) } else { i128::from(w) };
+            let (x, y) = (signed(x, nx), signed(y, ny));
+            let (a, b) = (BigInt::from(x), BigInt::from(y));
+            prop_assert_eq!(&a + &b, BigInt::from(x + y));
+            prop_assert_eq!(&a - &b, BigInt::from(x - y));
+            let product = BigInt::from_mag(a.sign.mul(b.sign), mag_mul(&a.mag, &b.mag));
+            prop_assert_eq!(&a * &b, product);
+            if y != 0 {
+                prop_assert_eq!(a.div_rem(&b), (BigInt::from(x / y), BigInt::from(x % y)));
+            }
+            Ok(())
+        });
     }
 
     #[test]

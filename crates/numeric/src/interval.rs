@@ -18,6 +18,14 @@
 //! for bit the scalar operation on lane `k`'s operands. The per-lane work
 //! is branch-free (selects on float compares), so the compiler can
 //! vectorize the lane loops.
+//!
+//! No subnormal operand reaches the floating-point multiplier. Box edges at
+//! zero round outward to `±MIN_SUBNORMAL`, and on many x86 cores a product
+//! with a subnormal operand takes a microcode assist of tens of
+//! nanoseconds. Such a product is computed on the integer significands
+//! instead, rounded to nearest-even exactly as the hardware rounds, so the
+//! results stay bit-identical. A lane `mul` checks its live lanes once and
+//! keeps the branch-free loop when none holds a subnormal.
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -218,7 +226,10 @@ impl Neg for Interval {
 }
 
 /// Multiply endpoints treating `0 * inf` as `0` (correct for interval
-/// arithmetic where an exact zero endpoint annihilates).
+/// arithmetic where an exact zero endpoint annihilates). Branch-free apart
+/// from the select, so lane loops vectorize; an operand that is subnormal
+/// costs a microcode assist on many x86 cores, so callers route those
+/// through [`mul_ep_exact`] instead.
 #[inline(always)]
 fn mul_ep(a: f64, b: f64) -> f64 {
     if a == 0.0 || b == 0.0 {
@@ -226,6 +237,75 @@ fn mul_ep(a: f64, b: f64) -> f64 {
     } else {
         a * b
     }
+}
+
+/// `true` iff `x` is a nonzero subnormal (either sign). Float compares
+/// only, so a lane loop over it vectorizes.
+#[inline(always)]
+fn is_subnormal(x: f64) -> bool {
+    (x.abs() < f64::MIN_POSITIVE) & (x != 0.0)
+}
+
+/// [`mul_ep`], with a product that has a subnormal operand computed on
+/// integers: no subnormal reaches the floating-point multiplier.
+#[inline(always)]
+fn mul_ep_exact(a: f64, b: f64) -> f64 {
+    if a == 0.0 || b == 0.0 {
+        0.0
+    } else if is_subnormal(a) || is_subnormal(b) {
+        mul_subnormal(a, b)
+    } else {
+        a * b
+    }
+}
+
+/// `a * b` for nonzero `a`, `b` with at least one subnormal operand,
+/// bit-identical to the IEEE product under round-to-nearest-even: the
+/// exact product of the two integer significands (at most 106 bits) is
+/// rounded once, into the subnormal or the normal range. Such a product
+/// has magnitude below 4, so it never overflows.
+#[cold]
+#[inline(never)]
+fn mul_subnormal(a: f64, b: f64) -> f64 {
+    let sign = (a.to_bits() ^ b.to_bits()) & SIGN;
+    if a.is_nan() || b.is_nan() {
+        return a + b;
+    }
+    if a.is_infinite() || b.is_infinite() {
+        return f64::from_bits(sign | f64::INFINITY.to_bits());
+    }
+    // `x = m · 2^e` with an integer significand `m`.
+    let split = |x: f64| {
+        let bits = x.to_bits();
+        let exp = ((bits >> 52) & 0x7ff) as i32;
+        let frac = bits & ((1 << 52) - 1);
+        if exp == 0 {
+            (frac, -1074)
+        } else {
+            (frac | (1 << 52), exp - 1075)
+        }
+    };
+    let ((ma, ea), (mb, eb)) = (split(a), split(b));
+    let p = u128::from(ma) * u128::from(mb);
+    let e = ea + eb;
+    // The result's quantum: 53 significant bits, but never below 2^-1074.
+    let top = 127 - p.leading_zeros() as i32 + e;
+    let q = (top - 52).max(-1074);
+    let drop = q - e;
+    let m = if drop <= 0 {
+        (p << -drop) as u64
+    } else if drop >= 128 {
+        0
+    } else {
+        let kept = p >> drop;
+        let rest = p & ((1 << drop) - 1);
+        let half = 1u128 << (drop - 1);
+        let up = rest > half || (rest == half && kept & 1 == 1);
+        (kept + u128::from(up)) as u64
+    };
+    // `m < 2^53` carries its leading bit into the exponent field, which
+    // also moves a subnormal that rounded up to 2^52 into the normal range.
+    f64::from_bits(sign | ((((q + 1074) as u64) << 52) + m))
 }
 
 // Per-endpoint definitions of the rounded operations, shared by the scalar
@@ -255,6 +335,16 @@ fn hull4(c: [f64; 4]) -> (f64, f64) {
 #[inline(always)]
 fn mul_ep4(alo: f64, ahi: f64, blo: f64, bhi: f64) -> (f64, f64) {
     hull4([mul_ep(alo, blo), mul_ep(alo, bhi), mul_ep(ahi, blo), mul_ep(ahi, bhi)])
+}
+
+#[inline(always)]
+fn mul_ep4_exact(alo: f64, ahi: f64, blo: f64, bhi: f64) -> (f64, f64) {
+    hull4([
+        mul_ep_exact(alo, blo),
+        mul_ep_exact(alo, bhi),
+        mul_ep_exact(ahi, blo),
+        mul_ep_exact(ahi, bhi),
+    ])
 }
 
 #[inline(always)]
@@ -288,7 +378,7 @@ impl Sub for Interval {
 impl Mul for Interval {
     type Output = Interval;
     fn mul(self, rhs: Interval) -> Interval {
-        let (lo, hi) = mul_ep4(self.lo, self.hi, rhs.lo, rhs.hi);
+        let (lo, hi) = mul_ep4_exact(self.lo, self.hi, rhs.lo, rhs.hi);
         Interval { lo, hi }
     }
 }
@@ -377,9 +467,22 @@ impl<const N: usize> IntervalLanes<N> {
     }
 
     /// Lane-wise outward-rounded product of lanes `0..n` (see `Mul for
-    /// Interval`).
+    /// Interval`). One pass over the live lanes looks for a subnormal
+    /// endpoint; without one the branch-free loop runs, with one the whole
+    /// call takes the exact path.
     pub fn mul(&self, b: &Self, out: &mut Self, n: usize) {
-        self.zip(b, out, n, mul_ep4);
+        let mut subnormal = false;
+        for_each_lane::<N>(n, |k| {
+            subnormal |= is_subnormal(self.lo[k])
+                | is_subnormal(self.hi[k])
+                | is_subnormal(b.lo[k])
+                | is_subnormal(b.hi[k]);
+        });
+        if subnormal {
+            self.zip(b, out, n, mul_ep4_exact);
+        } else {
+            self.zip(b, out, n, mul_ep4);
+        }
     }
 
     /// Lane-wise outward-rounded quotient of lanes `0..n` (see `Div for

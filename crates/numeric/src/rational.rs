@@ -7,10 +7,13 @@
 //! finite double is a dyadic rational).
 //!
 //! The solver converts every sampled point with these, so [`Rat::new`],
-//! [`Rat::from_f64`], [`Rat::to_f64`] and the ordering first try a path on
-//! machine words (`u64`/`u128`) for one-limb operands and fall back to the
-//! limb-vector code otherwise. Both paths give identical results, down to
-//! the bits of `to_f64`; the unit tests check each pair.
+//! [`Rat::from_f64`], [`Rat::to_f64`], the ordering, `Add` and `Mul` (and
+//! through them `Sub` and `Div`) first try a path on machine words
+//! (`u64`/`u128`) for one-limb operands and fall back to the limb-vector
+//! code otherwise, or when a word result would overflow. A one-limb
+//! [`BigInt`] is stored inline, so a word path that ends in one-limb parts
+//! allocates nothing. Both paths give identical results, down to the bits
+//! of `to_f64`; the unit tests check each pair.
 
 use crate::bigint::{gcd_u64, BigInt};
 use crate::Sign;
@@ -327,9 +330,56 @@ impl Neg for &Rat {
     }
 }
 
-impl Add for &Rat {
-    type Output = Rat;
-    fn add(self, rhs: &Rat) -> Rat {
+impl Rat {
+    /// The four parts as words `(|num|, den, |rhs.num|, rhs.den)`, when
+    /// each fits one limb.
+    fn words(&self, rhs: &Rat) -> Option<(u64, u64, u64, u64)> {
+        Some((
+            self.num.small_mag()?,
+            self.den.small_mag()?,
+            rhs.num.small_mag()?,
+            rhs.den.small_mag()?,
+        ))
+    }
+
+    /// `self + rhs` on machine words, or `None` when a part or the sum's
+    /// denominator does not fit one limb or the numerator overflows a
+    /// `u128`. The steps of [`Rat::add_limbs`], so the result is the same
+    /// reduced `Rat`.
+    fn add_words(&self, rhs: &Rat) -> Option<Rat> {
+        let (a, b, c, d) = self.words(rhs)?;
+        if a == 0 {
+            return Some(rhs.clone());
+        }
+        if c == 0 {
+            return Some(self.clone());
+        }
+        let g = gcd_u64(b, d);
+        let (db, dd) = (b / g, d / g);
+        let den = u64::try_from(u128::from(b) * u128::from(dd)).ok()?;
+        let x = u128::from(a) * u128::from(dd);
+        let y = u128::from(c) * u128::from(db);
+        let (sign, mag) = match (self.sign() == rhs.sign(), x.cmp(&y)) {
+            (true, _) => (self.sign(), x.checked_add(y)?),
+            (false, Ordering::Less) => (rhs.sign(), y - x),
+            (false, _) => (self.sign(), x - y),
+        };
+        if mag == 0 {
+            return Some(Rat::zero());
+        }
+        // gcd(mag, den) from one word-sized remainder, as `BigInt::gcd`.
+        let g = match u64::try_from(mag) {
+            Ok(m) => gcd_u64(m, den),
+            Err(_) => gcd_u64((mag % u128::from(den)) as u64, den),
+        };
+        Some(Rat {
+            num: BigInt::from_u128(sign, mag / u128::from(g)),
+            den: BigInt::from_small(Sign::Plus, den / g),
+        })
+    }
+
+    /// `self + rhs` on limb vectors (any sizes).
+    fn add_limbs(&self, rhs: &Rat) -> Rat {
         // a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)) with g = gcd(b, d),
         // which keeps intermediate magnitudes small.
         let g = self.den.gcd(&rhs.den);
@@ -338,6 +388,44 @@ impl Add for &Rat {
         let num = &self.num * &dd + &rhs.num * &db;
         let den = &self.den * &dd;
         Rat::new(num, den)
+    }
+
+    /// `self * rhs` on machine words, or `None` when a part does not fit
+    /// one limb. Cross-reducing leaves coprime word products, which fit a
+    /// `u128` each.
+    fn mul_words(&self, rhs: &Rat) -> Option<Rat> {
+        let (a, b, c, d) = self.words(rhs)?;
+        let sign = self.sign().mul(rhs.sign());
+        if sign == Sign::Zero {
+            return Some(Rat::zero());
+        }
+        let (g1, g2) = (gcd_u64(a, d), gcd_u64(c, b));
+        Some(Rat {
+            num: BigInt::from_u128(sign, u128::from(a / g1) * u128::from(c / g2)),
+            den: BigInt::from_u128(Sign::Plus, u128::from(b / g2) * u128::from(d / g1)),
+        })
+    }
+
+    /// `self * rhs` on limb vectors (any sizes).
+    fn mul_limbs(&self, rhs: &Rat) -> Rat {
+        if self.is_zero() || rhs.is_zero() {
+            return Rat::zero();
+        }
+        // Cross-reduce before multiplying: each factor of the numerator is
+        // coprime to each factor of the denominator, so the products are
+        // in lowest terms, and the denominator stays positive.
+        let g1 = self.num.gcd(&rhs.den);
+        let g2 = rhs.num.gcd(&self.den);
+        let num = (&self.num / &g1) * (&rhs.num / &g2);
+        let den = (&self.den / &g2) * (&rhs.den / &g1);
+        Rat { num, den }
+    }
+}
+
+impl Add for &Rat {
+    type Output = Rat;
+    fn add(self, rhs: &Rat) -> Rat {
+        self.add_words(rhs).unwrap_or_else(|| self.add_limbs(rhs))
     }
 }
 
@@ -351,13 +439,7 @@ impl Sub for &Rat {
 impl Mul for &Rat {
     type Output = Rat;
     fn mul(self, rhs: &Rat) -> Rat {
-        // Cross-reduce before multiplying.
-        let g1 = self.num.gcd(&rhs.den);
-        let g2 = rhs.num.gcd(&self.den);
-        let num = (&self.num / &g1) * (&rhs.num / &g2);
-        let den = (&self.den / &g2) * (&rhs.den / &g1);
-        // num/den already coprime; construct directly but keep sign rules.
-        Rat::new(num, den)
+        self.mul_words(rhs).unwrap_or_else(|| self.mul_limbs(rhs))
     }
 }
 
@@ -679,6 +761,37 @@ mod tests {
         for (n, d) in cases {
             let r = new_ref(BigInt::from(n), BigInt::from(d));
             assert_eq!(r.to_f64().to_bits(), r.to_f64_limbs().to_bits(), "{r}");
+        }
+    }
+
+    #[test]
+    fn add_mul_word_paths_match_limbs() {
+        use crate::testgen::config;
+        use cso_runtime::prop::{self, zip2};
+        use cso_runtime::{prop_assert, prop_assert_eq};
+        prop::check_with(
+            &config(),
+            "add_mul_word_paths_match_limbs",
+            &zip2(arb_rat(), arb_rat()),
+            |(a, b)| {
+                let words = a.words(b).is_some();
+                prop_assert_eq!(a.mul_words(b).is_some(), words);
+                prop_assert!(words || a.add_words(b).is_none());
+                prop_assert_eq!(a + b, a.add_limbs(b));
+                prop_assert_eq!(a * b, a.mul_limbs(b));
+                Ok(())
+            },
+        );
+        // Sums whose numerator or denominator leaves the word range.
+        let max = BigInt::from(u64::MAX);
+        let cases = [
+            (Rat::from(max.clone()), Rat::from(max.clone())),
+            (Rat::new(BigInt::one(), max.clone()), Rat::new(BigInt::one(), BigInt::from(3i64))),
+            (Rat::new(max.clone(), BigInt::from(2i64)), Rat::new(-&max, BigInt::from(3i64))),
+        ];
+        for (a, b) in cases {
+            assert_eq!(&a + &b, a.add_limbs(&b), "{a} + {b}");
+            assert_eq!(&a * &b, a.mul_limbs(&b), "{a} * {b}");
         }
     }
 

@@ -191,6 +191,60 @@ fn rat_f64_roundtrip_is_exact() {
     });
 }
 
+/// A one-limb magnitude: small, near powers of ten and two, random, and
+/// within a few steps of `u64::MAX`, where the word products and sums of
+/// `Rat` arithmetic overflow into the limb fallback.
+fn arb_limb() -> Gen<u64> {
+    one_of(vec![
+        u64_in(0, 1000),
+        u64_in(1, 1 << 20).map(|k| k * 1_000_000),
+        int_in(0, 63).map(|k| 1 << k),
+        u64_in(0, u64::MAX),
+        u64_in(0, 16).map(|k| u64::MAX - k),
+        u64_in(0, 16).map(|k| (1 << 63) + k),
+    ])
+}
+
+/// `±num / den` from one-limb parts (`den > 0`).
+fn arb_word_rat() -> Gen<Rat> {
+    zip3(arb_limb(), arb_limb(), bool_any()).map(|(n, d, neg)| {
+        let n = BigInt::from(n);
+        Rat::new(if neg { -n } else { n }, BigInt::from(d.max(1)))
+    })
+}
+
+/// `num / den` in lowest terms with a positive denominator, by `BigInt`
+/// arithmetic alone.
+fn normalized(num: BigInt, den: BigInt) -> (BigInt, BigInt) {
+    let (num, den) = if den.is_negative() { (-num, -den) } else { (num, den) };
+    if num.is_zero() {
+        return (BigInt::zero(), BigInt::one());
+    }
+    let g = num.gcd(&den);
+    (&num / &g, &den / &g)
+}
+
+/// `Rat` arithmetic on one-limb parts equals cross-multiplying and
+/// normalizing the parts as `BigInt`s, whichever path the `Rat` took.
+#[test]
+fn rat_ops_match_bigint_arithmetic() {
+    prop::check(
+        "rat_ops_match_bigint_arithmetic",
+        &zip2(arb_word_rat(), arb_word_rat()),
+        |(x, y)| {
+            let (a, b, c, d) = (x.numer(), x.denom(), y.numer(), y.denom());
+            let parts = |r: Rat| (r.numer().clone(), r.denom().clone());
+            prop_assert_eq!(parts(x + y), normalized(&(a * d) + &(c * b), b * d), "{} + {}", x, y);
+            prop_assert_eq!(parts(x - y), normalized(&(a * d) - &(c * b), b * d), "{} - {}", x, y);
+            prop_assert_eq!(parts(x * y), normalized(a * c, b * d), "{} * {}", x, y);
+            if !y.is_zero() {
+                prop_assert_eq!(parts(x / y), normalized(a * d, b * c), "{} / {}", x, y);
+            }
+            Ok(())
+        },
+    );
+}
+
 #[test]
 fn rat_floor_le_ceil() {
     prop::check("rat_floor_le_ceil", &arb_rat(), |a| {
@@ -326,6 +380,100 @@ fn arb_edge_f64() -> Gen<f64> {
         f64_in(-1e6, 1e6),
         f64_in(-2.0, 2.0),
     ])
+}
+
+/// An `f64` for products where the hardware rounds: `arb_edge_f64`, and
+/// more often subnormals (small significands, where the product's
+/// rounding bits are few), the neighbours of `f64::MIN_POSITIVE`, and
+/// factors such as `1.5` or `2^-k` that put a product exactly on a
+/// rounding tie.
+fn arb_product_operand() -> Gen<f64> {
+    let signed = |g: Gen<f64>| zip2(g, bool_any()).map(|(x, neg)| if neg { -x } else { x });
+    one_of(vec![
+        arb_edge_f64(),
+        signed(u64_in(1, 64).map(f64::from_bits)),
+        signed(u64_in(1, (1 << 52) - 1).map(f64::from_bits)),
+        signed(int_in(-8, 8).map(|k| {
+            let bits = f64::MIN_POSITIVE.to_bits();
+            f64::from_bits(bits.wrapping_add_signed(k))
+        })),
+        signed(
+            zip2(int_in(0, 8), int_in(-60, 2))
+                .map(|(m, e)| (2 * m + 1) as f64 * 2f64.powi(e as i32)),
+        ),
+    ])
+}
+
+/// The hardware reference for one endpoint product: IEEE `a * b`, except
+/// that an exact zero annihilates (also an infinite other operand).
+fn hw_mul(a: f64, b: f64) -> f64 {
+    if a == 0.0 || b == 0.0 {
+        0.0
+    } else {
+        a * b
+    }
+}
+
+/// The point product and the lane product both equal the hardware product
+/// `a * b`, outward-rounded, bit for bit; subnormal operands take an
+/// integer path that must round exactly as the multiplier does.
+#[test]
+fn interval_mul_matches_hardware() {
+    let pairs = vec_of(zip2(arb_product_operand(), arb_product_operand()), LANES, LANES);
+    prop::check_with(
+        &Config { cases: 2000, ..Config::default() },
+        "interval_mul_matches_hardware",
+        &zip2(pairs, usize_in(0, LANES)),
+        |(pairs, n)| {
+            let (mut a, mut b) = (IntervalLanes::<LANES>::default(), IntervalLanes::default());
+            for (k, &(x, y)) in pairs.iter().enumerate() {
+                a.set(k, Interval::point(x));
+                b.set(k, Interval::point(y));
+            }
+            let mut out = IntervalLanes::default();
+            a.mul(&b, &mut out, *n);
+            for (k, &(x, y)) in pairs.iter().enumerate() {
+                let p = hw_mul(x, y);
+                let want = (round_down(p).to_bits(), round_up(p).to_bits());
+                let point = Interval::point(x) * Interval::point(y);
+                let got = (point.lo().to_bits(), point.hi().to_bits());
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "point {:e} * {:e}: got [{:e}, {:e}]",
+                    x,
+                    y,
+                    point.lo(),
+                    point.hi()
+                );
+                if k < *n {
+                    let lane = (out.lo[k].to_bits(), out.hi[k].to_bits());
+                    prop_assert_eq!(lane, want, "lane {} of {}: {:e} * {:e}", k, n, x, y);
+                }
+            }
+            Ok(())
+        },
+    );
+    // Rounding ties and carries at the subnormal/normal boundary.
+    let tiny = f64::from_bits(1);
+    let top_sub = f64::MIN_POSITIVE.next_down();
+    for (a, b) in [
+        (tiny, 0.5),
+        (tiny, 1.5),
+        (tiny, 2.5),
+        (tiny, tiny),
+        (tiny, f64::MAX),
+        (tiny, f64::INFINITY),
+        (top_sub, 1.0 + f64::EPSILON),
+        (top_sub, 0.75),
+        (f64::from_bits(3), 1.0 / 3.0),
+    ] {
+        for (x, y) in [(a, b), (b, -a)] {
+            let p = Interval::point(x) * Interval::point(y);
+            let want = (round_down(x * y).to_bits(), round_up(x * y).to_bits());
+            assert_eq!((p.lo().to_bits(), p.hi().to_bits()), want, "{x:e} * {y:e}");
+        }
+    }
 }
 
 /// An interval with edge endpoints: points, half-infinite and whole

@@ -286,9 +286,10 @@ impl SessionManager {
     /// Feed a ranking to one session's pending query.
     ///
     /// # Errors
-    /// Unknown id, unreadable snapshot, or an engine rejection (which also
-    /// latches the session into its failed state, mirroring
-    /// [`cso_synth::Synthesizer::answer`]).
+    /// Unknown id, unreadable snapshot, or an engine rejection. A
+    /// recording error also latches the session into its failed state;
+    /// `NoPendingQuery` leaves it as it was, mirroring
+    /// [`cso_synth::Synthesizer::answer`].
     pub fn answer(&mut self, id: u64, ranking: &Ranking) -> Result<(), ServeError> {
         self.ensure_resident(id)?;
         match self.slots.get_mut(&id) {
