@@ -29,13 +29,6 @@ cargo test -q --workspace --offline
 echo "==> cargo test (CSO_SOLVER_THREADS=4)"
 CSO_SOLVER_THREADS=4 cargo test -q --workspace --offline
 
-# Third pass with the incremental caches killed: the differential tests
-# (crates/core/tests/incremental_equivalence.rs) compare cache-on vs
-# cache-off inside one process; this pass additionally proves the whole
-# suite is cache-agnostic end to end via the process-wide kill-switch.
-echo "==> cargo test (CSO_SYNTH_CACHE=off)"
-CSO_SYNTH_CACHE=off cargo test -q --workspace --offline
-
 # Lane kernels at depth: the interval lane operations and the rounding
 # helpers must equal the scalar operations bit for bit, interval products
 # (subnormal operands included) must equal the hardware product, `Rat`
@@ -86,24 +79,16 @@ diff results/broken_lint.json "$LINT/broken.json"
 rm -rf "$LINT"
 
 # Golden regression: table1.csv carries semantic fields only (iterations,
-# agreement, outcome), so the cache kill-switch must not change a single
-# byte of it. Only table1_telemetry.csv (clause reuse, wall-clock) may
-# differ between the two campaigns.
-echo "==> table1.csv golden diff (cache on vs off)"
-GOLD=$(mktemp -d)
-cargo run -q --release --offline -p cso-bench --bin repro -- table1 --csv "$GOLD/warm" >/dev/null
-CSO_SYNTH_CACHE=off cargo run -q --release --offline -p cso-bench --bin repro -- \
-    table1 --csv "$GOLD/cold" >/dev/null
-diff "$GOLD/warm/table1.csv" "$GOLD/cold/table1.csv"
-
-# The diffs in this block compare fresh campaigns with each other, so a
-# change that re-seeds every run the same way would pass them all. Pin the
-# fresh run to the committed goldens as well: table1.csv byte for byte, and
-# table1_telemetry.csv's work counters (`run` through `clauses_reused`; the
-# columns after them are wall-clock seconds).
+# agreement, outcome). The diffs in this block compare fresh campaigns with
+# each other, so a change that re-seeds every run the same way would pass
+# them all. Pin the fresh run to the committed goldens as well: table1.csv
+# byte for byte, and table1_telemetry.csv's work counters (`run` through
+# `eval_errors`; the columns after them are wall-clock seconds).
 echo "==> table1.csv + telemetry work counters vs committed goldens"
-diff results/table1.csv "$GOLD/warm/table1.csv"
-diff <(cut -d, -f1-6 results/table1_telemetry.csv) <(cut -d, -f1-6 "$GOLD/warm/table1_telemetry.csv")
+GOLD=$(mktemp -d)
+cargo run -q --release --offline -p cso-bench --bin repro -- table1 --csv "$GOLD/fresh" >/dev/null
+diff results/table1.csv "$GOLD/fresh/table1.csv"
+diff <(cut -d, -f1-5 results/table1_telemetry.csv) <(cut -d, -f1-5 "$GOLD/fresh/table1_telemetry.csv")
 
 # Tracing is strictly observational: rerun the same campaign with the
 # JSONL sink attached and golden-diff table1.csv against the untraced
@@ -112,7 +97,7 @@ diff <(cut -d, -f1-6 results/table1_telemetry.csv) <(cut -d, -f1-6 "$GOLD/warm/t
 echo "==> table1.csv golden diff (traced vs untraced) + trace-digest smoke"
 CSO_TRACE="jsonl:$GOLD/trace.jsonl" cargo run -q --release --offline -p cso-bench --bin repro -- \
     table1 --csv "$GOLD/traced" >/dev/null
-diff "$GOLD/warm/table1.csv" "$GOLD/traced/table1.csv"
+diff "$GOLD/fresh/table1.csv" "$GOLD/traced/table1.csv"
 
 # Lint-gated campaign: with CSO_LINT=deny the engine runs the analyzer
 # before every synthesis; on well-formed
@@ -120,7 +105,7 @@ diff "$GOLD/warm/table1.csv" "$GOLD/traced/table1.csv"
 echo "==> table1.csv golden diff (CSO_LINT=deny vs default)"
 CSO_LINT=deny cargo run -q --release --offline -p cso-bench --bin repro -- \
     table1 --csv "$GOLD/linted" >/dev/null
-diff "$GOLD/warm/table1.csv" "$GOLD/linted/table1.csv"
+diff "$GOLD/fresh/table1.csv" "$GOLD/linted/table1.csv"
 cargo run -q --release --offline -p cso-bench --bin trace-digest -- "$GOLD/trace.jsonl" \
     > "$GOLD/digest.txt"
 head -n 4 "$GOLD/digest.txt"
@@ -136,7 +121,7 @@ grep -q "solver.bnp" "$GOLD/digest.txt"
 echo "==> table1.csv golden diff (CSO_METRICS on) + exposition determinism"
 CSO_METRICS="expo:$GOLD/metrics_a.prom" cargo run -q --release --offline -p cso-bench --bin repro -- \
     table1 --csv "$GOLD/metered" >/dev/null
-diff "$GOLD/warm/table1.csv" "$GOLD/metered/table1.csv"
+diff "$GOLD/fresh/table1.csv" "$GOLD/metered/table1.csv"
 CSO_METRICS="expo:$GOLD/metrics_b.prom" cargo run -q --release --offline -p cso-bench --bin repro -- \
     table1 --csv "$GOLD/metered2" >/dev/null
 grep -E '(_total|_count) ' "$GOLD/metrics_a.prom" > "$GOLD/det_a.txt"
@@ -151,8 +136,7 @@ grep -q '^cso_engine_oracle_calls_total ' "$GOLD/metrics_a.prom"
 # counter reads as zero).
 echo "==> exposition counters vs table1_telemetry.csv column sums"
 for pair in cso_solver_queries_total:solver_queries cso_solver_boxes_total:boxes_explored \
-    cso_solver_boxes_pruned_total:boxes_pruned cso_solver_eval_errors_total:eval_errors \
-    cso_engine_clauses_reused_total:clauses_reused; do
+    cso_solver_boxes_pruned_total:boxes_pruned cso_solver_eval_errors_total:eval_errors; do
     counter=${pair%%:*}
     column=${pair#*:}
     expo=$(awk -v n="$counter" '$1 == n { v = $2 } END { printf "%d", v }' "$GOLD/metrics_a.prom")

@@ -118,8 +118,7 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
 /// CSV for Table 1: one row per run, **semantic fields only**
 /// (iterations, agreement, termination) — no wall-clock columns and no
 /// solver work counters, so the file is byte-identical across repeated
-/// campaigns *and* across the clause-cache kill-switch
-/// (`CSO_SYNTH_CACHE=off`). Box counts belong in
+/// campaigns. Box counts belong in
 /// [`csv_table1_telemetry`], not here. The seed column is the run's index
 /// within the campaign.
 #[must_use]
@@ -132,26 +131,24 @@ pub fn csv_table1(t: &Table1Result) -> String {
 }
 
 /// Per-run solver telemetry CSV: solver work counters (queries, boxes),
-/// clause-cache reuse, the wall-clock split between seeding and
-/// branch-and-prune, and the measured-and-excluded oracle time. Clause
-/// reuse varies with the cache mode and the timing columns vary run to
+/// the wall-clock split between seeding and branch-and-prune, and the
+/// measured-and-excluded oracle time. The timing columns vary run to
 /// run — this file intentionally makes no byte-identity promise.
 #[must_use]
 pub fn csv_table1_telemetry(t: &Table1Result) -> String {
     let mut s = String::from(
         "run,solver_queries,boxes_explored,boxes_pruned,eval_errors,\
-         clauses_reused,seeding_secs,bnp_secs,oracle_secs\n",
+         seeding_secs,bnp_secs,oracle_secs\n",
     );
     for (i, r) in t.runs.iter().enumerate() {
         let _ = writeln!(
             s,
-            "{},{},{},{},{},{},{:.6},{:.6},{:.6}",
+            "{},{},{},{},{},{:.6},{:.6},{:.6}",
             i,
             r.solver.queries,
             r.solver.boxes_explored,
             r.solver.boxes_pruned,
             r.solver.eval_errors,
-            r.solver.clauses_reused,
             r.solver.seeding_time.as_secs_f64(),
             r.solver.bnp_time.as_secs_f64(),
             r.oracle_secs
@@ -237,7 +234,6 @@ mod tests {
                 boxes_explored: 4_567,
                 boxes_pruned: 1_234,
                 eval_errors: 2,
-                clauses_reused: 88,
                 seeding_time: Duration::from_millis(1_500),
                 bnp_time: Duration::from_millis(3_250),
                 ..SolverTelemetry::default()
@@ -249,8 +245,8 @@ mod tests {
         assert!(!csv.contains("3.25"), "no wall-clock fields in the deterministic CSV");
         assert!(!csv.contains("4567"), "work counters are telemetry only");
         let tel = csv_table1_telemetry(&t);
-        assert!(tel.contains("clauses_reused,seeding_secs"));
-        assert!(tel.contains("0,120,4567,1234,2,88,1.500000,3.250000,0.125000"));
+        assert!(tel.contains("eval_errors,seeding_secs"));
+        assert!(tel.contains("0,120,4567,1234,2,1.500000,3.250000,0.125000"));
     }
 
     #[test]

@@ -65,13 +65,6 @@ pub struct SynthConfig {
     /// The final unsatisfiability proof runs at `proof_delta_factor × δ`
     /// (coarser is sound for a δ-convergence check and much cheaper).
     pub proof_delta_factor: f64,
-    /// Enable the query layer's clause caches: per-edge and tie clause
-    /// reuse plus the whole-feasibility formula. Purely an optimization —
-    /// synthesis outcomes and solver work are identical either way
-    /// (enforced by the `incremental_equivalence` differential tests). The
-    /// `CSO_SYNTH_CACHE=off` environment variable overrides this to force
-    /// the cold path process-wide.
-    pub incremental: bool,
     /// Static-analysis policy applied to the sketch before synthesis.
     /// `CSO_LINT={deny,warn,off}` overrides it process-wide.
     pub lint: LintPolicy,
@@ -93,7 +86,6 @@ impl Default for SynthConfig {
             repair_noise: false,
             disamb_attempts: 6,
             proof_delta_factor: 2.0,
-            incremental: true,
             lint: LintPolicy::Deny,
         }
     }

@@ -200,16 +200,6 @@ const SITE_FB: u64 = 2;
 const SITE_SCENARIO: u64 = 3;
 const SITE_PROOF: u64 = 4;
 
-/// Kill-switch: `CSO_SYNTH_CACHE=off` (or `=0`) forces the cold path for
-/// the whole process regardless of [`SynthConfig::incremental`] — one
-/// environment variable flips an entire test-suite or CI pass.
-pub(crate) fn cache_env_off() -> bool {
-    static OFF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OFF.get_or_init(|| {
-        matches!(std::env::var("CSO_SYNTH_CACHE").ok().as_deref(), Some("off" | "0"))
-    })
-}
-
 /// Process-wide lint-policy override: `CSO_LINT=deny|warn|off` wins over
 /// [`SynthConfig::lint`]; unset or unrecognized values defer to the
 /// configuration.
@@ -319,7 +309,6 @@ impl Synthesizer {
             lint_report = Some(analysis.report);
         }
         let rng = Rng::seed_from_u64(cfg.seed);
-        qb.set_caching(cfg.incremental && !cache_env_off());
         Ok(Synthesizer {
             sketch,
             cfg,
@@ -342,13 +331,6 @@ impl Synthesizer {
     /// paper's `Viable(f)`; SWAN needs none).
     pub fn set_viability(&mut self, f: cso_logic::Formula) {
         self.qb.set_viability(f);
-    }
-
-    /// `true` when the query layer's clause caches are active for this
-    /// synthesizer.
-    #[must_use]
-    pub fn incremental(&self) -> bool {
-        self.cfg.incremental && !cache_env_off()
     }
 
     /// Read-only view of the preference graph built so far.
@@ -463,7 +445,6 @@ impl Synthesizer {
         static EVAL_ERRORS: Counter = Counter::new("cso_solver_eval_errors_total");
         static SEEDING_NS: Histogram = Histogram::new("cso_solver_seeding_ns");
         static BNP_NS: Histogram = Histogram::new("cso_solver_bnp_ns");
-        static CLAUSES_REUSED: Counter = Counter::new("cso_engine_clauses_reused_total");
         static CLAUSES_COMPILED: Counter = Counter::new("cso_engine_clauses_compiled_total");
         match work {
             Work::Query { stats: s, outcome } => {
@@ -483,10 +464,7 @@ impl Synthesizer {
                 SEEDING_NS.observe_duration(s.seeding_time);
                 BNP_NS.observe_duration(s.bnp_time);
             }
-            Work::Clauses { reused, compiled } => {
-                CLAUSES_REUSED.inc(reused as u64);
-                CLAUSES_COMPILED.inc(compiled as u64);
-            }
+            Work::Clauses { compiled } => CLAUSES_COMPILED.inc(compiled as u64),
         }
     }
 
@@ -553,9 +531,13 @@ impl Synthesizer {
         scenarios: &[Scenario],
         ranking: &Ranking,
     ) -> Result<(), SynthError> {
-        // Validate coverage.
+        // Validate coverage. Strict edges link adjacent groups only, so an
+        // empty group would silently drop every preference across it.
         let mut seen = vec![false; scenarios.len()];
         for g in &ranking.groups {
+            if g.is_empty() {
+                return Err(SynthError::InvalidRanking);
+            }
             for &i in g {
                 if i >= scenarios.len() || seen[i] {
                     return Err(SynthError::InvalidRanking);
@@ -611,17 +593,21 @@ impl Synthesizer {
         Ok(())
     }
 
-    /// Find a candidate consistent with the preference graph.
+    /// Find a candidate satisfying `feas`, the preference graph's
+    /// feasibility formula.
     ///
     /// Seeded with the previous iteration's candidate *and* the previous
     /// second candidate: whichever side the oracle took, one of the two
     /// still satisfies every recorded preference, so the search is O(1)
     /// in the common case.
-    fn find_candidate(&mut self, seeds: &[Model]) -> Result<CompletedObjective, SynthError> {
+    fn find_candidate(
+        &mut self,
+        feas: &Formula,
+        seeds: &[Model],
+    ) -> Result<CompletedObjective, SynthError> {
         let _sp = trace::span_with("engine.find_candidate", || {
             vec![("seeds", Value::U64(seeds.len() as u64))]
         });
-        let feas = self.qb.feasibility(&self.graph);
         // First try at the normal budget, then escalate: a feasibility
         // search only gets hard when every seed was just invalidated
         // (multi-pair iterations can do that), which is exactly when it is
@@ -638,7 +624,7 @@ impl Synthesizer {
             if i > 0 {
                 all_seeds.extend(combo_seeds.iter().cloned());
             }
-            let (out, _) = self.solve(SITE_CANDIDATE, &feas, &all_seeds, 1.0, budget);
+            let (out, _) = self.solve(SITE_CANDIDATE, feas, &all_seeds, 1.0, budget);
             match out {
                 Outcome::Sat(m) => {
                     let holes = self.qb.model_holes(&m);
@@ -653,7 +639,8 @@ impl Synthesizer {
         Err(SynthError::CandidateSearchExhausted)
     }
 
-    /// Search for one distinguishing scenario pair against candidate `fa`.
+    /// Search for one distinguishing scenario pair against candidate `fa`;
+    /// `feas` is the preference graph's feasibility formula.
     ///
     /// Fast path (§4.2, decomposed): find a second consistent candidate
     /// `fb` that differs from `fa` in hole space (4-dim query), then find
@@ -662,6 +649,7 @@ impl Synthesizer {
     /// up, because only its unsatisfiability proves convergence.
     fn find_pair(
         &mut self,
+        feas: &Formula,
         fa: &CompletedObjective,
         exclusions: &[(Scenario, Scenario)],
         extra_seeds: &[Model],
@@ -669,7 +657,6 @@ impl Synthesizer {
         let _sp = trace::span_with("engine.pair_search", || {
             vec![("exclusions", Value::U64(exclusions.len() as u64))]
         });
-        let feas = self.qb.feasibility(&self.graph);
         // Probe every hole at a large separation, then sweep again at
         // smaller separations: large separations produce wide disagreement
         // regions that sampling finds instantly, and per-hole restriction
@@ -688,7 +675,7 @@ impl Synthesizer {
                 break;
             }
             synth_msg(format_args!("fb search: hole {hole} sep_rel {sep_rel:.4}"));
-            let fb_q = cso_logic::Formula::and(vec![
+            let fb_q = Formula::and(vec![
                 feas.clone(),
                 self.qb.holes_differ_from_masked(fa.hole_values(), sep_rel, Some(hole)),
             ]);
@@ -932,7 +919,7 @@ impl Synthesizer {
     fn begin_run(&mut self) {
         self.stats = SynthStats::default();
         self.iter_solver = SolverTelemetry::default();
-        self.qb.take_clause_counters();
+        self.qb.take_clauses_compiled();
         self.ctx = LoopCtx::default();
     }
 
@@ -969,10 +956,14 @@ impl Synthesizer {
         let t0 = Instant::now();
         self.iter_solver = SolverTelemetry::default();
 
+        // The graph changes only in `answer`, so one feasibility formula
+        // serves every query of the iteration.
+        let feas = self.qb.feasibility(&self.graph);
+
         // Current candidate fa.
         let mut all_seeds = self.ctx.feas_seeds.clone();
         all_seeds.extend(self.pool_seeds());
-        let fa = self.find_candidate(&all_seeds)?;
+        let fa = self.find_candidate(&feas, &all_seeds)?;
         synth_msg(format_args!("iter {iter}: fa = {fa}"));
         self.remember_candidate(fa.hole_values());
         self.ctx.feas_seeds.clear();
@@ -986,7 +977,7 @@ impl Synthesizer {
         let mut sat_from_seeding = false;
         for k in 0..self.cfg.pairs_per_iteration {
             let extra_seeds = self.ctx.feas_seeds.clone();
-            match self.find_pair(&fa, &pairs, &extra_seeds) {
+            match self.find_pair(&feas, &fa, &pairs, &extra_seeds) {
                 PairSearch::Found { pair, from_seeding, fb_holes } => {
                     sat_from_seeding |= from_seeding;
                     self.remember_candidate(&fb_holes);
@@ -1092,18 +1083,21 @@ impl Synthesizer {
     fn finish_run(&mut self, outcome: SynthOutcome) -> Result<SynthResult, SynthError> {
         let objective = match self.ctx.candidate.clone() {
             Some(c) => c,
-            None => self.find_candidate(&[])?,
+            None => {
+                let feas = self.qb.feasibility(&self.graph);
+                self.find_candidate(&feas, &[])?
+            }
         };
         self.drain_clause_counters();
         Ok(SynthResult { objective, outcome, stats: self.stats.clone() })
     }
 
-    /// Publish the query layer's clause counters since the last drain as
-    /// one [`Work::Clauses`] record (none when the batch is empty).
+    /// Publish the clauses the query layer compiled since the last drain
+    /// as one [`Work::Clauses`] record (none when the batch is empty).
     fn drain_clause_counters(&mut self) {
-        let (reused, compiled) = self.qb.take_clause_counters();
-        if reused > 0 || compiled > 0 {
-            self.publish(Work::Clauses { reused, compiled });
+        let compiled = self.qb.take_clauses_compiled();
+        if compiled > 0 {
+            self.publish(Work::Clauses { compiled });
         }
     }
 
@@ -1347,33 +1341,24 @@ mod tests {
     }
 
     #[test]
-    fn incremental_cache_reuses_clauses_and_reports_telemetry() {
-        if cache_env_off() {
-            // The CSO_SYNTH_CACHE=off CI pass forces the cold path
-            // process-wide; the warm-side assertions below are meaningless
-            // there (the kill-switch itself is what this pass exercises).
-            return;
+    fn empty_ranking_group_is_invalid() {
+        let mut synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), fast_cfg(8)).unwrap();
+        let StepResult::NeedsRanking { scenarios, .. } = synth.step() else {
+            panic!("a fresh engine asks for the initial ranking");
+        };
+        let order = GroundTruthOracle::new(swan_target()).rank(&scenarios);
+        let mut groups = Vec::new();
+        for g in order.groups {
+            groups.push(g);
+            groups.push(Vec::new());
         }
-        let mut synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), fast_cfg(42)).unwrap();
-        assert!(synth.incremental(), "incremental defaults on");
-        let mut oracle = GroundTruthOracle::new(swan_target());
-        let result = synth.run(&mut oracle).unwrap();
-        let totals = result.stats.solver_totals;
-        // Every iteration rebuilds feasibility over mostly-unchanged edges.
-        assert!(totals.clauses_reused > 0, "expected clause reuse across iterations");
-
-        // The kill-switch config yields a cold run with zeroed cache
-        // telemetry — and the same synthesis result.
-        let mut cold_cfg = fast_cfg(42);
-        cold_cfg.incremental = false;
-        let mut cold = Synthesizer::new(swan_sketch(), MetricSpace::swan(), cold_cfg).unwrap();
-        assert!(!cold.incremental());
-        let cold_result = cold.run(&mut GroundTruthOracle::new(swan_target())).unwrap();
-        let cold_totals = cold_result.stats.solver_totals;
-        assert_eq!(cold_totals.clauses_reused, 0);
-        assert_eq!(cold_result.objective.hole_values(), result.objective.hole_values());
-        assert_eq!(cold_result.outcome, result.outcome);
-        assert_eq!(cold_result.stats.iterations(), result.stats.iterations());
+        let padded = Ranking { groups };
+        assert_eq!(padded.len(), scenarios.len());
+        assert!(!padded.is_empty());
+        assert_eq!(synth.answer(&padded), Err(SynthError::InvalidRanking));
+        assert_eq!(synth.graph().edge_count(), 0, "nothing recorded");
+        assert!(synth.is_terminal());
+        assert!(Ranking { groups: vec![Vec::new()] }.is_empty());
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Ranking {
     /// `true` iff the ranking covers no scenarios.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.groups.iter().all(Vec::is_empty)
     }
 }
 

@@ -28,17 +28,7 @@ use cso_numeric::{Interval, Rat};
 use cso_prefgraph::{PrefGraph, ScenarioId};
 use cso_runtime::trace::{self, Value};
 use cso_sketch::{CompletedObjective, Sketch};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-
-/// A compiled per-edge clause, remembered with the scenario values it was
-/// compiled from so a lookup can prove the entry is still current.
-#[derive(Debug, Clone)]
-struct CachedClause {
-    preferred: Scenario,
-    other: Scenario,
-    clause: Formula,
-}
+use std::cell::Cell;
 
 /// Builds solver queries for one synthesis run.
 #[derive(Debug, Clone)]
@@ -53,19 +43,8 @@ pub struct QueryBuilder {
     tie_tolerance: Rat,
     hole_bounds: Vec<(Rat, Rat)>,
     viability: Option<Formula>,
-    /// Incremental compilation switch (see [`QueryBuilder::set_caching`]).
-    caching: Cell<bool>,
-    /// Per-edge clause cache: `(head, tail)` scenario ids → compiled
-    /// `f_h(head) > f_h(tail)` clause. Scenarios in a preference graph are
-    /// append-only, so an id pair whose stored scenario values still match
-    /// the graph identifies the clause exactly.
-    edge_clauses: RefCell<HashMap<(ScenarioId, ScenarioId), CachedClause>>,
-    /// Like `edge_clauses`, for the two tie atoms of an indifference pair.
-    tie_clauses: RefCell<HashMap<(ScenarioId, ScenarioId), (CachedClause, Formula)>>,
-    /// Whole-feasibility cache, keyed by the graph's revision.
-    /// Valid only because one builder serves one graph per run.
-    feas_cache: RefCell<Option<(u64, Formula)>>,
-    clauses_reused: Cell<usize>,
+    /// Edge and tie clauses compiled since the last
+    /// [`QueryBuilder::take_clauses_compiled`].
     clauses_compiled: Cell<usize>,
 }
 
@@ -99,11 +78,6 @@ impl QueryBuilder {
             tie_tolerance: cfg.tie_tolerance.clone(),
             hole_bounds,
             viability: None,
-            caching: Cell::new(false),
-            edge_clauses: RefCell::new(HashMap::new()),
-            tie_clauses: RefCell::new(HashMap::new()),
-            feas_cache: RefCell::new(None),
-            clauses_reused: Cell::new(0),
             clauses_compiled: Cell::new(0),
         }
     }
@@ -111,29 +85,11 @@ impl QueryBuilder {
     /// Install an extra viability constraint over the hole variables.
     pub fn set_viability(&mut self, f: Formula) {
         self.viability = Some(f);
-        // Viability is a feasibility conjunct; drop the composite cache.
-        *self.feas_cache.borrow_mut() = None;
     }
 
-    /// Turn incremental clause compilation on or off (off by default).
-    ///
-    /// Caching is pure memoization of deterministic compilation, so the
-    /// produced formulas are byte-identical either way. The composite
-    /// feasibility cache is keyed by the graph's revision, so a caching
-    /// builder must serve a *single* graph whose revision only moves
-    /// forward — exactly the engine's usage.
-    pub fn set_caching(&self, on: bool) {
-        self.caching.set(on);
-        if !on {
-            self.edge_clauses.borrow_mut().clear();
-            self.tie_clauses.borrow_mut().clear();
-            *self.feas_cache.borrow_mut() = None;
-        }
-    }
-
-    /// Drain the `(clauses_reused, clauses_compiled)` counters.
-    pub fn take_clause_counters(&self) -> (usize, usize) {
-        (self.clauses_reused.replace(0), self.clauses_compiled.replace(0))
+    /// Drain the count of edge and tie clauses compiled.
+    pub fn take_clauses_compiled(&self) -> usize {
+        self.clauses_compiled.replace(0)
     }
 
     /// The variable registry (holes, then s1 metrics, then s2 metrics).
@@ -169,22 +125,8 @@ impl QueryBuilder {
     }
 
     /// The feasibility formula: all recorded preferences honored.
-    ///
-    /// With [`QueryBuilder::set_caching`] enabled, each preference edge's
-    /// clause is compiled once and reused while the edge's scenarios are
-    /// unchanged, and the composite formula is reused as long as the
-    /// graph's revision is — caching never changes the
-    /// produced formula, only how much of it is recompiled.
     #[must_use]
     pub fn feasibility(&self, graph: &PrefGraph<Scenario>) -> Formula {
-        if self.caching.get() {
-            if let Some((rev, f)) = &*self.feas_cache.borrow() {
-                if *rev == graph.revision() {
-                    trace::counter("query.feas_cache", || vec![("hit", Value::U64(1))]);
-                    return f.clone();
-                }
-            }
-        }
         let _sp = trace::span_with("query.compile_feasibility", || {
             vec![
                 ("edges", Value::U64(graph.active_edges().count() as u64)),
@@ -203,85 +145,34 @@ impl QueryBuilder {
             conjuncts.push(le);
             conjuncts.push(ge);
         }
-        let f = Formula::and(conjuncts);
-        if self.caching.get() {
-            *self.feas_cache.borrow_mut() = Some((graph.revision(), f.clone()));
-        }
-        f
+        Formula::and(conjuncts)
     }
 
-    /// The clause `f_h(preferred) > f_h(other)` for one preference edge,
-    /// served from the per-edge cache when current.
+    /// The clause `f_h(preferred) > f_h(other)` for one preference edge.
     fn edge_clause(
         &self,
         graph: &PrefGraph<Scenario>,
         preferred: ScenarioId,
         other: ScenarioId,
     ) -> Formula {
-        let compile =
-            || self.f_h_at(graph.scenario(preferred)).gt(self.f_h_at(graph.scenario(other)));
-        if !self.caching.get() {
-            return compile();
-        }
-        let key = (preferred, other);
-        if let Some(c) = self.edge_clauses.borrow().get(&key) {
-            if &c.preferred == graph.scenario(preferred) && &c.other == graph.scenario(other) {
-                self.clauses_reused.set(self.clauses_reused.get() + 1);
-                return c.clause.clone();
-            }
-        }
-        let clause = compile();
         self.clauses_compiled.set(self.clauses_compiled.get() + 1);
-        self.edge_clauses.borrow_mut().insert(
-            key,
-            CachedClause {
-                preferred: graph.scenario(preferred).clone(),
-                other: graph.scenario(other).clone(),
-                clause: clause.clone(),
-            },
-        );
-        clause
+        self.f_h_at(graph.scenario(preferred)).gt(self.f_h_at(graph.scenario(other)))
     }
 
     /// The two tie atoms `f(a) - f(b) <= tol` and `f(a) - f(b) >= -tol`
-    /// for one indifference pair, cached like [`QueryBuilder::edge_clause`].
+    /// for one indifference pair.
     fn tie_clause(
         &self,
         graph: &PrefGraph<Scenario>,
         a: ScenarioId,
         b: ScenarioId,
     ) -> (Formula, Formula) {
-        let compile = || {
-            let diff = self.f_h_at(graph.scenario(a)).sub(self.f_h_at(graph.scenario(b)));
-            (
-                diff.clone().le(Term::constant(self.tie_tolerance.clone())),
-                diff.ge(Term::constant(-self.tie_tolerance.clone())),
-            )
-        };
-        if !self.caching.get() {
-            return compile();
-        }
-        let key = (a, b);
-        if let Some((c, ge)) = self.tie_clauses.borrow().get(&key) {
-            if &c.preferred == graph.scenario(a) && &c.other == graph.scenario(b) {
-                self.clauses_reused.set(self.clauses_reused.get() + 1);
-                return (c.clause.clone(), ge.clone());
-            }
-        }
-        let (le, ge) = compile();
         self.clauses_compiled.set(self.clauses_compiled.get() + 1);
-        self.tie_clauses.borrow_mut().insert(
-            key,
-            (
-                CachedClause {
-                    preferred: graph.scenario(a).clone(),
-                    other: graph.scenario(b).clone(),
-                    clause: le.clone(),
-                },
-                ge.clone(),
-            ),
-        );
-        (le, ge)
+        let diff = self.f_h_at(graph.scenario(a)).sub(self.f_h_at(graph.scenario(b)));
+        (
+            diff.clone().le(Term::constant(self.tie_tolerance.clone())),
+            diff.ge(Term::constant(-self.tie_tolerance.clone())),
+        )
     }
 
     /// The disambiguation formula for a frozen candidate `fa`.
@@ -508,36 +399,6 @@ mod tests {
         let bad = vec![Rat::from_int(3), Rat::zero(), Rat::zero(), Rat::zero()];
         let env_bad = qb.seed_from_holes(&bad);
         assert!(!eval_formula(&f, env_bad.values()).unwrap());
-    }
-
-    #[test]
-    fn cached_feasibility_is_byte_identical() {
-        let (qb, mut g) = setup();
-        let a = g.add_scenario(Scenario::from_ints(&[2, 10]));
-        let b = g.add_scenario(Scenario::from_ints(&[2, 100]));
-        let c = g.add_scenario(Scenario::from_ints(&[5, 30]));
-        g.prefer(a, b).unwrap();
-        g.prefer(c, b).unwrap();
-        g.mark_indifferent(a, c).unwrap();
-
-        let cold = qb.feasibility(&g);
-        qb.set_caching(true);
-        let warm1 = qb.feasibility(&g); // compiles + fills caches
-        let warm2 = qb.feasibility(&g); // composite hit
-        assert_eq!(cold, warm1, "caching must not change the formula");
-        assert_eq!(cold, warm2);
-        let (_, compiled) = qb.take_clause_counters();
-        assert!(compiled >= 3, "first cached build compiles every clause");
-
-        // Growing the graph recompiles only the new edge's clause.
-        let d = g.add_scenario(Scenario::from_ints(&[8, 120]));
-        g.prefer(a, d).unwrap();
-        let grown_warm = qb.feasibility(&g);
-        let (reused, compiled) = qb.take_clause_counters();
-        assert_eq!(compiled, 1, "exactly the new edge is compiled");
-        assert!(reused >= 2, "old clauses are reused");
-        qb.set_caching(false);
-        assert_eq!(grown_warm, qb.feasibility(&g));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic   8 bytes  "CSOSNAP\0"
-//! version 1 byte   currently 5 (see [`VERSION`])
+//! version 1 byte   currently 6 (see [`VERSION`])
 //! session 8 bytes  session id, little-endian u64
 //! config  sketch source, metric space, SynthConfig
 //! state   rng, pool, graph, stats, loop context, engine state
@@ -24,11 +24,9 @@
 //! `numer/denom` rendering; floats as IEEE-754 bit patterns. The state is
 //! plain data in a fixed order, so `snapshot(restore(s)) == s`.
 //!
-//! Snapshots carry state, not caches. A custom viability constraint
-//! installed with `set_viability` is not captured (nothing in the repo
-//! snapshots mid-run with one installed); the query builder's clause
-//! cache is dropped, which can only affect the `clauses_reused`
-//! telemetry, never outcomes.
+//! Snapshots carry state only; the engine keeps no caches. A custom
+//! viability constraint installed with `set_viability` is not captured
+//! (nothing in the repo snapshots mid-run with one installed).
 
 use crate::config::{LintPolicy, SynthConfig};
 use crate::engine::{EngineState, LoopCtx, SynthError, SynthOutcome, SynthResult, Synthesizer};
@@ -50,8 +48,10 @@ pub const MAGIC: [u8; 8] = *b"CSOSNAP\0";
 /// frontiers, the semantic and graph epochs, and the analyzer's
 /// box-tightening toggle; version 4 dropped the `tape` toggle again;
 /// version 5 dropped the solver memo (and with it the term and formula
-/// encoding) and the telemetry's always-zero `cache_hits`.
-pub const VERSION: u8 = 5;
+/// encoding) and the telemetry's always-zero `cache_hits`; version 6
+/// dropped the config's clause-cache toggle, the graph's change counter
+/// and the telemetry's reused-clause count.
+pub const VERSION: u8 = 6;
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug, Clone)]
@@ -171,7 +171,6 @@ impl Writer {
         self.duration(t.seeding_time);
         self.duration(t.bnp_time);
         self.usize(t.max_workers);
-        self.usize(t.clauses_reused);
     }
 
     fn stats(&mut self, s: &SynthStats) {
@@ -300,7 +299,6 @@ impl<'a> Reader<'a> {
             bnp_time: self.duration()?,
             max_workers: self.usize()?,
             cache_hits: 0,
-            clauses_reused: self.usize()?,
         })
     }
 
@@ -404,7 +402,6 @@ fn write_config(w: &mut Writer, cfg: &SynthConfig) {
     w.bool(cfg.repair_noise);
     w.usize(cfg.disamb_attempts);
     w.f64(cfg.proof_delta_factor);
-    w.bool(cfg.incremental);
     w.u8(match cfg.lint {
         LintPolicy::Deny => 0,
         LintPolicy::Warn => 1,
@@ -429,7 +426,6 @@ fn write_graph(w: &mut Writer, graph: &PrefGraph<Scenario>) {
     for &p in &parts.dsu_parents {
         w.u64(p as u64);
     }
-    w.u64(parts.revision);
 }
 
 fn write_ctx(w: &mut Writer, ctx: &LoopCtx) {
@@ -627,7 +623,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
     let repair_noise = r.bool()?;
     let disamb_attempts = r.usize()?;
     let proof_delta_factor = r.f64()?;
-    let incremental = r.bool()?;
     let lint = match r.u8()? {
         0 => LintPolicy::Deny,
         1 => LintPolicy::Warn,
@@ -648,7 +643,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         repair_noise,
         disamb_attempts,
         proof_delta_factor,
-        incremental,
         lint,
     })
 }
@@ -676,8 +670,7 @@ fn read_graph(r: &mut Reader<'_>) -> Result<PrefGraph<Scenario>> {
     for _ in 0..np {
         dsu_parents.push(r.usize()?);
     }
-    let revision = r.u64()?;
-    PrefGraph::from_parts(GraphParts { scenarios, edges, dsu_parents, revision }).map_err(corrupt)
+    PrefGraph::from_parts(GraphParts { scenarios, edges, dsu_parents }).map_err(corrupt)
 }
 
 fn read_ctx(r: &mut Reader<'_>, synth: &Synthesizer) -> Result<LoopCtx> {
@@ -732,7 +725,7 @@ fn read_state(r: &mut Reader<'_>, synth: &Synthesizer) -> Result<EngineState> {
                 pairs.push((a, b));
             }
             let next = r.usize()?;
-            if next >= pairs.len().max(1) {
+            if next >= pairs.len() {
                 return Err(corrupt(format!("pair cursor {next} out of range")));
             }
             let synthesis_time = r.duration()?;
@@ -799,29 +792,77 @@ mod tests {
         let mut bytes = save(&synth, 1).expect("snapshot");
         bytes[MAGIC.len()] = 99;
         assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(99))));
-        // Earlier formats are refused: v3 (with the solver's `tape` byte)
-        // and v4 (with the solver memo).
-        for old in [3, 4] {
+        // Earlier formats are refused: v3 (with the solver's `tape` byte),
+        // v4 (with the solver memo) and v5 (with the clause-cache toggle).
+        for old in [3, 4, 5] {
             bytes[MAGIC.len()] = old;
             assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(v)) if v == old));
         }
     }
 
+    /// A session parked in `AwaitPair` after the initial ranking.
+    fn parked_synth() -> Synthesizer {
+        use crate::engine::StepResult;
+        use crate::oracle::{GroundTruthOracle, Oracle};
+        let mut synth = tiny_synth();
+        let mut oracle = GroundTruthOracle::new(cso_sketch::swan::swan_target());
+        let StepResult::NeedsRanking { scenarios, .. } = synth.step() else {
+            panic!("a fresh engine asks for the initial ranking");
+        };
+        synth.answer(&oracle.rank(&scenarios)).expect("initial ranking records");
+        assert!(matches!(synth.step(), StepResult::NeedsRanking { iteration: 1, .. }));
+        assert!(matches!(synth.state, EngineState::AwaitPair { .. }));
+        synth
+    }
+
     #[test]
     fn every_truncation_is_a_clean_error() {
-        let synth = tiny_synth();
-        let bytes = save(&synth, 3).expect("snapshot");
-        // Any prefix must fail cleanly — never panic, never succeed.
-        for cut in 0..bytes.len() {
-            let err = load(&bytes[..cut]).expect_err("prefix must not restore");
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::Truncated | SnapshotError::BadMagic | SnapshotError::Corrupt(_)
-                ),
-                "cut at {cut}: unexpected error {err}"
-            );
+        for synth in [tiny_synth(), parked_synth()] {
+            let bytes = save(&synth, 3).expect("snapshot");
+            // Any prefix must fail cleanly — never panic, never succeed.
+            for cut in 0..bytes.len() {
+                let err = load(&bytes[..cut]).expect_err("prefix must not restore");
+                assert!(
+                    matches!(
+                        err,
+                        SnapshotError::Truncated
+                            | SnapshotError::BadMagic
+                            | SnapshotError::Corrupt(_)
+                    ),
+                    "cut at {cut}: unexpected error {err}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn every_byte_mutation_of_a_parked_snapshot_restores_or_errs() {
+        let bytes = save(&parked_synth(), 3).expect("snapshot");
+        for i in 0..bytes.len() {
+            for flip in [0x01u8, 0x80] {
+                let mut bad = bytes.clone();
+                bad[i] ^= flip;
+                // A restore may succeed (the byte was a value, not
+                // structure); stepping it must then not panic.
+                if let Ok((mut synth, _)) = load(&bad) {
+                    let _ = synth.step();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_pair_list_is_corrupt() {
+        let mut synth = tiny_synth();
+        synth.state = EngineState::AwaitPair {
+            pairs: Vec::new(),
+            next: 0,
+            synthesis_time: Duration::ZERO,
+            sat_from_seeding: false,
+            asked: 0,
+        };
+        let bytes = save(&synth, 3).expect("snapshot");
+        assert!(matches!(load(&bytes), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]

@@ -50,11 +50,8 @@ pub(crate) enum Work {
         /// How the query ended.
         outcome: Option<Verdict>,
     },
-    /// Preference-edge clauses served from the query-layer cache or
-    /// compiled afresh since the last batch.
+    /// Preference-edge and tie clauses compiled since the last batch.
     Clauses {
-        /// Clauses served from the cache.
-        reused: usize,
         /// Clauses compiled.
         compiled: usize,
     },
@@ -88,9 +85,7 @@ impl Work {
                 ("seeding_ns", ns(s.seeding_time)),
                 ("bnp_ns", ns(s.bnp_time)),
             ],
-            Work::Clauses { reused, compiled } => {
-                vec![("reused", u(reused)), ("compiled", u(compiled))]
-            }
+            Work::Clauses { compiled } => vec![("compiled", u(compiled))],
         }
     }
 
@@ -118,7 +113,7 @@ impl Work {
                 },
                 outcome: None,
             },
-            "query.clauses" => Work::Clauses { reused: n("reused"), compiled: n("compiled") },
+            "query.clauses" => Work::Clauses { compiled: n("compiled") },
             _ => return None,
         })
     }
@@ -158,9 +153,6 @@ pub struct SolverTelemetry {
     /// (`ledger/src/workload.rs`) still reads it; it goes when the ledger
     /// stops.
     pub cache_hits: usize,
-    /// Preference-edge clauses served from the query-layer cache instead
-    /// of being recompiled.
-    pub clauses_reused: usize,
 }
 
 impl SolverTelemetry {
@@ -178,7 +170,7 @@ impl SolverTelemetry {
                 self.bnp_time += s.bnp_time;
                 self.max_workers = self.max_workers.max(s.workers);
             }
-            Work::Clauses { reused, .. } => self.clauses_reused += reused,
+            Work::Clauses { .. } => {}
         }
     }
 
@@ -376,8 +368,7 @@ mod tests {
                     [(v[9] % 4) as usize],
             ),
         });
-        let clauses = prop::zip2(prop::usize_in(0, 1 << 20), prop::usize_in(0, 1 << 20))
-            .map(|(reused, compiled)| Work::Clauses { reused, compiled });
+        let clauses = prop::usize_in(0, 1 << 20).map(|compiled| Work::Clauses { compiled });
         prop::one_of(vec![query, clauses])
     }
 
@@ -433,13 +424,6 @@ mod tests {
                 bnp_time: queries.iter().map(|s| s.bnp_time).sum(),
                 max_workers: queries.iter().map(|s| s.workers).max().unwrap_or(0),
                 cache_hits: 0,
-                clauses_reused: works
-                    .iter()
-                    .map(|w| match w {
-                        Work::Clauses { reused, .. } => *reused,
-                        _ => 0,
-                    })
-                    .sum(),
             };
             let totals = synth.stats.solver_totals;
             prop_assert!(totals == expect, "engine fold {totals:?} != {expect:?}");

@@ -35,7 +35,7 @@ fn quick_run(seed: u64, streak: usize, max_iterations: Option<usize>) -> SynthRe
 }
 
 /// Every deterministic work counter (the phase times are wall clock).
-fn work(t: &SolverTelemetry) -> [usize; 8] {
+fn work(t: &SolverTelemetry) -> [usize; 7] {
     [
         t.queries,
         t.boxes_explored,
@@ -44,12 +44,11 @@ fn work(t: &SolverTelemetry) -> [usize; 8] {
         t.samples_tried,
         t.eval_errors,
         t.max_workers,
-        t.clauses_reused,
     ]
 }
 
 /// The deterministic part of each iteration record.
-fn records(rs: &[IterationRecord]) -> Vec<(usize, usize, bool, [usize; 8])> {
+fn records(rs: &[IterationRecord]) -> Vec<(usize, usize, bool, [usize; 7])> {
     rs.iter().map(|r| (r.index, r.scenarios_asked, r.sat_from_seeding, work(&r.solver))).collect()
 }
 

@@ -131,7 +131,6 @@ fn metrics_on_run_is_byte_identical() {
             ("cso_solver_residual_boxes_total", t.residual_boxes),
             ("cso_solver_samples_total", t.samples_tried),
             ("cso_solver_eval_errors_total", t.eval_errors),
-            ("cso_engine_clauses_reused_total", t.clauses_reused),
         ] {
             assert_eq!(
                 counter(name),

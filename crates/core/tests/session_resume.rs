@@ -9,8 +9,7 @@
 //! seed-dependent park and resuming from the snapshot — and asserts the
 //! two trajectories match exactly: same outcome, same learnt hole values,
 //! same iteration count, and the exact same sequence of ranking requests,
-//! across seeds × solver thread counts {1, 4} (the `CSO_SYNTH_CACHE=off`
-//! CI pass additionally crosses in the cold-cache arm).
+//! across seeds × solver thread counts {1, 4}.
 //!
 //! Also covered here: the snapshot encoding is itself deterministic
 //! (`snapshot(restore(s)) == s`), snapshots stay small (they carry no

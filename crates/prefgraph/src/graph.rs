@@ -101,12 +101,11 @@ pub struct PrefGraph<S> {
     scenarios: Vec<S>,
     edges: Vec<PrefEdge>,
     dsu: Dsu,
-    revision: u64,
 }
 
 impl<S> Default for PrefGraph<S> {
     fn default() -> PrefGraph<S> {
-        PrefGraph { scenarios: Vec::new(), edges: Vec::new(), dsu: Dsu::default(), revision: 0 }
+        PrefGraph { scenarios: Vec::new(), edges: Vec::new(), dsu: Dsu::default() }
     }
 }
 
@@ -143,15 +142,6 @@ impl<S> PrefGraph<S> {
     #[must_use]
     pub fn edge_count(&self) -> usize {
         self.edges.iter().filter(|e| !e.removed).count()
-    }
-
-    /// Monotone change counter: bumped by every mutation of the constraint
-    /// set the graph denotes ([`Self::prefer`], [`Self::prefer_unchecked`],
-    /// [`Self::mark_indifferent`], [`Self::remove_edge`]). Two equal
-    /// revisions of one graph mean the constraint set is unchanged.
-    #[must_use]
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// All scenario ids.
@@ -212,7 +202,6 @@ impl<S> PrefGraph<S> {
             return Err(CycleError { pair: (a, b) });
         }
         self.edges.push(PrefEdge { preferred: a, other: b, confidence: 1.0, removed: false });
-        self.revision += 1;
         Ok(EdgeId(self.edges.len() - 1))
     }
 
@@ -220,7 +209,6 @@ impl<S> PrefGraph<S> {
     /// mode). `confidence` weights the edge for later [`crate::noise::repair`].
     pub fn prefer_unchecked(&mut self, a: ScenarioId, b: ScenarioId, confidence: f64) -> EdgeId {
         self.edges.push(PrefEdge { preferred: a, other: b, confidence, removed: false });
-        self.revision += 1;
         EdgeId(self.edges.len() - 1)
     }
 
@@ -235,14 +223,12 @@ impl<S> PrefGraph<S> {
             return Err(CycleError { pair: (a, b) });
         }
         self.dsu.union(a.0, b.0);
-        self.revision += 1;
         Ok(())
     }
 
     /// Remove an edge (used by the repair pass).
     pub fn remove_edge(&mut self, id: EdgeId) {
         self.edges[id.0].removed = true;
-        self.revision += 1;
     }
 
     /// `true` iff a strict path from `a`'s class to `b`'s class exists
@@ -283,17 +269,11 @@ impl<S> PrefGraph<S> {
 
     /// Decompose the graph into plain data for serialization. The parts
     /// capture the exact internal state — including union-find parent
-    /// links and the revision counter — so
-    /// [`PrefGraph::from_parts`] rebuilds a structurally identical graph
-    /// (same ids, same class representatives, same counters).
+    /// links — so [`PrefGraph::from_parts`] rebuilds a structurally
+    /// identical graph (same ids, same class representatives).
     #[must_use]
     pub fn to_parts(self) -> GraphParts<S> {
-        GraphParts {
-            scenarios: self.scenarios,
-            edges: self.edges,
-            dsu_parents: self.dsu.parent,
-            revision: self.revision,
-        }
+        GraphParts { scenarios: self.scenarios, edges: self.edges, dsu_parents: self.dsu.parent }
     }
 
     /// Rebuild a graph from [`PrefGraph::to_parts`] output.
@@ -323,7 +303,6 @@ impl<S> PrefGraph<S> {
             scenarios: parts.scenarios,
             edges: parts.edges,
             dsu: Dsu { parent: parts.dsu_parents },
-            revision: parts.revision,
         })
     }
 }
@@ -339,8 +318,6 @@ pub struct GraphParts<S> {
     pub edges: Vec<PrefEdge>,
     /// Union-find parent links for the indifference classes.
     pub dsu_parents: Vec<usize>,
-    /// Change counter (see [`PrefGraph::revision`]).
-    pub revision: u64,
 }
 
 #[cfg(test)]
@@ -416,29 +393,15 @@ mod tests {
     }
 
     #[test]
-    fn revision_tracks_mutations() {
-        let (mut g, a, b, c) = three();
-        assert_eq!(g.revision(), 0);
-        g.prefer(a, b).unwrap();
-        assert_eq!(g.revision(), 1);
-        let e = g.prefer_unchecked(b, c, 0.5);
-        assert_eq!(g.revision(), 2);
-        g.mark_indifferent(a, c).unwrap_err(); // rejected: must not bump
-        assert_eq!(g.revision(), 2);
-        g.remove_edge(e);
-        assert_eq!(g.revision(), 3, "removal changes the constraint set");
-    }
-
-    #[test]
     fn parts_roundtrip_preserves_structure() {
         let (mut g, a, b, c) = three();
         g.prefer(a, b).unwrap();
         let e = g.prefer_unchecked(b, c, 0.5);
         g.mark_indifferent(a, c).unwrap_err();
         g.remove_edge(e);
-        let before = (g.revision(), g.edge_count(), g.class_of(a));
+        let before = (g.edge_count(), g.class_of(a));
         let back = PrefGraph::from_parts(g.to_parts()).unwrap();
-        assert_eq!((back.revision(), back.edge_count(), back.class_of(a)), before);
+        assert_eq!((back.edge_count(), back.class_of(a)), before);
         assert!(back.reaches(a, b));
     }
 
@@ -448,7 +411,6 @@ mod tests {
             scenarios: vec!["a", "b"],
             edges: Vec::new(),
             dsu_parents: vec![0], // wrong length
-            revision: 0,
         };
         assert!(PrefGraph::from_parts(parts).is_err());
         let parts = GraphParts {
@@ -460,14 +422,12 @@ mod tests {
                 removed: false,
             }],
             dsu_parents: vec![0, 1],
-            revision: 0,
         };
         assert!(PrefGraph::from_parts(parts).is_err());
         let parts = GraphParts {
             scenarios: vec!["a"],
             edges: Vec::new(),
             dsu_parents: vec![3], // parent out of range
-            revision: 0,
         };
         assert!(PrefGraph::from_parts(parts).is_err());
     }
