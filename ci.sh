@@ -33,9 +33,11 @@ CSO_SOLVER_THREADS=4 cargo test -q --workspace --offline
 # helpers must equal the scalar operations bit for bit, interval products
 # (subnormal operands included) must equal the hardware product, `Rat`
 # arithmetic on one-limb parts must equal `BigInt` arithmetic, the tape's lane
-# interpreter must agree with the tree walker at every batch size, and
-# every lane slot must contain its exact rational value. Release build, so
-# the vectorized loops are the code under test.
+# interpreter must agree with the tree walker at every batch size, on all
+# conjuncts and on random subsets of them (planned passes over unions of
+# conjunct masks), point refutation must never reject a model, and every
+# lane slot must contain its exact rational value. Release build, so the
+# vectorized loops are the code under test.
 echo "==> lane and kernel properties (CSO_PROP_CASES=20000, release)"
 CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-numeric --test properties -- \
     round_down_up_match_next_down_up interval_lanes_match_scalar_bit_for_bit \

@@ -7,9 +7,9 @@
 //! must hold for every case:
 //!
 //! 1. **Enclosure soundness** — if concrete evaluation succeeds, the
-//!    value lies inside the analyzer's reported output range. The
-//!    interval library rounds outward and all generated constants are
-//!    exactly representable, so containment is exact, not approximate.
+//!    exact rational value lies inside the analyzer's reported output
+//!    range, compared as `Rat` against the range's endpoints (no rounding
+//!    of the value to `f64` first).
 //! 2. **Division coverage** — if concrete evaluation faults with
 //!    `DivByZero` at an in-bounds input, the report must have flagged
 //!    that possibility statically (`E001` certain or `W101` possible).
@@ -156,11 +156,15 @@ fn soundness_case(case: &(E, Triple, Triple)) -> CaseResult {
     let args = [Rat::from_int(px.1), Rat::from_int(py.1)];
     match sketch.eval(&hole_vals, &args) {
         Ok(v) => {
-            let vf = v.to_f64();
-            if analysis.output_range.contains_f64(vf) {
+            // Exact containment, compared as `Rat`: an infinite endpoint
+            // leaves its side unbounded, a finite one converts exactly.
+            let (lo, hi) = (analysis.output_range.lo(), analysis.output_range.hi());
+            let lo_ok = lo == f64::NEG_INFINITY || Rat::from_f64(lo).is_some_and(|l| l <= v);
+            let hi_ok = hi == f64::INFINITY || Rat::from_f64(hi).is_some_and(|h| v <= h);
+            if lo_ok && hi_ok {
                 Ok(())
             } else {
-                fail(format!("value {vf} outside inferred range {}\n{src}", analysis.output_range))
+                fail(format!("value {v} outside inferred range {}\n{src}", analysis.output_range))
             }
         }
         Err(SketchError::DivByZero { .. }) => {

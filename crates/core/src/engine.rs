@@ -617,12 +617,15 @@ impl Synthesizer {
         // coordinate from each candidate is often feasible even when no
         // single candidate is. The last two steps only run where the
         // first three all budget out, which a consistent architect can
-        // still meet on a thin feasible set.
-        let combo_seeds = self.coordinate_combinations(seeds);
+        // still meet on a thin feasible set. The combinations are built
+        // lazily, on the first retry: almost every search ends at the
+        // normal budget, so most calls never need them.
+        let mut combo_seeds: Option<Vec<Model>> = None;
         for (i, budget) in [1.0, 4.0, 16.0, 64.0, 256.0].into_iter().enumerate() {
             let mut all_seeds: Vec<Model> = seeds.to_vec();
             if i > 0 {
-                all_seeds.extend(combo_seeds.iter().cloned());
+                let combos = combo_seeds.get_or_insert_with(|| self.coordinate_combinations(seeds));
+                all_seeds.extend(combos.iter().cloned());
             }
             let (out, _) = self.solve(SITE_CANDIDATE, feas, &all_seeds, 1.0, budget);
             match out {

@@ -142,6 +142,50 @@ mod tests {
         assert!(matches!(session.step(), StepResult::Done(_)));
     }
 
+    /// Random answers, mostly malformed: out-of-range indices, duplicates,
+    /// empty groups and wrong lengths, mixed with truthful answers that
+    /// move the run on to later queries. `answer` returns `Ok` only for a
+    /// ranking that partitions the query's scenarios, and neither it nor
+    /// the next `step` panics.
+    #[test]
+    fn random_rankings_never_panic() {
+        use cso_runtime::prop::{self, bool_any, usize_in, vec_of, zip2, Config};
+        use cso_runtime::prop_assert;
+        let groups = vec_of(vec_of(usize_in(0, 7), 0, 3), 0, 5);
+        let answers = vec_of(zip2(bool_any(), groups), 1, 4);
+        prop::check_with(
+            &Config { cases: 48, ..Config::default() },
+            "random_rankings_never_panic",
+            &answers,
+            |answers| {
+                let (mut session, mut oracle) = swan_session(7, 5);
+                for (truthful, groups) in answers {
+                    let StepResult::NeedsRanking { scenarios, .. } = session.step() else {
+                        break;
+                    };
+                    let ranking = if *truthful {
+                        oracle.rank(&scenarios)
+                    } else {
+                        Ranking { groups: groups.clone() }
+                    };
+                    if session.answer(&ranking).is_ok() {
+                        let mut seen: Vec<usize> = ranking.groups.concat();
+                        seen.sort_unstable();
+                        prop_assert!(
+                            ranking.groups.iter().all(|g| !g.is_empty())
+                                && seen == (0..scenarios.len()).collect::<Vec<_>>(),
+                            "accepted {:?} for {} scenarios",
+                            ranking.groups,
+                            scenarios.len()
+                        );
+                    }
+                }
+                let _ = session.step();
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn step_while_parked_replays_the_query() {
         let (mut session, _oracle) = swan_session(1, 3);

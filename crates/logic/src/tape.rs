@@ -13,7 +13,10 @@
 //!   one slot, so shared subterms are evaluated once per box instead of
 //!   once per occurrence (this also kills the double evaluation of `Ite`
 //!   branches under an undecided guard: each branch is one slot, evaluated
-//!   once, however many hulls read it).
+//!   once, however many hulls read it). Slots are numbered in walk order,
+//!   so the tape depends only on the formula's structure: neither the
+//!   interning maps' hasher nor pointer identity (which only short-cuts
+//!   re-walking a shared subtree) can change it.
 //! * **Constant folding.** A slot whose subtree mentions no variables has
 //!   a box-independent interval, verdict, and exact rational value; all
 //!   three are precomputed at compile time and replayed. Folding is done
@@ -37,6 +40,14 @@
 //!   selects, not branches. Full chunks run loops of constant trip count,
 //!   which the compiler unrolls and vectorizes at the baseline target. A
 //!   larger batch goes through in chunks of [`LANES`].
+//! * **Planned passes.** Each slot is one 16-byte instruction with its
+//!   operands inline (list children sit in a side array), and cached slots
+//!   carry their values in the tape's caches. A pass first plans: it walks
+//!   the slots the requested conjuncts need (the union of their
+//!   needed-slot masks), splats every cached one into all lanes once, and
+//!   lists the uncached ones. Each chunk of [`LANES`] boxes then runs only
+//!   that list. Domain seeding, batch verdicts and point refutation all go
+//!   through this one path.
 //!
 //! Lanes never mix, and each lane computes exactly the scalar `f64`
 //! operations of [`Interval`]'s operators — the lane kernels and the
@@ -69,15 +80,18 @@ use cso_numeric::{Interval, IntervalLanes, Rat};
 use cso_runtime::trace::{self, Value};
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// One tape instruction. Numeric ops produce an interval (or exact
-/// rational); `True`..`Not` produce a three-valued verdict (or exact
-/// bool). Operands are slot indices of earlier instructions.
-#[derive(Debug, Clone)]
+/// One tape instruction: 16 bytes, with no `Rat` inside. Numeric ops
+/// produce an interval (or exact rational); `True`..`Not` produce a
+/// three-valued verdict (or exact bool). Operands are slot indices of
+/// earlier instructions; `All`/`Any` read the run `start..start + len` of
+/// the tape's child array. A `Const` slot's value lives in the slot caches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
-    Const(Rat),
+    Const,
     Var(u32),
     Neg(u32),
     Add(u32, u32),
@@ -91,43 +105,95 @@ enum Op {
     True,
     False,
     Cmp(CmpOp, u32, u32),
-    All(Box<[u32]>),
-    Any(Box<[u32]>),
+    /// Children `start`, `len` in the child array.
+    All(u32, u32),
+    Any(u32, u32),
     Not(u32),
 }
+
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 impl Op {
     /// `true` for ops that produce a verdict rather than a number.
-    fn is_formula(&self) -> bool {
-        matches!(self, Op::True | Op::False | Op::Cmp(..) | Op::All(_) | Op::Any(_) | Op::Not(_))
+    fn is_formula(self) -> bool {
+        matches!(self, Op::True | Op::False | Op::Cmp(..) | Op::All(..) | Op::Any(..) | Op::Not(_))
     }
 }
 
+/// The children of an `All`/`Any` op.
+fn kids_of(kids: &[u32], start: u32, len: u32) -> &[u32] {
+    &kids[start as usize..(start + len) as usize]
+}
+
 /// Structural hash-consing key: operands are already-interned slot ids, so
-/// two structurally identical subtrees always produce the same key.
+/// two structurally identical subtrees always produce the same key. A
+/// constant is keyed by its value and a list op by its children; every
+/// other op is its own key.
 #[derive(PartialEq, Eq, Hash)]
 enum Key {
     Const(Rat),
-    Var(u32),
-    Neg(u32),
-    Add(u32, u32),
-    Sub(u32, u32),
-    Mul(u32, u32),
-    Div(u32, u32),
-    Min(u32, u32),
-    Max(u32, u32),
-    Ite(u32, u32, u32),
-    True,
-    False,
-    Cmp(CmpOp, u32, u32),
     All(Vec<u32>),
     Any(Vec<u32>),
-    Not(u32),
+    Op(Op),
 }
+
+/// The interning maps' hasher: one multiply-rotate step per word. The keys
+/// are slot ids, opcodes, addresses and `Rat` limbs, a handful of words
+/// each, on which `std`'s SipHash costs several times more. The keys come
+/// from the program's own formulas, so resistance to crafted collisions is
+/// not needed; which slot a key gets never depends on the hash.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("chunk of eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.word(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.word(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.word(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.word(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits, and the map
+        // picks buckets from the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type SlotMap<K> = HashMap<K, u32, BuildHasherDefault<WordHasher>>;
 
 /// Per-query compile counters (also emitted on the `solver.tape` trace
 /// counter by [`CompiledQuery::prepare`]).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TapeStats {
     /// AST nodes visited during compilation.
     pub nodes: usize,
@@ -227,13 +293,15 @@ fn ite_lanes(
 
 /// Reusable scratch for the interval interpreter: slot-major lane arrays
 /// (one [`IntervalLanes`] and one verdict-byte row per slot), the merged
-/// needed-slot bitmask, and the point enclosure `refutes_point` fills.
-/// Buffers grow on demand, so one scratch serves tapes of any size.
+/// needed-slot bitmask, the current pass's plan (the uncached slots it
+/// runs), and the point enclosure `refutes_point` fills. Buffers grow on
+/// demand, so one scratch serves tapes of any size.
 #[derive(Debug, Default)]
 pub struct TapeScratch {
     iv: Vec<IntervalLanes<LANES>>,
     tri: Vec<[u8; LANES]>,
     mask: Vec<u64>,
+    run: Vec<u32>,
     point: Vec<Interval>,
 }
 
@@ -288,6 +356,8 @@ impl ExactScratch {
 #[derive(Debug)]
 pub struct Tape {
     ops: Vec<Op>,
+    /// Children of the `All`/`Any` ops.
+    kids: Vec<u32>,
     /// Box-independent interval of var-free numeric slots.
     cached_iv: Vec<Option<Interval>>,
     /// Box-independent verdict: var-free formula slots always; var-bearing
@@ -311,42 +381,32 @@ pub struct Tape {
     stats: TapeStats,
 }
 
+#[derive(Default)]
 struct Builder {
     ops: Vec<Op>,
+    kids: Vec<u32>,
     cached_iv: Vec<Option<Interval>>,
     cached_tri: Vec<Option<Tri>>,
     cached_rat: Vec<Option<Result<Rat, EvalError>>>,
     cached_bool: Vec<Option<Result<bool, EvalError>>>,
     has_vars: Vec<bool>,
     max_var: Option<u32>,
-    memo: HashMap<Key, u32>,
-    term_ptrs: HashMap<usize, u32>,
-    form_ptrs: HashMap<usize, u32>,
+    memo: SlotMap<Key>,
+    term_ptrs: SlotMap<usize>,
+    form_ptrs: SlotMap<usize>,
     nodes: usize,
     shared: usize,
 }
 
 impl Builder {
-    fn new() -> Builder {
-        Builder {
-            ops: Vec::new(),
-            cached_iv: Vec::new(),
-            cached_tri: Vec::new(),
-            cached_rat: Vec::new(),
-            cached_bool: Vec::new(),
-            has_vars: Vec::new(),
-            max_var: None,
-            memo: HashMap::new(),
-            term_ptrs: HashMap::new(),
-            form_ptrs: HashMap::new(),
-            nodes: 0,
-            shared: 0,
-        }
-    }
-
     /// Intern an `Arc`'d term, with a pointer-identity fast path for
-    /// subtrees shared through the same allocation.
+    /// subtrees shared through the same allocation. An allocation with a
+    /// single owner is reached once by the walk (the compiled formulas are
+    /// borrowed throughout), so only shared ones are remembered.
     fn term_slot(&mut self, t: &Arc<Term>) -> u32 {
+        if Arc::strong_count(t) == 1 {
+            return self.intern_term(t);
+        }
         let p = Arc::as_ptr(t) as usize;
         if let Some(&s) = self.term_ptrs.get(&p) {
             self.nodes += 1;
@@ -358,8 +418,11 @@ impl Builder {
         s
     }
 
-    /// Intern an `Arc`'d formula, with a pointer-identity fast path.
+    /// Intern an `Arc`'d formula, with the same pointer-identity fast path.
     fn form_slot(&mut self, f: &Arc<Formula>) -> u32 {
+        if Arc::strong_count(f) == 1 {
+            return self.intern_form(f);
+        }
         let p = Arc::as_ptr(f) as usize;
         if let Some(&s) = self.form_ptrs.get(&p) {
             self.nodes += 1;
@@ -374,44 +437,52 @@ impl Builder {
     fn intern_term(&mut self, t: &Term) -> u32 {
         self.nodes += 1;
         match t {
-            Term::Const(r) => self.add_slot(Key::Const(r.clone()), || Op::Const(r.clone())),
+            Term::Const(r) => {
+                let fresh = self.ops.len() as u32;
+                let i = self.add(Key::Const(r.clone()), Op::Const);
+                if i == fresh {
+                    self.cached_iv[i as usize] = Some(rat_enclosure(r));
+                    self.cached_rat[i as usize] = Some(Ok(r.clone()));
+                }
+                i
+            }
             Term::Var(v) => {
                 let i = v.index() as u32;
                 self.max_var = Some(self.max_var.map_or(i, |m| m.max(i)));
-                self.add_slot(Key::Var(i), || Op::Var(i))
+                self.add_op(Op::Var(i))
             }
             Term::Neg(a) => {
                 let a = self.term_slot(a);
-                self.add_slot(Key::Neg(a), || Op::Neg(a))
+                self.add_op(Op::Neg(a))
             }
             Term::Add(a, b) => {
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Add(a, b), || Op::Add(a, b))
+                self.add_op(Op::Add(a, b))
             }
             Term::Sub(a, b) => {
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Sub(a, b), || Op::Sub(a, b))
+                self.add_op(Op::Sub(a, b))
             }
             Term::Mul(a, b) => {
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Mul(a, b), || Op::Mul(a, b))
+                self.add_op(Op::Mul(a, b))
             }
             Term::Div(a, b) => {
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Div(a, b), || Op::Div(a, b))
+                self.add_op(Op::Div(a, b))
             }
             Term::Min(a, b) => {
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Min(a, b), || Op::Min(a, b))
+                self.add_op(Op::Min(a, b))
             }
             Term::Max(a, b) => {
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Max(a, b), || Op::Max(a, b))
+                self.add_op(Op::Max(a, b))
             }
             Term::Ite(c, a, b) => {
                 let c = self.form_slot(c);
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Ite(c, a, b), || Op::Ite(c, a, b))
+                self.add_op(Op::Ite(c, a, b))
             }
         }
     }
@@ -419,178 +490,201 @@ impl Builder {
     fn intern_form(&mut self, f: &Formula) -> u32 {
         self.nodes += 1;
         match f {
-            Formula::True => self.add_slot(Key::True, || Op::True),
-            Formula::False => self.add_slot(Key::False, || Op::False),
+            Formula::True => self.add_op(Op::True),
+            Formula::False => self.add_op(Op::False),
             Formula::Cmp(op, a, b) => {
                 let (a, b) = (self.term_slot(a), self.term_slot(b));
-                self.add_slot(Key::Cmp(*op, a, b), || Op::Cmp(*op, a, b))
+                self.add_op(Op::Cmp(*op, a, b))
             }
-            Formula::And(fs) => {
-                let ch: Vec<u32> = fs.iter().map(|g| self.intern_form(g)).collect();
-                let op_ch = ch.clone().into_boxed_slice();
-                self.add_slot(Key::All(ch), || Op::All(op_ch))
-            }
-            Formula::Or(fs) => {
-                let ch: Vec<u32> = fs.iter().map(|g| self.intern_form(g)).collect();
-                let op_ch = ch.clone().into_boxed_slice();
-                self.add_slot(Key::Any(ch), || Op::Any(op_ch))
-            }
+            Formula::And(fs) => self.add_list(false, fs),
+            Formula::Or(fs) => self.add_list(true, fs),
             Formula::Not(g) => {
                 let g = self.form_slot(g);
-                self.add_slot(Key::Not(g), || Op::Not(g))
+                self.add_op(Op::Not(g))
             }
         }
     }
 
-    fn add_slot(&mut self, key: Key, op: impl FnOnce() -> Op) -> u32 {
-        if let Some(&s) = self.memo.get(&key) {
-            self.shared += 1;
-            return s;
+    /// Intern an `All` (or, with `any`, an `Any`) over `fs`. The children
+    /// go to the child array first and are dropped again on a memo hit.
+    fn add_list(&mut self, any: bool, fs: &[Formula]) -> u32 {
+        let ch: Vec<u32> = fs.iter().map(|g| self.intern_form(g)).collect();
+        let start = self.kids.len() as u32;
+        self.kids.extend_from_slice(&ch);
+        let len = ch.len() as u32;
+        let (key, op) = if any {
+            (Key::Any(ch), Op::Any(start, len))
+        } else {
+            (Key::All(ch), Op::All(start, len))
+        };
+        let fresh = self.ops.len() as u32;
+        let i = self.add(key, op);
+        if i != fresh {
+            self.kids.truncate(start as usize);
         }
-        let i = self.ops.len() as u32;
-        self.ops.push(op());
-        self.memo.insert(key, i);
-        self.seal_slot(i as usize);
         i
+    }
+
+    fn add_op(&mut self, op: Op) -> u32 {
+        self.add(Key::Op(op), op)
+    }
+
+    /// The slot of `key`: on a memo hit the existing one, otherwise a new
+    /// slot holding `op`, sealed.
+    fn add(&mut self, key: Key, op: Op) -> u32 {
+        let i = self.ops.len() as u32;
+        match self.memo.entry(key) {
+            Entry::Occupied(e) => {
+                self.shared += 1;
+                *e.get()
+            }
+            Entry::Vacant(e) => {
+                e.insert(i);
+                self.ops.push(op);
+                self.seal_slot(i as usize);
+                i
+            }
+        }
     }
 
     /// Compute var-freeness and, for var-free slots, fold the interval,
     /// verdict, and exact value at compile time — with exactly the
     /// semantics the runtime interpreters (and the tree walkers they
-    /// mirror) would apply, so replay is bit-identical.
+    /// mirror) would apply, so replay is bit-identical. A constant's own
+    /// values are filled in by `intern_term`, which holds the `Rat`.
     fn seal_slot(&mut self, i: usize) {
-        let op = self.ops[i].clone();
-        let hv = match &op {
-            Op::Const(_) | Op::True | Op::False => false,
+        let op = self.ops[i];
+        let hv = match op {
+            Op::Const | Op::True | Op::False => false,
             Op::Var(_) => true,
-            Op::Neg(a) | Op::Not(a) => self.has_vars[*a as usize],
+            Op::Neg(a) | Op::Not(a) => self.has_vars[a as usize],
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::Div(a, b)
             | Op::Min(a, b)
             | Op::Max(a, b)
-            | Op::Cmp(_, a, b) => self.has_vars[*a as usize] || self.has_vars[*b as usize],
+            | Op::Cmp(_, a, b) => self.has_vars[a as usize] || self.has_vars[b as usize],
             Op::Ite(c, a, b) => {
-                self.has_vars[*c as usize]
-                    || self.has_vars[*a as usize]
-                    || self.has_vars[*b as usize]
+                self.has_vars[c as usize] || self.has_vars[a as usize] || self.has_vars[b as usize]
             }
-            Op::All(ch) | Op::Any(ch) => ch.iter().any(|&c| self.has_vars[c as usize]),
+            Op::All(s, l) | Op::Any(s, l) => {
+                kids_of(&self.kids, s, l).iter().any(|&c| self.has_vars[c as usize])
+            }
         };
         self.has_vars.push(hv);
         self.cached_iv.push(None);
         self.cached_tri.push(None);
         self.cached_rat.push(None);
         self.cached_bool.push(None);
-        if hv {
+        if hv || op == Op::Const {
             return;
         }
+        let kids = &self.kids;
         // Interval / verdict folding (total semantics, mirrors ieval).
-        let giv = |j: &u32| self.cached_iv[*j as usize].expect("var-free child has interval");
-        let gtri = |j: &u32| self.cached_tri[*j as usize].expect("var-free child has verdict");
-        match &op {
-            Op::Const(r) => self.cached_iv[i] = Some(rat_enclosure(r)),
-            Op::Var(_) => unreachable!("var slots have vars"),
-            Op::Neg(a) => self.cached_iv[i] = Some(-giv(a)),
-            Op::Add(a, b) => self.cached_iv[i] = Some(giv(a) + giv(b)),
-            Op::Sub(a, b) => self.cached_iv[i] = Some(giv(a) - giv(b)),
-            Op::Mul(a, b) => self.cached_iv[i] = Some(giv(a) * giv(b)),
-            Op::Div(a, b) => self.cached_iv[i] = Some(giv(a) / giv(b)),
-            Op::Min(a, b) => self.cached_iv[i] = Some(giv(a).min_i(&giv(b))),
-            Op::Max(a, b) => self.cached_iv[i] = Some(giv(a).max_i(&giv(b))),
+        let giv = |j: u32| self.cached_iv[j as usize].expect("var-free child has interval");
+        let gtri = |j: u32| self.cached_tri[j as usize].expect("var-free child has verdict");
+        let (iv, tri) = match op {
+            Op::Const | Op::Var(_) => unreachable!("handled above"),
+            Op::Neg(a) => (Some(-giv(a)), None),
+            Op::Add(a, b) => (Some(giv(a) + giv(b)), None),
+            Op::Sub(a, b) => (Some(giv(a) - giv(b)), None),
+            Op::Mul(a, b) => (Some(giv(a) * giv(b)), None),
+            Op::Div(a, b) => (Some(giv(a) / giv(b)), None),
+            Op::Min(a, b) => (Some(giv(a).min_i(&giv(b))), None),
+            Op::Max(a, b) => (Some(giv(a).max_i(&giv(b))), None),
             Op::Ite(c, a, b) => {
-                self.cached_iv[i] = Some(match gtri(c) {
+                let v = match gtri(c) {
                     Tri::True => giv(a),
                     Tri::False => giv(b),
                     Tri::Unknown => giv(a).hull(&giv(b)),
-                });
+                };
+                (Some(v), None)
             }
-            Op::True => self.cached_tri[i] = Some(Tri::True),
-            Op::False => self.cached_tri[i] = Some(Tri::False),
-            Op::Cmp(op, a, b) => self.cached_tri[i] = Some(icmp(*op, giv(a), giv(b))),
-            Op::All(ch) => {
-                let mut acc = Tri::True;
-                for c in ch.iter() {
-                    acc = acc.and(gtri(c));
-                }
-                self.cached_tri[i] = Some(acc);
+            Op::True => (None, Some(Tri::True)),
+            Op::False => (None, Some(Tri::False)),
+            Op::Cmp(op, a, b) => (None, Some(icmp(op, giv(a), giv(b)))),
+            Op::All(s, l) => {
+                (None, Some(kids_of(kids, s, l).iter().fold(Tri::True, |acc, &c| acc.and(gtri(c)))))
             }
-            Op::Any(ch) => {
-                let mut acc = Tri::False;
-                for c in ch.iter() {
-                    acc = acc.or(gtri(c));
-                }
-                self.cached_tri[i] = Some(acc);
+            Op::Any(s, l) => {
+                (None, Some(kids_of(kids, s, l).iter().fold(Tri::False, |acc, &c| acc.or(gtri(c)))))
             }
-            Op::Not(a) => self.cached_tri[i] = Some(gtri(a).not()),
-        }
+            Op::Not(a) => (None, Some(gtri(a).not())),
+        };
         // Exact folding (partial semantics, mirrors eval.rs order).
-        let grat = |j: &u32| self.cached_rat[*j as usize].clone().expect("var-free child value");
-        let gbool = |j: &u32| self.cached_bool[*j as usize].clone().expect("var-free child value");
-        let bin = |a: &u32, b: &u32, f: fn(Rat, Rat) -> Rat| -> Result<Rat, EvalError> {
+        let grat = |j: u32| self.cached_rat[j as usize].clone().expect("var-free child value");
+        let gbool = |j: u32| self.cached_bool[j as usize].clone().expect("var-free child value");
+        let bin = |a: u32, b: u32, f: fn(Rat, Rat) -> Rat| -> Result<Rat, EvalError> {
             Ok(f(grat(a)?, grat(b)?))
         };
-        match &op {
-            Op::Const(r) => self.cached_rat[i] = Some(Ok(r.clone())),
-            Op::Var(_) => unreachable!("var slots have vars"),
-            Op::Neg(a) => self.cached_rat[i] = Some(grat(a).map(|r| -r)),
-            Op::Add(a, b) => self.cached_rat[i] = Some(bin(a, b, |x, y| x + y)),
-            Op::Sub(a, b) => self.cached_rat[i] = Some(bin(a, b, |x, y| x - y)),
-            Op::Mul(a, b) => self.cached_rat[i] = Some(bin(a, b, |x, y| x * y)),
-            Op::Div(a, b) => {
-                // Denominator first, exactly like eval_term.
-                self.cached_rat[i] = Some((|| {
-                    let d = grat(b)?;
+        let (rat, boolv) = match op {
+            Op::Const | Op::Var(_) => unreachable!("handled above"),
+            Op::Neg(a) => (Some(grat(a).map(|r| -r)), None),
+            Op::Add(a, b) => (Some(bin(a, b, |x, y| x + y)), None),
+            Op::Sub(a, b) => (Some(bin(a, b, |x, y| x - y)), None),
+            Op::Mul(a, b) => (Some(bin(a, b, |x, y| x * y)), None),
+            // Denominator first, exactly like eval_term.
+            Op::Div(a, b) => (
+                Some(grat(b).and_then(|d| {
                     if d.is_zero() {
                         return Err(EvalError::DivByZero);
                     }
                     Ok(grat(a)? / d)
-                })());
-            }
-            Op::Min(a, b) => self.cached_rat[i] = Some(bin(a, b, |x, y| x.min(y))),
-            Op::Max(a, b) => self.cached_rat[i] = Some(bin(a, b, |x, y| x.max(y))),
+                })),
+                None,
+            ),
+            Op::Min(a, b) => (Some(bin(a, b, |x, y| x.min(y))), None),
+            Op::Max(a, b) => (Some(bin(a, b, |x, y| x.max(y))), None),
             Op::Ite(c, a, b) => {
-                self.cached_rat[i] = Some((|| {
-                    if gbool(c)? {
-                        grat(a)
-                    } else {
-                        grat(b)
-                    }
-                })());
+                (Some(gbool(c).and_then(|t| if t { grat(a) } else { grat(b) })), None)
             }
-            Op::True => self.cached_bool[i] = Some(Ok(true)),
-            Op::False => self.cached_bool[i] = Some(Ok(false)),
-            Op::Cmp(op, a, b) => {
-                self.cached_bool[i] = Some((|| {
-                    let x = grat(a)?;
-                    let y = grat(b)?;
-                    Ok(op.apply(&x, &y))
-                })());
-            }
-            Op::All(ch) => {
-                self.cached_bool[i] = Some((|| {
-                    for c in ch.iter() {
+            Op::True => (None, Some(Ok(true))),
+            Op::False => (None, Some(Ok(false))),
+            Op::Cmp(op, a, b) => (None, Some(grat(a).and_then(|x| Ok(op.apply(&x, &grat(b)?))))),
+            Op::All(s, l) => (
+                None,
+                Some((|| {
+                    for &c in kids_of(kids, s, l) {
                         if !gbool(c)? {
                             return Ok(false);
                         }
                     }
                     Ok(true)
-                })());
-            }
-            Op::Any(ch) => {
-                self.cached_bool[i] = Some((|| {
-                    for c in ch.iter() {
+                })()),
+            ),
+            Op::Any(s, l) => (
+                None,
+                Some((|| {
+                    for &c in kids_of(kids, s, l) {
                         if gbool(c)? {
                             return Ok(true);
                         }
                     }
                     Ok(false)
-                })());
-            }
-            Op::Not(a) => self.cached_bool[i] = Some(gbool(a).map(|v| !v)),
-        }
+                })()),
+            ),
+            Op::Not(a) => (None, Some(gbool(a).map(|v| !v))),
+        };
+        self.cached_iv[i] = iv;
+        self.cached_tri[i] = tri;
+        self.cached_rat[i] = rat;
+        self.cached_bool[i] = boolv;
     }
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 impl Tape {
@@ -601,7 +695,7 @@ impl Tape {
     /// callers must only evaluate boxes contained in it.
     #[must_use]
     pub fn compile(simplified: &Formula, conjuncts: &[Formula], seed: Option<&BoxDomain>) -> Tape {
-        let mut b = Builder::new();
+        let mut b = Builder::default();
         let root = b.intern_form(simplified);
         let roots: Vec<u32> = conjuncts.iter().map(|c| b.intern_form(c)).collect();
         let const_slots = b.cached_iv.iter().filter(|c| c.is_some()).count()
@@ -615,6 +709,7 @@ impl Tape {
         };
         let mut tape = Tape {
             ops: b.ops,
+            kids: b.kids,
             cached_iv: b.cached_iv,
             cached_tri: b.cached_tri,
             cached_rat: b.cached_rat,
@@ -655,7 +750,8 @@ impl Tape {
             return; // seed box does not cover the formula's variables
         }
         with_scratch(|scratch| {
-            self.eval_lanes(1, |_, v| dom.get(VarId(v)), None, scratch);
+            self.plan(0..self.ops.len(), scratch);
+            self.run(1, |_, v| dom.get(VarId(v)), scratch);
             for i in 0..self.ops.len() {
                 if self.ops[i].is_formula() && self.has_vars[i] && self.cached_tri[i].is_none() {
                     match byte_tri(scratch.tri[i][0]) {
@@ -701,9 +797,9 @@ impl Tape {
         if self.cached_iv[idx].is_some() || self.cached_tri[idx].is_some() {
             return;
         }
-        match &self.ops[idx] {
-            Op::Const(_) | Op::Var(_) | Op::True | Op::False => {}
-            Op::Neg(a) | Op::Not(a) => self.mark(*a, mask),
+        match self.ops[idx] {
+            Op::Const | Op::Var(_) | Op::True | Op::False => {}
+            Op::Neg(a) | Op::Not(a) => self.mark(a, mask),
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
@@ -711,22 +807,22 @@ impl Tape {
             | Op::Min(a, b)
             | Op::Max(a, b)
             | Op::Cmp(_, a, b) => {
-                self.mark(*a, mask);
-                self.mark(*b, mask);
+                self.mark(a, mask);
+                self.mark(b, mask);
             }
             Op::Ite(c, a, b) => {
-                self.mark(*c, mask);
-                match self.cached_tri[*c as usize] {
-                    Some(Tri::True) => self.mark(*a, mask),
-                    Some(Tri::False) => self.mark(*b, mask),
+                self.mark(c, mask);
+                match self.cached_tri[c as usize] {
+                    Some(Tri::True) => self.mark(a, mask),
+                    Some(Tri::False) => self.mark(b, mask),
                     _ => {
-                        self.mark(*a, mask);
-                        self.mark(*b, mask);
+                        self.mark(a, mask);
+                        self.mark(b, mask);
                     }
                 }
             }
-            Op::All(ch) | Op::Any(ch) => {
-                for &c in ch.iter() {
+            Op::All(s, l) | Op::Any(s, l) => {
+                for &c in kids_of(&self.kids, s, l) {
                     self.mark(c, mask);
                 }
             }
@@ -735,47 +831,50 @@ impl Tape {
 
     // -- interval interpreter -------------------------------------------------
 
-    /// Evaluate the slots selected by `mask` (all slots when `None`) over
-    /// `n <= LANES` boxes side by side, into the scratch's lane arrays.
-    /// `var(k, v)` is variable `v`'s interval on box `k`. Lanes `n..LANES`
-    /// keep whatever they held and are never read.
-    fn eval_lanes(
-        &self,
-        n: usize,
-        var: impl Fn(usize, u32) -> Interval,
-        mask: Option<&[u64]>,
-        s: &mut TapeScratch,
-    ) {
-        debug_assert!(n <= LANES);
+    /// Plan one interpreter pass over the slots `needed` yields, in
+    /// ascending order: splat each cached slot's value into every lane
+    /// once, and list the uncached ones for [`Tape::run`], which every
+    /// chunk of the pass then executes. Nothing a pass runs writes a
+    /// cached slot, so the splats hold for all of its chunks.
+    fn plan(&self, needed: impl Iterator<Item = usize>, s: &mut TapeScratch) {
         let slots = self.ops.len();
         if s.iv.len() < slots {
             s.iv.resize(slots, IntervalLanes::default());
             s.tri.resize(slots, [UNKNOWN; LANES]);
         }
-        for i in 0..slots {
-            if mask.is_some_and(|m| m[i >> 6] & (1 << (i & 63)) == 0) {
-                continue;
-            }
+        s.run.clear();
+        for i in needed {
             if let Some(v) = self.cached_iv[i] {
                 s.iv[i] = IntervalLanes::splat(v);
-                continue;
-            }
-            if let Some(t) = self.cached_tri[i] {
+            } else if let Some(t) = self.cached_tri[i] {
                 s.tri[i] = [tri_byte(t); LANES];
-                continue;
+            } else {
+                s.run.push(i as u32);
             }
+        }
+    }
+
+    /// Evaluate the slots the last [`Tape::plan`] listed over `n <= LANES`
+    /// boxes side by side, into the scratch's lane arrays. `var(k, v)` is
+    /// variable `v`'s interval on box `k`. Lanes `n..LANES` keep whatever
+    /// they held and are never read.
+    fn run(&self, n: usize, var: impl Fn(usize, u32) -> Interval, s: &mut TapeScratch) {
+        debug_assert!(n <= LANES);
+        let TapeScratch { iv, tri, run, .. } = s;
+        for &i in run.iter() {
+            let i = i as usize;
             // Operands are earlier slots: split the output slot off so the
             // lane loops read and write disjoint arrays.
-            let (iv, iv_rest) = s.iv.split_at_mut(i);
+            let (iv, iv_rest) = iv.split_at_mut(i);
             let out = &mut iv_rest[0];
-            let (tri, tri_rest) = s.tri.split_at_mut(i);
+            let (tri, tri_rest) = tri.split_at_mut(i);
             let tout = &mut tri_rest[0];
-            let at = |j: &u32| *j as usize;
-            match &self.ops[i] {
-                Op::Const(_) | Op::True | Op::False => unreachable!("constant slots are cached"),
+            let at = |j: u32| j as usize;
+            match self.ops[i] {
+                Op::Const | Op::True | Op::False => unreachable!("constant slots are cached"),
                 Op::Var(v) => {
                     for k in 0..n {
-                        out.set(k, var(k, *v));
+                        out.set(k, var(k, v));
                     }
                 }
                 Op::Neg(a) => iv[at(a)].neg(out, n),
@@ -786,17 +885,17 @@ impl Tape {
                 Op::Min(a, b) => iv[at(a)].min(&iv[at(b)], out, n),
                 Op::Max(a, b) => iv[at(a)].max(&iv[at(b)], out, n),
                 Op::Ite(c, a, b) => ite_lanes(&tri[at(c)], &iv[at(a)], &iv[at(b)], out, n),
-                Op::Cmp(op, a, b) => cmp_lanes(*op, &iv[at(a)], &iv[at(b)], tout, n),
-                Op::All(ch) => {
+                Op::Cmp(op, a, b) => cmp_lanes(op, &iv[at(a)], &iv[at(b)], tout, n),
+                Op::All(st, l) => {
                     *tout = [TRUE; LANES];
-                    for c in ch.iter() {
+                    for &c in kids_of(&self.kids, st, l) {
                         let x = &tri[at(c)];
                         for_each_lane::<LANES>(n, |k| tout[k] = tout[k].min(x[k]));
                     }
                 }
-                Op::Any(ch) => {
+                Op::Any(st, l) => {
                     *tout = [FALSE; LANES];
-                    for c in ch.iter() {
+                    for &c in kids_of(&self.kids, st, l) {
                         let x = &tri[at(c)];
                         for_each_lane::<LANES>(n, |k| tout[k] = tout[k].max(x[k]));
                     }
@@ -839,29 +938,30 @@ impl Tape {
         if n == 0 || cis.is_empty() {
             return;
         }
-        let mut mask = std::mem::take(&mut scratch.mask);
-        mask.clear();
         if cis.len() == self.roots.len() {
-            mask.extend_from_slice(&self.all_mask);
+            self.plan(set_bits(&self.all_mask), scratch);
         } else {
+            let mut mask = std::mem::take(&mut scratch.mask);
+            mask.clear();
             mask.resize(self.all_mask.len(), 0);
             for &ci in cis {
                 for (m, w) in mask.iter_mut().zip(&self.conj_masks[ci as usize]) {
                     *m |= *w;
                 }
             }
+            self.plan(set_bits(&mask), scratch);
+            scratch.mask = mask;
         }
         out.reserve(n * cis.len());
         for start in (0..n).step_by(LANES) {
             let len = LANES.min(n - start);
-            self.eval_lanes(len, |k, v| var(start + k, v), Some(&mask), scratch);
+            self.run(len, |k, v| var(start + k, v), scratch);
             for k in 0..len {
                 for &ci in cis {
                     out.push(byte_tri(scratch.tri[self.roots[ci as usize] as usize][k]));
                 }
             }
         }
-        scratch.mask = mask;
     }
 
     /// Sound fast rejection of an exact sample: encloses each value in a
@@ -876,7 +976,8 @@ impl Tape {
         let mut point = std::mem::take(&mut scratch.point);
         point.clear();
         point.extend(env.iter().map(rat_enclosure));
-        self.eval_lanes(1, |_, v| point[v as usize], Some(&self.all_mask), scratch);
+        self.plan(set_bits(&self.all_mask), scratch);
+        self.run(1, |_, v| point[v as usize], scratch);
         scratch.point = point;
         self.roots.iter().any(|&r| scratch.tri[r as usize][0] == FALSE)
     }
@@ -915,31 +1016,31 @@ impl Tape {
         env: &[Rat],
         s: &mut ExactScratch,
     ) -> Result<Rat, EvalError> {
-        match &self.ops[idx] {
-            Op::Const(r) => Ok(r.clone()),
-            Op::Var(v) => env.get(*v as usize).cloned().ok_or(EvalError::UnboundVar(*v as usize)),
-            Op::Neg(a) => Ok(-self.exact_term(*a, env, s)?),
-            Op::Add(a, b) => Ok(self.exact_term(*a, env, s)? + self.exact_term(*b, env, s)?),
-            Op::Sub(a, b) => Ok(self.exact_term(*a, env, s)? - self.exact_term(*b, env, s)?),
-            Op::Mul(a, b) => Ok(self.exact_term(*a, env, s)? * self.exact_term(*b, env, s)?),
+        match self.ops[idx] {
+            Op::Var(v) => env.get(v as usize).cloned().ok_or(EvalError::UnboundVar(v as usize)),
+            Op::Neg(a) => Ok(-self.exact_term(a, env, s)?),
+            Op::Add(a, b) => Ok(self.exact_term(a, env, s)? + self.exact_term(b, env, s)?),
+            Op::Sub(a, b) => Ok(self.exact_term(a, env, s)? - self.exact_term(b, env, s)?),
+            Op::Mul(a, b) => Ok(self.exact_term(a, env, s)? * self.exact_term(b, env, s)?),
             Op::Div(a, b) => {
                 // Denominator first, exactly like eval_term.
-                let d = self.exact_term(*b, env, s)?;
+                let d = self.exact_term(b, env, s)?;
                 if d.is_zero() {
                     return Err(EvalError::DivByZero);
                 }
-                Ok(self.exact_term(*a, env, s)? / d)
+                Ok(self.exact_term(a, env, s)? / d)
             }
-            Op::Min(a, b) => Ok(self.exact_term(*a, env, s)?.min(self.exact_term(*b, env, s)?)),
-            Op::Max(a, b) => Ok(self.exact_term(*a, env, s)?.max(self.exact_term(*b, env, s)?)),
+            Op::Min(a, b) => Ok(self.exact_term(a, env, s)?.min(self.exact_term(b, env, s)?)),
+            Op::Max(a, b) => Ok(self.exact_term(a, env, s)?.max(self.exact_term(b, env, s)?)),
             Op::Ite(c, a, b) => {
                 // Condition, then only the taken branch.
-                if self.exact_form(*c, env, s)? {
-                    self.exact_term(*a, env, s)
+                if self.exact_form(c, env, s)? {
+                    self.exact_term(a, env, s)
                 } else {
-                    self.exact_term(*b, env, s)
+                    self.exact_term(b, env, s)
                 }
             }
+            Op::Const => unreachable!("constant slots are cached"),
             _ => unreachable!("formula op in term position"),
         }
     }
@@ -964,31 +1065,31 @@ impl Tape {
         env: &[Rat],
         s: &mut ExactScratch,
     ) -> Result<bool, EvalError> {
-        match &self.ops[idx] {
+        match self.ops[idx] {
             Op::True => Ok(true),
             Op::False => Ok(false),
             Op::Cmp(op, a, b) => {
-                let x = self.exact_term(*a, env, s)?;
-                let y = self.exact_term(*b, env, s)?;
+                let x = self.exact_term(a, env, s)?;
+                let y = self.exact_term(b, env, s)?;
                 Ok(op.apply(&x, &y))
             }
-            Op::All(ch) => {
-                for &c in ch.iter() {
+            Op::All(st, l) => {
+                for &c in kids_of(&self.kids, st, l) {
                     if !self.exact_form(c, env, s)? {
                         return Ok(false);
                     }
                 }
                 Ok(true)
             }
-            Op::Any(ch) => {
-                for &c in ch.iter() {
+            Op::Any(st, l) => {
+                for &c in kids_of(&self.kids, st, l) {
                     if self.exact_form(c, env, s)? {
                         return Ok(true);
                     }
                 }
                 Ok(false)
             }
-            Op::Not(a) => Ok(!self.exact_form(*a, env, s)?),
+            Op::Not(a) => Ok(!self.exact_form(a, env, s)?),
             _ => unreachable!("term op in formula position"),
         }
     }
@@ -1219,6 +1320,44 @@ mod tests {
     }
 
     #[test]
+    fn interning_depends_only_on_structure() {
+        // Each call builds fresh `Arc`s with the same sharing: the product
+        // is shared through one allocation, the sum is repeated as equal
+        // copies, and the guard is decided over the seed box.
+        let build = || {
+            let (x, y) = (Term::var(VarId(0)), Term::var(VarId(1)));
+            let prod = x.clone().mul(y.clone());
+            let sum = || x.clone().add(Term::constant(Rat::from_frac(1, 3)));
+            Formula::and(vec![
+                prod.clone().ge(Term::int(12)),
+                Formula::or(vec![sum().le(Term::int(9)), Formula::not(prod.clone().gt(sum()))]),
+                Term::ite(y.clone().le(Term::int(20)), prod, sum()).ne_t(Term::int(0)),
+            ])
+        };
+        let seed = dom2((0.0, 10.0), (0.0, 10.0));
+        let sub = dom2((2.0, 3.0), (4.0, 7.0));
+        let f = build();
+        let tapes =
+            [compile(&f, Some(&seed)), compile(&f, Some(&seed)), compile(&build(), Some(&seed))];
+        let verdicts = |tape: &Tape| {
+            let cis: Vec<u32> = (0..tape.conjunct_count() as u32).collect();
+            let mut out = Vec::new();
+            tape.verdicts(&[&seed, &sub], &cis, &mut TapeScratch::new(), &mut out);
+            out
+        };
+        let (_, _, first) = &tapes[0];
+        assert!(first.stats().shared > 0 && first.stats().decided > 0);
+        for (_, _, tape) in &tapes[1..] {
+            assert_eq!(tape.stats(), first.stats());
+            assert_eq!(
+                (&tape.ops, &tape.kids, &tape.roots),
+                (&first.ops, &first.kids, &first.roots)
+            );
+            assert_eq!(verdicts(tape), verdicts(first));
+        }
+    }
+
+    #[test]
     fn domain_seeding_caches_decided_guards() {
         let mut r = VarRegistry::new();
         let x = r.intern("x");
@@ -1317,7 +1456,8 @@ mod tests {
                 let encl: Vec<Vec<Interval>> =
                     points.iter().map(|p| p.iter().map(rat_enclosure).collect()).collect();
                 let mut s = TapeScratch::new();
-                tape.eval_lanes(points.len(), |k, v| encl[k][v as usize], None, &mut s);
+                tape.plan(0..tape.ops.len(), &mut s);
+                tape.run(points.len(), |k, v| encl[k][v as usize], &mut s);
                 let mut ex = ExactScratch::new();
                 for (k, env) in points.iter().enumerate() {
                     for (i, op) in tape.ops.iter().enumerate() {

@@ -15,7 +15,7 @@ use cso_logic::solver::{Outcome, Solver, SolverConfig};
 use cso_logic::{BoxDomain, CmpOp, Formula, Term, VarId};
 use cso_numeric::{BigInt, Interval, Rat};
 use cso_runtime::prop::{
-    self, i64_any, int_in, just, one_of, recursive, vec_of, zip2, zip3, Config, Gen,
+    self, i64_any, int_in, just, one_of, recursive, vec_of, zip2, zip3, zip4, Config, Gen,
 };
 use cso_runtime::{prop_assert, prop_assert_eq};
 
@@ -340,7 +340,11 @@ fn tape_batched_verdicts_match_single_box() {
 /// The lane interpreter agrees with the tree walker for every batch size
 /// from one box to two full lane chunks plus one, so full chunks, partial
 /// chunks and a chunk following a full one are all covered — on sub-boxes
-/// of the seed domain, where domain seeding replays cached verdicts.
+/// of the seed domain, where domain seeding replays cached verdicts. Each
+/// case asks for all conjuncts and for a random non-empty subset of them,
+/// whose pass is planned from the union of the subset's needed-slot
+/// masks. Point refutation, which runs the same planned pass, never
+/// rejects a point where the formula holds exactly.
 #[test]
 fn tape_verdicts_match_ieval_for_every_batch_size() {
     use cso_logic::tape::LANES;
@@ -354,8 +358,8 @@ fn tape_verdicts_match_ieval_for_every_batch_size() {
     prop::check_with(
         &Config { cases: 1024, ..Config::default() },
         "tape_verdicts_match_ieval_for_every_batch_size",
-        &zip3(arb_box_and_point(), arb_formula_partial(), fracs),
-        |((dom, _), f, fracs)| {
+        &zip4(arb_box_and_point(), arb_formula_partial(), fracs, i64_any()),
+        |((dom, pt), f, fracs, pick)| {
             let q = CompiledQuery::prepare(f, Some(dom), true);
             let Some(tape) = &q.tape else { return Ok(()) };
             let boxes: Vec<BoxDomain> = fracs
@@ -371,26 +375,44 @@ fn tape_verdicts_match_ieval_for_every_batch_size() {
                     b
                 })
                 .collect();
-            let cis: Vec<u32> = (0..q.conjuncts.len() as u32).collect();
+            // Bit `j % 64` of `pick` selects conjunct `j`; an empty pick
+            // takes one conjunct instead.
+            let n_conj = q.conjuncts.len() as u32;
+            let mut subset: Vec<u32> = (0..n_conj).filter(|j| pick >> (j % 64) & 1 == 1).collect();
+            if subset.is_empty() {
+                subset.push(pick.unsigned_abs() as u32 % n_conj);
+            }
+            let all: Vec<u32> = (0..n_conj).collect();
             let mut scratch = TapeScratch::new();
             let mut out = Vec::new();
-            for n in 1..=n_max {
-                tape.verdicts(&boxes[..n], &cis, &mut scratch, &mut out);
-                prop_assert_eq!(out.len(), n * cis.len());
-                for (b, d) in boxes[..n].iter().enumerate() {
-                    for (j, c) in q.conjuncts.iter().enumerate() {
-                        let got = out[b * cis.len() + j];
-                        prop_assert_eq!(
-                            got,
-                            ieval_formula(c, d),
-                            "batch {} box {} conjunct {} of {}",
-                            n,
-                            b,
-                            j,
-                            f
-                        );
+            for cis in [&all, &subset] {
+                for n in 1..=n_max {
+                    tape.verdicts(&boxes[..n], cis, &mut scratch, &mut out);
+                    prop_assert_eq!(out.len(), n * cis.len());
+                    for (b, d) in boxes[..n].iter().enumerate() {
+                        for (j, &ci) in cis.iter().enumerate() {
+                            let got = out[b * cis.len() + j];
+                            prop_assert_eq!(
+                                got,
+                                ieval_formula(&q.conjuncts[ci as usize], d),
+                                "batch {} box {} conjunct {} of {} (asked {:?})",
+                                n,
+                                b,
+                                ci,
+                                f,
+                                cis
+                            );
+                        }
                     }
                 }
+            }
+            if tape.refutes_point(pt, &mut scratch) {
+                prop_assert!(
+                    !matches!(eval_formula(&q.simplified, pt), Ok(true)),
+                    "refutes_point rejected a model {:?} of {}",
+                    pt,
+                    f
+                );
             }
             Ok(())
         },

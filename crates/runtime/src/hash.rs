@@ -3,9 +3,10 @@
 //!
 //! `std::collections::HashMap`'s default hasher is randomized per process,
 //! and `DefaultHasher`'s algorithm is explicitly unspecified across
-//! releases. The solver cache derives *solver seeds* from query content,
-//! so the hash must be a fixed function of the bytes fed to it — anything
-//! else would make synthesis trajectories depend on the run environment.
+//! releases. The engine derives each query's *solver seed* from a content
+//! salt, a hash of everything that defines the query, so the hash must be
+//! a fixed function of the bytes fed to it — anything else would make
+//! synthesis trajectories depend on the run environment.
 //!
 //! `Fnv64` implements [`std::hash::Hasher`], so any `#[derive(Hash)]` type
 //! can be folded into it with `value.hash(&mut h)`.
