@@ -7,8 +7,11 @@ use cso_lp::LpProblem;
 use cso_netsim::alloc::{Allocator, Instance};
 use cso_netsim::{FlowSpec, Topology, TrafficClass};
 use cso_numeric::{BigInt, Interval, IntervalLanes, Rat};
+use cso_prefgraph::PrefGraph;
 use cso_runtime::bench::{BenchmarkId, Criterion};
 use cso_sketch::swan::{swan_sketch, swan_target};
+use cso_synth::query::QueryBuilder;
+use cso_synth::{MetricSpace, Scenario, SynthConfig};
 use std::hint::black_box;
 
 fn numeric(c: &mut Criterion) {
@@ -74,6 +77,46 @@ fn logic(c: &mut Criterion) {
         bch.iter(|| {
             let mut s = Solver::new(SolverConfig::default());
             black_box(s.solve(&f, &dom))
+        })
+    });
+    // One fb-search query as the engine poses it: the SWAN feasibility
+    // formula of 16 preference edges between fixed scenarios, and one
+    // clause that hole 0 differs from the target's by a tenth of its
+    // range, over the 8-dim query domain (holes, then both scenarios' metrics) at a
+    // 1000-box budget, seeding on.
+    let cfg = SynthConfig::fast_test();
+    let qb = QueryBuilder::new(swan_sketch(), MetricSpace::swan(), &cfg);
+    let mut scored: Vec<(Rat, Scenario)> = (0..17i64)
+        .map(|i| {
+            let tp = Rat::from_frac((1 + 7 * i % 17) * 10, 18);
+            let lat = Rat::from_frac((1 + 11 * i % 17) * 200, 18);
+            let s = Scenario::new(vec![tp, lat]);
+            (target.eval(s.values()).expect("in-bounds scenario"), s)
+        })
+        .collect();
+    scored.sort_by(|a, b| b.0.cmp(&a.0));
+    let mut graph = PrefGraph::new();
+    let ids: Vec<_> = scored.into_iter().map(|(_, s)| graph.add_scenario(s)).collect();
+    for w in ids.windows(2) {
+        graph.prefer(w[0], w[1]).expect("a chain has no cycle");
+    }
+    let fb = cso_logic::Formula::and(vec![
+        qb.feasibility(&graph),
+        qb.holes_differ_from_masked(target.hole_values(), 0.1, Some(0)),
+    ]);
+    let qdom = qb.domain();
+    let sc = SolverConfig {
+        max_boxes: 1000,
+        delta_per_dim: Some(qb.deltas(cfg.delta_rel)),
+        seed: 7,
+        threads: 1,
+        ..cfg.solver.clone()
+    };
+    let seeds = [qb.seed_from_holes(target.hole_values())];
+    g.bench_function("solver_swan_feasibility", |bch| {
+        bch.iter(|| {
+            let mut s = Solver::new(sc.clone());
+            black_box(s.solve_seeded(&fb, &qdom, &seeds))
         })
     });
     g.finish();

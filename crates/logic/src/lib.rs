@@ -59,6 +59,6 @@ pub mod term;
 pub mod vars;
 
 pub use model::Model;
-pub use tape::{CompiledQuery, ExactScratch, Tape, TapeScratch, TapeStats};
+pub use tape::{CompiledQuery, ExactScratch, Refuter, Tape, TapeScratch, TapeStats};
 pub use term::{CmpOp, Formula, Term};
 pub use vars::{BoxDomain, VarId, VarRegistry};

@@ -52,7 +52,13 @@
 //! With [`SolverConfig::threads`]` == 1` a round costs two tape passes in
 //! all: one interval-refutes every box's samples, one checks every split
 //! box's children, each pass scoring its boxes [`crate::tape::LANES`] at
-//! a time (see `BnpCtx::round`). With more threads, workers pull boxes
+//! a time (see `BnpCtx::round`). The sample pass only needs "some conjunct
+//! is `False`" per sample: it encloses the drawn coordinates on machine
+//! words, without building a `Rat`, and runs the conjuncts one by one,
+//! stopping each chunk of samples as soon as all of them are refuted.
+//! Seeding refutes its candidates the same way, [`crate::tape::LANES`] at
+//! a time under one plan per query, and certifies the survivors in draw
+//! order. With more threads, workers pull boxes
 //! from the shared work queue in `cso_runtime::pool` and run each as a
 //! round of its own. Tape lanes are independent, so either way the
 //! outcome, the model, and every counter are byte-identical to a solver
@@ -63,11 +69,11 @@
 
 use crate::ieval::{rat_enclosure, Tri};
 use crate::model::Model;
-use crate::tape::{self, CompiledQuery, ExactScratch, Tape};
+use crate::tape::{self, CompiledQuery, ExactScratch, Tape, LANES};
 use crate::term::Formula;
 use crate::vars::BoxDomain;
 use cso_numeric::interval::{round_down, round_up};
-use cso_numeric::{Interval, Rat};
+use cso_numeric::{words_to_f64, Interval, Rat};
 use cso_runtime::trace::{self, Value};
 use cso_runtime::{pool, Rng};
 use std::cell::RefCell;
@@ -260,8 +266,12 @@ struct TaskResult {
 struct RoundScratch {
     /// The sample being drawn or certified.
     vals: Vec<Rat>,
+    /// One box's drawn coordinates, `dims` per sample.
+    xs: Vec<f64>,
     /// One-ulp enclosures of every sample of the round, `dims` per sample.
     encl: Vec<Interval>,
+    /// Per sample of the round: whether refutation rejected it.
+    refuted: Vec<bool>,
     /// Conjuncts one tape pass checks, and their position in it.
     cis: Vec<u32>,
     pos: Vec<u32>,
@@ -394,14 +404,19 @@ impl BnpCtx<'_> {
     /// passes for the whole round instead of one or two per box:
     ///
     /// 1. Every box with pending conjuncts draws its samples from its own
-    ///    stream (the values a box-at-a-time solver would draw), and one
-    ///    pass interval-refutes all their one-ulp enclosures on the union
-    ///    of the boxes' pending conjuncts. A conjunct that is not pending
-    ///    on a box is certainly true on it, so by soundness it cannot be
-    ///    refuted at a point of the box: checking more conjuncts than the
-    ///    box's own never changes a sample's decision. Only the
-    ///    enclosures are kept; a box with a surviving sample redraws its
-    ///    stream for the exact values.
+    ///    stream (the values a box-at-a-time solver would draw). Each
+    ///    coordinate's one-ulp enclosure is computed on machine words from
+    ///    the drawn `f64` ([`Solver::enclosure_in`]), and coordinates no
+    ///    conjunct reads are drawn but not enclosed. One early-exit
+    ///    refutation pass ([`tape::Refuter`]) then asks, per sample, only
+    ///    whether some conjunct of the union of the boxes' pending ones is
+    ///    `False`, and stops each chunk of [`LANES`] samples once all of
+    ///    them are refuted. A conjunct that is not pending on a box is
+    ///    certainly true on it, so by soundness it cannot be refuted at a
+    ///    point of the box: checking more conjuncts than the box's own
+    ///    never changes a sample's decision. Only the enclosures are kept;
+    ///    a box with a surviving sample redraws its stream for the exact
+    ///    values.
     /// 2. The survivors are certified exactly in batch order, box by box;
     ///    the first SAT ends the round and later boxes contribute nothing.
     /// 3. Every box before it that is neither SAT nor residual is
@@ -418,11 +433,12 @@ impl BnpCtx<'_> {
         r.encl.clear();
         for task in batch.iter().filter(|t| !t.pending.is_empty()) {
             let mut rng = self.box_rng(task.id);
+            let ivs = task.dom.intervals();
+            r.xs.clear();
             for _ in 0..spb {
-                r.vals.clear();
-                Solver::sample_uniform_into(&mut rng, &task.dom, &mut r.vals);
-                r.encl.extend(r.vals.iter().map(rat_enclosure));
+                r.xs.extend(ivs.iter().map(|&iv| Solver::draw_uniform(&mut rng, iv)));
             }
+            Solver::enclose_draws(self.tape, &r.xs, ivs, &mut r.encl);
         }
         r.reset_cis(n_conj);
         for task in batch {
@@ -434,18 +450,12 @@ impl BnpCtx<'_> {
         let n_samples = batch.iter().filter(|t| !t.pending.is_empty()).count() * spb;
         let encl = &r.encl;
         tape::with_scratch(|s| {
-            self.tape.verdicts_with(
-                n_samples,
-                |b, v| encl[b * dims + v as usize],
-                &r.cis,
-                s,
-                &mut r.verdicts,
-            );
+            let var = |b: usize, v: u32| encl[b * dims + v as usize];
+            self.tape.refuter(r.cis.iter().copied(), s).refutes(n_samples, var, &mut r.refuted);
         });
 
         let mut out = Vec::with_capacity(batch.len());
         r.splits.clear();
-        let width = r.cis.len();
         let mut sample = 0usize;
         'boxes: for (bi, task) in batch.iter().enumerate() {
             if task.pending.is_empty() {
@@ -457,7 +467,7 @@ impl BnpCtx<'_> {
                 }
                 continue;
             }
-            let refuted = |s: usize| r.verdicts[s * width..(s + 1) * width].contains(&Tri::False);
+            let refuted = |s: usize| r.refuted[s];
             let mut errors = 0usize;
             if (sample..sample + spb).any(|s| !refuted(s)) {
                 // Redraw the box's samples from its stream: only the
@@ -637,30 +647,111 @@ impl Solver {
 
     // -- phase 1: seeding ---------------------------------------------------
 
+    /// Check the caller's seeds clamped into the box, then jittered
+    /// variants of them, then uniform samples, in that order, until one is
+    /// certified. Candidates go through one refutation plan for the whole
+    /// phase, [`LANES`] at a time; the survivors of each chunk are
+    /// certified exactly in draw order. Counters cover the candidates up to
+    /// and including the model, and `self.rng` ends where drawing one
+    /// candidate at a time would leave it.
     fn seeding_phase(&mut self, tape: &Tape, dom: &BoxDomain, seeds: &[Model]) -> Option<Model> {
-        // Exact seeds, clamped into the box.
-        for s in seeds {
-            let vals = Solver::clamp_into(dom, s.values());
-            if let Some(m) = self.certify(tape, &vals) {
-                return Some(m);
-            }
-        }
-        // Jitter around each seed, with radius growing geometrically:
-        // thin feasible regions want probes close to the (nearly feasible)
-        // seed first, wide ones are caught by the later large radii.
-        for s in seeds {
-            for j in 0..self.cfg.jitters_per_seed {
-                let vals = Solver::jitter(&mut self.rng, dom, s.values(), j as u32);
-                if let Some(m) = self.certify(tape, &vals) {
+        let dims = dom.len();
+        let ivs = dom.intervals();
+        let binds = tape.binds(dims);
+        tape::with_scratch(|s| {
+            let mut refuter = tape.refuter(0..tape.conjunct_count() as u32, s);
+            let mut refute = |n: usize, encl: &[Interval]| {
+                if binds {
+                    refuter.refutes_chunk(n, |k, v| encl[k * dims + v as usize])
+                } else {
+                    [false; LANES] // exact evaluation reports the unbound variable
+                }
+            };
+            let mut encl = Vec::with_capacity(LANES * dims);
+            // Exact seeds, clamped into the box.
+            let clamped: Vec<Vec<Rat>> =
+                seeds.iter().map(|s| Solver::clamp_into(dom, s.values())).collect();
+            for chunk in clamped.chunks(LANES) {
+                encl.clear();
+                encl.extend(chunk.iter().flatten().map(rat_enclosure));
+                let refuted = refute(chunk.len(), &encl);
+                let certified =
+                    self.first_model(tape, &refuted[..chunk.len()], |k| chunk[k].clone());
+                if let Some((_, m)) = certified {
                     return Some(m);
                 }
             }
-        }
-        // Uniform random samples.
-        for _ in 0..self.cfg.initial_samples {
-            let vals = Solver::sample_uniform(&mut self.rng, dom);
-            if let Some(m) = self.certify(tape, &vals) {
-                return Some(m);
+            // Jitter around each seed, with radius growing geometrically:
+            // thin feasible regions want probes close to the (nearly
+            // feasible) seed first, wide ones are caught by the later large
+            // radii. Then uniform random samples.
+            let centers: Vec<Vec<f64>> = seeds
+                .iter()
+                .map(|s| {
+                    let at =
+                        |i: usize| s.values().get(i).map_or_else(|| ivs[i].midpoint(), Rat::to_f64);
+                    (0..dims).map(at).collect()
+                })
+                .collect();
+            let jitters = self.cfg.jitters_per_seed;
+            let drawn = seeds.len() * jitters + self.cfg.initial_samples;
+            let mut xs = Vec::with_capacity(LANES * dims);
+            let mut after = Vec::with_capacity(LANES);
+            for start in (0..drawn).step_by(LANES) {
+                let n = LANES.min(drawn - start);
+                xs.clear();
+                after.clear();
+                for i in start..start + n {
+                    if i < seeds.len() * jitters {
+                        let step = (i % jitters) as u32;
+                        Solver::jitter_into(
+                            &mut self.rng,
+                            dom,
+                            &centers[i / jitters],
+                            step,
+                            &mut xs,
+                        );
+                    } else {
+                        xs.extend(ivs.iter().map(|&iv| Solver::draw_uniform(&mut self.rng, iv)));
+                    }
+                    after.push(self.rng.clone());
+                }
+                encl.clear();
+                Solver::enclose_draws(tape, &xs, ivs, &mut encl);
+                let refuted = refute(n, &encl);
+                let rats = |k: usize| {
+                    let point = &xs[k * dims..(k + 1) * dims];
+                    point.iter().zip(ivs).map(|(&x, &iv)| Solver::rat_in(iv, x)).collect()
+                };
+                if let Some((k, m)) = self.first_model(tape, &refuted[..n], rats) {
+                    self.rng = after[k].clone();
+                    return Some(m);
+                }
+            }
+            None
+        })
+    }
+
+    /// Certify a chunk of seeding candidates in order, counting each as
+    /// tried: a refuted one is skipped (exact evaluation could only return
+    /// `false` or an error there), a survivor gets its exact values from
+    /// `vals_of` and is evaluated. The first model, with its index.
+    fn first_model(
+        &mut self,
+        tape: &Tape,
+        refuted: &[bool],
+        mut vals_of: impl FnMut(usize) -> Vec<Rat>,
+    ) -> Option<(usize, Model)> {
+        for (k, &refuted) in refuted.iter().enumerate() {
+            self.stats.samples_tried += 1;
+            if refuted {
+                continue;
+            }
+            let vals = vals_of(k);
+            match EX_SCRATCH.with(|x| tape.eval_exact(&vals, &mut x.borrow_mut())) {
+                Ok(true) => return Some((k, Model::new(vals))),
+                Ok(false) => {}
+                Err(_) => self.stats.eval_errors += 1,
             }
         }
         None
@@ -831,18 +922,29 @@ impl Solver {
         (lo, hi)
     }
 
-    fn rat_in(iv: Interval, x: f64) -> Rat {
+    /// `x` clamped into `iv` (infinite ends capped), and the numerator `k`
+    /// of its snap `k/10^6` when that lies strictly inside: the fast path
+    /// of [`Solver::rat_in`] and [`Solver::enclosure_in`].
+    fn grid_in(iv: Interval, x: f64) -> (f64, Option<i64>) {
         let (lo, hi) = Solver::clamp_iv(iv);
         let x = x.clamp(lo, hi);
         // `snap(x)` is `k/10^6` for `k = scaled` when `|k| < 9e15`. The
         // product `lo·10^6` lies strictly below the next double up from its
         // rounded value, so a `k` above that (and below the mirror bound at
         // `hi`) puts `k/10^6` strictly inside `[lo, hi]`, where the exact
-        // clamp below returns it unchanged.
+        // clamp of `rat_in` returns it unchanged.
         let scaled = (x * 1e6).round();
-        if scaled.abs() < 9e15 && round_up(lo * 1e6) < scaled && scaled < round_down(hi * 1e6) {
-            return Rat::from_frac(scaled as i64, 1_000_000);
+        let inside =
+            scaled.abs() < 9e15 && round_up(lo * 1e6) < scaled && scaled < round_down(hi * 1e6);
+        (x, inside.then_some(scaled as i64))
+    }
+
+    fn rat_in(iv: Interval, x: f64) -> Rat {
+        let (x, k) = Solver::grid_in(iv, x);
+        if let Some(k) = k {
+            return Rat::from_frac(k, 1_000_000);
         }
+        let (lo, hi) = Solver::clamp_iv(iv);
         let snapped = Solver::snap(x);
         // Snapping may push just outside the box; clamp exactly.
         let rlo = Rat::from_f64(lo).unwrap_or_else(Rat::zero);
@@ -854,6 +956,42 @@ impl Solver {
         }
     }
 
+    /// `rat_enclosure(&Solver::rat_in(iv, x))`, bit for bit, computed on
+    /// machine words wherever `rat_in` takes its fast path: no `Rat` is
+    /// built there.
+    fn enclosure_in(iv: Interval, x: f64) -> Interval {
+        match Solver::grid_in(iv, x) {
+            (_, Some(k)) => grid_enclosure(k),
+            (x, None) => rat_enclosure(&Solver::rat_in(iv, x)),
+        }
+    }
+
+    /// One uniform draw from `iv` (infinite ends capped): the value a
+    /// sample's coordinate is snapped from.
+    fn draw_uniform(rng: &mut Rng, iv: Interval) -> f64 {
+        let (lo, hi) = Solver::clamp_iv(iv);
+        if lo == hi {
+            lo
+        } else {
+            rng.random_range(lo..=hi)
+        }
+    }
+
+    /// Append to `encl` the enclosures ([`Solver::enclosure_in`]) of the
+    /// drawn points `xs`, one coordinate per interval of `ivs` each. A
+    /// coordinate the tape does not read gets the whole line instead,
+    /// which no pass of it reads.
+    fn enclose_draws(tape: &Tape, xs: &[f64], ivs: &[Interval], encl: &mut Vec<Interval>) {
+        let dims = ivs.iter().enumerate().cycle();
+        encl.extend(xs.iter().zip(dims).map(|(&x, (d, &iv))| {
+            if tape.reads_var(d) {
+                Solver::enclosure_in(iv, x)
+            } else {
+                Interval::whole()
+            }
+        }));
+    }
+
     fn sample_uniform(rng: &mut Rng, dom: &BoxDomain) -> Vec<Rat> {
         let mut vals = Vec::with_capacity(dom.len());
         Solver::sample_uniform_into(rng, dom, &mut vals);
@@ -862,11 +1000,9 @@ impl Solver {
 
     /// Append one uniform sample of `dom` to `vals`.
     fn sample_uniform_into(rng: &mut Rng, dom: &BoxDomain, vals: &mut Vec<Rat>) {
-        vals.extend(dom.intervals().iter().map(|&iv| {
-            let (lo, hi) = Solver::clamp_iv(iv);
-            let x = if lo == hi { lo } else { rng.random_range(lo..=hi) };
-            Solver::rat_in(iv, x)
-        }));
+        vals.extend(
+            dom.intervals().iter().map(|&iv| Solver::rat_in(iv, Solver::draw_uniform(rng, iv))),
+        );
     }
 
     fn mid_values(dom: &BoxDomain) -> Vec<Rat> {
@@ -894,27 +1030,43 @@ impl Solver {
             .collect()
     }
 
-    fn jitter(rng: &mut Rng, dom: &BoxDomain, vals: &[Rat], step: u32) -> Vec<Rat> {
-        // Radius factor: 0.4% of the range at step 0, growing ~1.5x per
-        // step, capped at 15%.
+    /// Append jitter step `step` around `center` (one value per dimension):
+    /// the radius is 0.4% of the range at step 0, growing ~1.5x every two
+    /// steps, capped at 15%.
+    fn jitter_into(rng: &mut Rng, dom: &BoxDomain, center: &[f64], step: u32, xs: &mut Vec<f64>) {
         let factor = (0.004 * 1.5f64.powi(step as i32 / 2)).min(0.15);
-        (0..dom.len())
-            .map(|i| {
-                let iv = dom.intervals()[i];
-                let (lo, hi) = Solver::clamp_iv(iv);
-                let center = vals.get(i).map_or_else(|| iv.midpoint(), Rat::to_f64);
-                let radius = ((hi - lo) * factor).max(1e-6);
-                let x = center + rng.random_range(-radius..=radius);
-                Solver::rat_in(iv, x)
-            })
-            .collect()
+        xs.extend(dom.intervals().iter().zip(center).map(|(&iv, &c)| {
+            let (lo, hi) = Solver::clamp_iv(iv);
+            let radius = ((hi - lo) * factor).max(1e-6);
+            c + rng.random_range(-radius..=radius)
+        }));
     }
+}
 
-    fn certify(&mut self, tape: &Tape, vals: &[Rat]) -> Option<Model> {
-        self.stats.samples_tried += 1;
-        let (m, e) = certify_exact(tape, vals);
-        self.stats.eval_errors += e;
-        m
+/// The one-ulp enclosure of `k / 10^6` for `|k| < 9e15`, on machine words:
+/// bit for bit `rat_enclosure(&Rat::from_frac(k, 1_000_000))`. The fraction
+/// is reduced by the common powers of two and of five, and its `f64` comes
+/// from [`words_to_f64`], the word path of [`Rat::to_f64`]. The enclosure
+/// is a point exactly when no five is left in the reduced denominator:
+/// then it is a power of two and the numerator is below `2^53`, so the
+/// fraction is a double.
+fn grid_enclosure(k: i64) -> Interval {
+    if k == 0 {
+        return Interval::point(0.0);
+    }
+    let twos = k.trailing_zeros().min(6);
+    let mut n = k.unsigned_abs() >> twos;
+    let mut fives = 0;
+    while fives < 6 && n.is_multiple_of(5) {
+        n /= 5;
+        fives += 1;
+    }
+    let d = (1u64 << (6 - twos)) * 5u64.pow(6 - fives);
+    let x = words_to_f64(k < 0, n, d).expect("a denominator of at most 10^6 has a word path");
+    if fives == 6 {
+        Interval::point(x)
+    } else {
+        Interval::new(round_down(x), round_up(x))
     }
 }
 
@@ -1237,6 +1389,48 @@ mod tests {
                 }
             }
         }
+        // One solver reused across the queries, twice through, the second
+        // time with a seed model to jitter around: every query starts from
+        // the RNG state the previous one left, so seeding must leave it
+        // exactly where drawing one sample at a time does.
+        let reused = [
+            (sat((926_221, 200_000), (369_273, 1_000_000)), 298, 177, 0, 810, false, 0),
+            (Outcome::Unsat, 4, 5, 0, 516, false, 0),
+            (sat((1_846_013, 200_000), (1_307_647, 1_000_000)), 0, 0, 0, 15, true, 0),
+            (sat((6_427_091, 1_000_000), (150_673, 1_000_000)), 0, 0, 0, 127, true, 0),
+            (sat((926_221, 200_000), (369_273, 1_000_000)), 298, 177, 0, 827, false, 0),
+            (Outcome::Unsat, 4, 5, 0, 533, false, 0),
+            (sat((2_194_113, 500_000), (1_390_587, 500_000)), 0, 0, 0, 84, true, 0),
+            (sat((6_328_651, 1_000_000), (59_843, 250_000)), 0, 0, 0, 33, true, 0),
+        ];
+        let seed_model = Model::new(vec![Rat::from_int(1), Rat::from_int(1)]);
+        for threads in [1usize, 4] {
+            let cfg =
+                SolverConfig { seed: 7, use_seeding: true, threads, ..SolverConfig::default() };
+            let mut s = Solver::new(cfg);
+            let runs = queries.iter().map(|f| (f, false)).chain(queries.iter().map(|f| (f, true)));
+            for (qi, ((f, seeded), want)) in runs.zip(reused.clone()).enumerate() {
+                let out = if seeded {
+                    s.solve_seeded(f, &d, std::slice::from_ref(&seed_model))
+                } else {
+                    s.solve(f, &d)
+                };
+                let st = s.stats;
+                assert_eq!(
+                    (
+                        out,
+                        st.boxes_processed,
+                        st.boxes_pruned,
+                        st.residual_boxes,
+                        st.samples_tried,
+                        st.sat_from_seeding,
+                        st.eval_errors,
+                    ),
+                    want,
+                    "reused solver, threads {threads} run {qi}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1285,6 +1479,79 @@ mod tests {
                     &Rat::from_f64(hi).expect("finite"),
                 );
                 cso_runtime::prop_assert_eq!(Solver::rat_in(iv, x), want, "{} at {:e}", iv, x);
+                Ok(())
+            },
+        );
+    }
+
+    /// The sampler's word-level enclosure equals `rat_enclosure` of the
+    /// `Rat` that `rat_in` builds, both endpoints bit for bit: on negative,
+    /// zero-width and half-infinite boxes, for values at and one ulp inside
+    /// each box end, and around the `|x·10^6| < 9e15` edge of the fast path.
+    #[test]
+    fn enclosure_in_matches_rat_enclosure_of_rat_in() {
+        use cso_runtime::prop::{self, bool_any, f64_in, int_in, just, one_of, zip3, Config, Gen};
+        let grid = || {
+            zip3(int_in(-2_000_000_000, 2_000_000_000), int_in(-1, 1), just(())).map(
+                |(k, step, ())| match (k as f64 / 1e6, step) {
+                    (v, -1) => v.next_down(),
+                    (v, 1) => v.next_up(),
+                    (v, _) => v,
+                },
+            )
+        };
+        // Values whose scaled magnitude `|x·10^6|` sits near 9e15.
+        let edge = || {
+            zip3(int_in(-4_000, 4_000), bool_any(), just(()))
+                .map(|(d, neg, ())| (9e15 + d as f64) / 1e6 * if neg { -1.0 } else { 1.0 })
+        };
+        let end = || -> Gen<f64> {
+            one_of(vec![
+                grid(),
+                f64_in(-1e3, 1e3),
+                f64_in(-1e3, 0.0),
+                just(0.0),
+                just(-0.0),
+                edge(),
+                f64_in(-1e12, 1e12),
+                just(f64::INFINITY),
+                just(f64::NEG_INFINITY),
+            ])
+        };
+        // The value: anywhere, or at or one ulp inside a box end.
+        let at = one_of(vec![
+            end().map(|x| (x, 0)),
+            f64_in(0.0, 1.0).map(|x| (x, 0)),
+            int_in(1, 4).map(|w| (0.0, w)),
+        ]);
+        prop::check_with(
+            &Config { cases: 4000, ..Config::default() },
+            "enclosure_in_matches_rat_enclosure_of_rat_in",
+            &zip3(end(), end(), at),
+            |&(a, b, (x, which))| {
+                let iv = Interval::new(a.min(b), a.max(b));
+                let (lo, hi) = Solver::clamp_iv(iv);
+                if lo > hi {
+                    return Ok(()); // `rat_in` needs a capped box with lo <= hi
+                }
+                let x = match which {
+                    1 => lo,
+                    2 => lo.next_up().min(hi),
+                    3 => hi,
+                    4 => hi.next_down().max(lo),
+                    _ => x,
+                };
+                let got = Solver::enclosure_in(iv, x);
+                let want = rat_enclosure(&Solver::rat_in(iv, x));
+                cso_runtime::prop_assert_eq!(
+                    (got.lo().to_bits(), got.hi().to_bits()),
+                    (want.lo().to_bits(), want.hi().to_bits()),
+                    "{} at {:e}: {} vs {}",
+                    iv,
+                    x,
+                    got,
+                    want
+                );
                 Ok(())
             },
         );

@@ -46,8 +46,14 @@
 //!   the slots the requested conjuncts need (the union of their
 //!   needed-slot masks), splats every cached one into all lanes once, and
 //!   lists the uncached ones. Each chunk of [`LANES`] boxes then runs only
-//!   that list. Domain seeding, batch verdicts and point refutation all go
-//!   through this one path.
+//!   that list. Domain seeding and batch verdicts go through this path.
+//! * **Early-exit refutation.** Pruning a sample needs only "some conjunct
+//!   is `False`", not every verdict. A [`Refuter`] plans the requested
+//!   conjuncts once, in the order given: each conjunct's run list is its
+//!   needed slots minus those of the conjuncts before it. Each chunk of
+//!   [`LANES`] boxes runs the lists conjunct by conjunct and stops as soon
+//!   as every live lane is refuted. Sample refutation in branch-and-prune,
+//!   seeding and [`Tape::refutes_point`] all go through it.
 //!
 //! Lanes never mix, and each lane computes exactly the scalar `f64`
 //! operations of [`Interval`]'s operators — the lane kernels and the
@@ -82,6 +88,7 @@ use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One tape instruction: 16 bytes, with no `Rat` inside. Numeric ops
@@ -294,14 +301,18 @@ fn ite_lanes(
 /// Reusable scratch for the interval interpreter: slot-major lane arrays
 /// (one [`IntervalLanes`] and one verdict-byte row per slot), the merged
 /// needed-slot bitmask, the current pass's plan (the uncached slots it
-/// runs), and the point enclosure `refutes_point` fills. Buffers grow on
-/// demand, so one scratch serves tapes of any size.
+/// runs, and for a refutation pass where each conjunct's list ends), and
+/// the point enclosure `refutes_point` fills. Buffers grow on demand, so
+/// one scratch serves tapes of any size.
 #[derive(Debug, Default)]
 pub struct TapeScratch {
     iv: Vec<IntervalLanes<LANES>>,
     tri: Vec<[u8; LANES]>,
     mask: Vec<u64>,
     run: Vec<u32>,
+    /// Refutation plan: per conjunct, the end of its list in `run` and its
+    /// root slot.
+    segs: Vec<(u32, u32)>,
     point: Vec<Interval>,
 }
 
@@ -378,6 +389,9 @@ pub struct Tape {
     conj_masks: Vec<Vec<u64>>,
     /// Union of all conjunct masks.
     all_mask: Vec<u64>,
+    /// Per variable index: whether some conjunct's pass reads it (a `Var`
+    /// slot in `all_mask`). Unread coordinates need no enclosure.
+    reads: Vec<bool>,
     stats: TapeStats,
 }
 
@@ -720,6 +734,7 @@ impl Tape {
             roots,
             conj_masks: Vec::new(),
             all_mask: Vec::new(),
+            reads: Vec::new(),
             stats,
         };
         if let Some(dom) = seed {
@@ -751,7 +766,7 @@ impl Tape {
         }
         with_scratch(|scratch| {
             self.plan(0..self.ops.len(), scratch);
-            self.run(1, |_, v| dom.get(VarId(v)), scratch);
+            self.run(0..scratch.run.len(), 1, |_, v| dom.get(VarId(v)), scratch);
             for i in 0..self.ops.len() {
                 if self.ops[i].is_formula() && self.has_vars[i] && self.cached_tri[i].is_none() {
                     match byte_tri(scratch.tri[i][0]) {
@@ -784,8 +799,29 @@ impl Tape {
         }
         // The whole-formula root only matters for exact evaluation, which
         // is demand-driven and maskless; conjunct masks are enough.
+        let mut reads = vec![false; self.max_var.map_or(0, |m| m as usize + 1)];
+        for i in set_bits(&all_mask) {
+            if let Op::Var(v) = self.ops[i] {
+                reads[v as usize] = true;
+            }
+        }
         self.conj_masks = conj_masks;
         self.all_mask = all_mask;
+        self.reads = reads;
+    }
+
+    /// Whether interval evaluation of some conjunct reads variable `v`.
+    /// A sample's coordinate no conjunct reads needs no enclosure.
+    #[must_use]
+    pub(crate) fn reads_var(&self, v: usize) -> bool {
+        self.reads.get(v).copied().unwrap_or(false)
+    }
+
+    /// Whether an environment of `len` values binds every variable the
+    /// formula mentions.
+    #[must_use]
+    pub(crate) fn binds(&self, len: usize) -> bool {
+        self.max_var.is_none_or(|m| (m as usize) < len)
     }
 
     fn mark(&self, i: u32, mask: &mut [u64]) {
@@ -837,31 +873,48 @@ impl Tape {
     /// chunk of the pass then executes. Nothing a pass runs writes a
     /// cached slot, so the splats hold for all of its chunks.
     fn plan(&self, needed: impl Iterator<Item = usize>, s: &mut TapeScratch) {
+        self.start_plan(s);
+        for i in needed {
+            self.plan_slot(i, s);
+        }
+    }
+
+    /// Size the scratch's lane arrays for this tape and clear its plan.
+    fn start_plan(&self, s: &mut TapeScratch) {
         let slots = self.ops.len();
         if s.iv.len() < slots {
             s.iv.resize(slots, IntervalLanes::default());
             s.tri.resize(slots, [UNKNOWN; LANES]);
         }
         s.run.clear();
-        for i in needed {
-            if let Some(v) = self.cached_iv[i] {
-                s.iv[i] = IntervalLanes::splat(v);
-            } else if let Some(t) = self.cached_tri[i] {
-                s.tri[i] = [tri_byte(t); LANES];
-            } else {
-                s.run.push(i as u32);
-            }
+        s.segs.clear();
+    }
+
+    /// Splat slot `i` into every lane if it is cached, else list it to run.
+    fn plan_slot(&self, i: usize, s: &mut TapeScratch) {
+        if let Some(v) = self.cached_iv[i] {
+            s.iv[i] = IntervalLanes::splat(v);
+        } else if let Some(t) = self.cached_tri[i] {
+            s.tri[i] = [tri_byte(t); LANES];
+        } else {
+            s.run.push(i as u32);
         }
     }
 
-    /// Evaluate the slots the last [`Tape::plan`] listed over `n <= LANES`
-    /// boxes side by side, into the scratch's lane arrays. `var(k, v)` is
-    /// variable `v`'s interval on box `k`. Lanes `n..LANES` keep whatever
-    /// they held and are never read.
-    fn run(&self, n: usize, var: impl Fn(usize, u32) -> Interval, s: &mut TapeScratch) {
+    /// Evaluate the planned slots `s.run[span]` over `n <= LANES` boxes side
+    /// by side, into the scratch's lane arrays. `var(k, v)` is variable
+    /// `v`'s interval on box `k`. Lanes `n..LANES` keep whatever they held
+    /// and are never read.
+    fn run(
+        &self,
+        span: Range<usize>,
+        n: usize,
+        var: impl Fn(usize, u32) -> Interval,
+        s: &mut TapeScratch,
+    ) {
         debug_assert!(n <= LANES);
         let TapeScratch { iv, tri, run, .. } = s;
-        for &i in run.iter() {
+        for &i in &run[span] {
             let i = i as usize;
             // Operands are earlier slots: split the output slot off so the
             // lane loops read and write disjoint arrays.
@@ -912,6 +965,8 @@ impl Tape {
     /// `out`, then appends verdicts box-major: `out[b * cis.len() + j]` is
     /// conjunct `cis[j]` on `doms[b]` — each verdict bit-identical to
     /// `ieval_formula(&conjuncts[ci], doms[b])`.
+    /// Boxes go through the interpreter [`LANES`] at a time, each pass
+    /// evaluating only the slots the conjuncts `cis` need.
     pub fn verdicts<D: Borrow<BoxDomain>>(
         &self,
         doms: &[D],
@@ -919,21 +974,7 @@ impl Tape {
         scratch: &mut TapeScratch,
         out: &mut Vec<Tri>,
     ) {
-        self.verdicts_with(doms.len(), |b, v| doms[b].borrow().get(VarId(v)), cis, scratch, out);
-    }
-
-    /// [`Tape::verdicts`] over `n` boxes given by `var(b, v)`, variable
-    /// `v`'s interval on box `b`. Boxes go through the interpreter
-    /// [`LANES`] at a time, each pass evaluating only the slots the
-    /// conjuncts `cis` need.
-    pub(crate) fn verdicts_with(
-        &self,
-        n: usize,
-        var: impl Fn(usize, u32) -> Interval,
-        cis: &[u32],
-        scratch: &mut TapeScratch,
-        out: &mut Vec<Tri>,
-    ) {
+        let n = doms.len();
         out.clear();
         if n == 0 || cis.is_empty() {
             return;
@@ -955,7 +996,8 @@ impl Tape {
         out.reserve(n * cis.len());
         for start in (0..n).step_by(LANES) {
             let len = LANES.min(n - start);
-            self.run(len, |k, v| var(start + k, v), scratch);
+            let var = |k: usize, v: u32| doms[start + k].borrow().get(VarId(v));
+            self.run(0..scratch.run.len(), len, var, scratch);
             for k in 0..len {
                 for &ci in cis {
                     out.push(byte_tri(scratch.tri[self.roots[ci as usize] as usize][k]));
@@ -970,16 +1012,47 @@ impl Tape {
     /// certification can be skipped); `false` is inconclusive.
     #[must_use]
     pub fn refutes_point(&self, env: &[Rat], scratch: &mut TapeScratch) -> bool {
-        if self.max_var.is_some_and(|m| (m as usize) >= env.len()) {
+        if !self.binds(env.len()) {
             return false; // mirror eval_formula's UnboundVar path: inconclusive
         }
         let mut point = std::mem::take(&mut scratch.point);
         point.clear();
         point.extend(env.iter().map(rat_enclosure));
-        self.plan(set_bits(&self.all_mask), scratch);
-        self.run(1, |_, v| point[v as usize], scratch);
+        let all = 0..self.roots.len() as u32;
+        let refuted = self.refuter(all, scratch).refutes_chunk(1, |_, v| point[v as usize])[0];
         scratch.point = point;
-        self.roots.iter().any(|&r| scratch.tri[r as usize][0] == FALSE)
+        refuted
+    }
+
+    /// Plan an early-exit refutation pass over the conjunct roots `cis`,
+    /// checked in the order given. Each conjunct's run list is its
+    /// needed slots minus those of the conjuncts before it, so every slot
+    /// is listed once; cached slots are splatted into the lanes here, as
+    /// in a verdict pass. The plan holds for every chunk the returned
+    /// [`Refuter`] scores.
+    pub fn refuter<'a>(
+        &'a self,
+        cis: impl IntoIterator<Item = u32>,
+        s: &'a mut TapeScratch,
+    ) -> Refuter<'a> {
+        self.start_plan(s);
+        let mut seen = std::mem::take(&mut s.mask);
+        seen.clear();
+        seen.resize(self.all_mask.len(), 0);
+        for ci in cis {
+            for (w, (&bits, acc)) in self.conj_masks[ci as usize].iter().zip(&mut seen).enumerate()
+            {
+                let mut fresh = bits & !*acc;
+                *acc |= bits;
+                while fresh != 0 {
+                    self.plan_slot(w * 64 + fresh.trailing_zeros() as usize, s);
+                    fresh &= fresh - 1;
+                }
+            }
+            s.segs.push((s.run.len() as u32, self.roots[ci as usize]));
+        }
+        s.mask = seen;
+        Refuter { tape: self, s }
     }
 
     // -- exact rational interpreter -------------------------------------------
@@ -1091,6 +1164,52 @@ impl Tape {
             }
             Op::Not(a) => Ok(!self.exact_form(a, env, s)?),
             _ => unreachable!("term op in formula position"),
+        }
+    }
+}
+
+/// A planned early-exit refutation pass (see [`Tape::refuter`]): answers,
+/// per box, whether some planned conjunct is certainly `False` on it.
+#[derive(Debug)]
+pub struct Refuter<'a> {
+    tape: &'a Tape,
+    s: &'a mut TapeScratch,
+}
+
+impl Refuter<'_> {
+    /// Score `n <= LANES` boxes side by side; `var(k, v)` is variable
+    /// `v`'s interval on box `k`. Entry `k < n` of the result is `true`
+    /// exactly when some planned conjunct's verdict on box `k` is `False`,
+    /// the verdict [`Tape::verdicts`] gives. The conjuncts' run lists go in
+    /// plan order, and the chunk stops as soon as every box is refuted.
+    pub fn refutes_chunk(
+        &mut self,
+        n: usize,
+        var: impl Fn(usize, u32) -> Interval,
+    ) -> [bool; LANES] {
+        let mut refuted = [false; LANES];
+        let mut from = 0;
+        for j in 0..self.s.segs.len() {
+            let (end, root) = self.s.segs[j];
+            self.tape.run(from..end as usize, n, &var, self.s);
+            from = end as usize;
+            let t = &self.s.tri[root as usize];
+            for_each_lane::<LANES>(n, |k| refuted[k] |= t[k] == FALSE);
+            if refuted[..n].iter().all(|&r| r) {
+                break;
+            }
+        }
+        refuted
+    }
+
+    /// [`Refuter::refutes_chunk`] over `n` boxes of any count, [`LANES`] at
+    /// a time: clears `out` and appends one flag per box.
+    pub fn refutes(&mut self, n: usize, var: impl Fn(usize, u32) -> Interval, out: &mut Vec<bool>) {
+        out.clear();
+        for start in (0..n).step_by(LANES) {
+            let len = LANES.min(n - start);
+            let flags = self.refutes_chunk(len, |k, v| var(start + k, v));
+            out.extend_from_slice(&flags[..len]);
         }
     }
 }
@@ -1457,7 +1576,7 @@ mod tests {
                     points.iter().map(|p| p.iter().map(rat_enclosure).collect()).collect();
                 let mut s = TapeScratch::new();
                 tape.plan(0..tape.ops.len(), &mut s);
-                tape.run(points.len(), |k, v| encl[k][v as usize], &mut s);
+                tape.run(0..s.run.len(), points.len(), |k, v| encl[k][v as usize], &mut s);
                 let mut ex = ExactScratch::new();
                 for (k, env) in points.iter().enumerate() {
                     for (i, op) in tape.ops.iter().enumerate() {

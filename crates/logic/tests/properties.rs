@@ -343,8 +343,10 @@ fn tape_batched_verdicts_match_single_box() {
 /// of the seed domain, where domain seeding replays cached verdicts. Each
 /// case asks for all conjuncts and for a random non-empty subset of them,
 /// whose pass is planned from the union of the subset's needed-slot
-/// masks. Point refutation, which runs the same planned pass, never
-/// rejects a point where the formula holds exactly.
+/// masks. The early-exit refuter, planned over the same conjuncts in
+/// ascending and in reversed order, flags a box exactly when one of their
+/// verdicts is `False`. Point refutation, which runs the refuter on one
+/// box, never rejects a point where the formula holds exactly.
 #[test]
 fn tape_verdicts_match_ieval_for_every_batch_size() {
     use cso_logic::tape::LANES;
@@ -384,8 +386,13 @@ fn tape_verdicts_match_ieval_for_every_batch_size() {
             }
             let all: Vec<u32> = (0..n_conj).collect();
             let mut scratch = TapeScratch::new();
+            // The refuter gets a scratch of its own, so its lanes never hold
+            // what the verdict pass just computed for the same boxes.
+            let mut refuter_scratch = TapeScratch::new();
             let mut out = Vec::new();
+            let mut flags = Vec::new();
             for cis in [&all, &subset] {
+                let reversed: Vec<u32> = cis.iter().rev().copied().collect();
                 for n in 1..=n_max {
                     tape.verdicts(&boxes[..n], cis, &mut scratch, &mut out);
                     prop_assert_eq!(out.len(), n * cis.len());
@@ -401,6 +408,26 @@ fn tape_verdicts_match_ieval_for_every_batch_size() {
                                 ci,
                                 f,
                                 cis
+                            );
+                        }
+                    }
+                    // Early-exit refutation, in either conjunct order: a box
+                    // is refuted exactly when some asked verdict is False.
+                    let var = |b: usize, v: u32| boxes[b].get(VarId::from_index(v as usize));
+                    for order in [cis, &reversed] {
+                        let mut refuter = tape.refuter(order.iter().copied(), &mut refuter_scratch);
+                        refuter.refutes(n, var, &mut flags);
+                        prop_assert_eq!(flags.len(), n);
+                        for (b, &refuted) in flags.iter().enumerate() {
+                            let verdicts = &out[b * cis.len()..(b + 1) * cis.len()];
+                            prop_assert_eq!(
+                                refuted,
+                                verdicts.contains(&Tri::False),
+                                "batch {} box {} of {} (asked {:?})",
+                                n,
+                                b,
+                                f,
+                                order
                             );
                         }
                     }

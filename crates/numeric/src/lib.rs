@@ -42,7 +42,7 @@ mod testgen;
 
 pub use bigint::BigInt;
 pub use interval::{Interval, IntervalLanes};
-pub use rational::Rat;
+pub use rational::{words_to_f64, Rat};
 
 /// Sign of a number: negative, zero or positive.
 ///

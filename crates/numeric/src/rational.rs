@@ -29,6 +29,30 @@ pub struct Rat {
     den: BigInt,
 }
 
+/// `±n / d` to the nearest `f64`, on machine words: [`Rat::to_f64`] of the
+/// reduced fraction with one-limb parts `n > 0` and `d`, down to the bits.
+/// `None` when `d` has more than 48 bits, where the words would overflow
+/// and `to_f64` takes its limb path instead. Callers that already hold a
+/// reduced fraction as words get the same `f64` without building a `Rat`.
+#[must_use]
+pub fn words_to_f64(neg: bool, n: u64, d: u64) -> Option<f64> {
+    debug_assert!(n > 0 && d > 0, "words_to_f64 of a zero part");
+    // The steps of `to_f64_limbs` on machine words. With one-limb operands
+    // the shift 80 - nb + db is at least 17 and the shifted numerator has
+    // 80 + db bits, so it fits a u128 for denominators of up to 48 bits.
+    // The quotient then has 80 or 81 bits, and `BigInt::to_f64` would round
+    // its top 64 (truncated) to f64.
+    if d.leading_zeros() < 16 {
+        return None;
+    }
+    let shift = 80 - i64::from(64 - n.leading_zeros()) + i64::from(64 - d.leading_zeros());
+    let q = (u128::from(n) << shift) / u128::from(d);
+    let drop = 128 - q.leading_zeros() - 64;
+    let x = ((q >> drop) as u64 as f64) * f64::from(drop).exp2();
+    let x = if neg { -x } else { x };
+    Some(x * (-shift as f64).exp2())
+}
+
 impl Rat {
     /// Construct and normalize `num / den`.
     ///
@@ -218,19 +242,8 @@ impl Rat {
             return 0.0;
         }
         if let (Some(n), Some(d)) = (self.num.small_mag(), self.den.small_mag()) {
-            // The steps of `to_f64_limbs` on machine words. With one-limb
-            // operands the shift 80 - nb + db is at least 17 and the shifted
-            // numerator has 80 + db bits, so it fits a u128 for denominators
-            // of up to 48 bits. The quotient then has 80 or 81 bits, and
-            // `BigInt::to_f64` would round its top 64 (truncated) to f64.
-            if d.leading_zeros() >= 16 {
-                let shift =
-                    80 - i64::from(64 - n.leading_zeros()) + i64::from(64 - d.leading_zeros());
-                let q = (u128::from(n) << shift) / u128::from(d);
-                let drop = 128 - q.leading_zeros() - 64;
-                let x = ((q >> drop) as u64 as f64) * f64::from(drop).exp2();
-                let x = if self.num.is_negative() { -x } else { x };
-                return x * (-shift as f64).exp2();
+            if let Some(x) = words_to_f64(self.num.is_negative(), n, d) {
+                return x;
             }
         }
         self.to_f64_limbs()
