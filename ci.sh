@@ -36,16 +36,18 @@ CSO_SOLVER_THREADS=4 cargo test -q --workspace --offline
 # interpreter must agree with the tree walker at every batch size, on all
 # conjuncts and on random subsets of them (planned passes over unions of
 # conjunct masks), point refutation must never reject a model, and every
-# lane slot must contain its exact rational value, and the sampler's
-# word-level enclosures must equal the `Rat` path's bit for bit. Release
-# build, so the vectorized loops are the code under test.
+# lane slot must contain its exact rational value, the sampler's
+# word-level enclosures must equal the `Rat` path's bit for bit, and
+# contraction (whole boxes and split halves contracted from a verdict
+# pass's lanes) must keep every exact solution. Release build, so the
+# vectorized loops are the code under test.
 echo "==> lane and kernel properties (CSO_PROP_CASES=20000, release)"
 CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-numeric --test properties -- \
     round_down_up_match_next_down_up interval_lanes_match_scalar_bit_for_bit \
     interval_mul_matches_hardware rat_ops_match_bigint_arithmetic
 CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-logic -- \
     lane_slots_contain_exact_values tape_verdicts_match_ieval_for_every_batch_size \
-    enclosure_in_matches_rat_enclosure_of_rat_in
+    enclosure_in_matches_rat_enclosure_of_rat_in contraction_keeps_every_exact_solution
 
 # The perf ledger is a standalone package (its own workspace and lock
 # file), so the workspace passes above never build it. Its tests include

@@ -1,8 +1,10 @@
 //! Micro-benchmarks of the substrates: the costs that make up one
 //! synthesis iteration, plus the network-substrate primitives.
 
+use cso_logic::ieval::{ieval_term, Tri};
 use cso_logic::solver::{Solver, SolverConfig};
-use cso_logic::{eval::eval_term, ieval::ieval_term, BoxDomain, Term, VarRegistry};
+use cso_logic::{eval::eval_term, BoxDomain, Term, VarRegistry};
+use cso_logic::{CompiledQuery, Contractee, Contraction, TapeScratch};
 use cso_lp::LpProblem;
 use cso_netsim::alloc::{Allocator, Instance};
 use cso_netsim::{FlowSpec, Topology, TrafficClass};
@@ -117,6 +119,32 @@ fn logic(c: &mut Criterion) {
         bch.iter(|| {
             let mut s = Solver::new(sc.clone());
             black_box(s.solve_seeded(&fb, &qdom, &seeds))
+        })
+    });
+    // One contraction of a mid-depth box of that query: the thresholds
+    // narrowed between the scenarios' metric values, so every guard is
+    // decided, and the slopes a few bisections deep.
+    let q = CompiledQuery::prepare(&fb, Some(&qdom), true);
+    let tape = q.tape.expect("the fb query is not trivial");
+    let mut mid = qdom.clone();
+    let holes = qb.hole_ids();
+    for (&h, (lo, hi)) in holes.iter().zip([(0.6, 1.1), (45.0, 55.0), (0.0, 2.5), (3.75, 5.0)]) {
+        mid.set(h, Interval::new(lo, hi));
+    }
+    let all: Vec<u32> = (0..q.conjuncts.len() as u32).collect();
+    let mut verdicts = Vec::new();
+    let mut scratch = TapeScratch::new();
+    tape.verdicts(&[&mid], &all, &mut scratch, &mut verdicts);
+    let pending: Vec<u32> =
+        all.iter().copied().filter(|&ci| verdicts[ci as usize] == Tri::Unknown).collect();
+    let mut probe = [Contractee::new(mid.clone(), pending.clone(), None)];
+    tape.contract(&mut probe, &mut scratch);
+    assert_eq!(probe[0].outcome, Contraction::Narrowed, "the mid-depth box contracts");
+    g.bench_function("contract_fb_box", |bch| {
+        bch.iter(|| {
+            let mut boxes = [Contractee::new(mid.clone(), pending.clone(), None)];
+            tape.contract(&mut boxes, &mut scratch);
+            black_box(boxes[0].outcome)
         })
     });
     g.finish();

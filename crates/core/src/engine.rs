@@ -443,6 +443,8 @@ impl Synthesizer {
         static RESIDUAL: Counter = Counter::new("cso_solver_residual_boxes_total");
         static SAMPLES: Counter = Counter::new("cso_solver_samples_total");
         static EVAL_ERRORS: Counter = Counter::new("cso_solver_eval_errors_total");
+        static CONTRACTED: Counter = Counter::new("cso_solver_contracted_total");
+        static EMPTIED: Counter = Counter::new("cso_solver_emptied_total");
         static SEEDING_NS: Histogram = Histogram::new("cso_solver_seeding_ns");
         static BNP_NS: Histogram = Histogram::new("cso_solver_bnp_ns");
         static CLAUSES_COMPILED: Counter = Counter::new("cso_engine_clauses_compiled_total");
@@ -461,6 +463,8 @@ impl Synthesizer {
                 RESIDUAL.inc(s.residual_boxes as u64);
                 SAMPLES.inc(s.samples_tried as u64);
                 EVAL_ERRORS.inc(s.eval_errors as u64);
+                CONTRACTED.inc(s.contracted as u64);
+                EMPTIED.inc(s.emptied as u64);
                 SEEDING_NS.observe_duration(s.seeding_time);
                 BNP_NS.observe_duration(s.bnp_time);
             }

@@ -82,6 +82,8 @@ impl Work {
                 ("eval_errors", u(s.eval_errors)),
                 ("workers", u(s.workers)),
                 ("from_seeding", u(usize::from(s.sat_from_seeding))),
+                ("contracted", u(s.contracted)),
+                ("emptied", u(s.emptied)),
                 ("seeding_ns", ns(s.seeding_time)),
                 ("bnp_ns", ns(s.bnp_time)),
             ],
@@ -108,6 +110,8 @@ impl Work {
                     eval_errors: n("eval_errors"),
                     workers: n("workers"),
                     sat_from_seeding: u("from_seeding") != 0,
+                    contracted: n("contracted"),
+                    emptied: n("emptied"),
                     seeding_time: Duration::from_nanos(u("seeding_ns")),
                     bnp_time: Duration::from_nanos(u("bnp_ns")),
                 },
@@ -351,7 +355,7 @@ mod tests {
     /// Any work record: counters up to 2⁴⁰, phase times in whole
     /// nanoseconds (what the trace carries), every verdict.
     fn work_gen() -> Gen<Work> {
-        let query = prop::vec_of(prop::u64_in(0, 1 << 40), 10, 10).map(|v| Work::Query {
+        let query = prop::vec_of(prop::u64_in(0, 1 << 40), 12, 12).map(|v| Work::Query {
             stats: SolverStats {
                 boxes_processed: v[0] as usize,
                 boxes_pruned: v[1] as usize,
@@ -362,6 +366,8 @@ mod tests {
                 sat_from_seeding: v[6] % 2 == 1,
                 seeding_time: Duration::from_nanos(v[7]),
                 bnp_time: Duration::from_nanos(v[8]),
+                contracted: v[10] as usize,
+                emptied: v[11] as usize,
             },
             outcome: Some(
                 [Verdict::Sat, Verdict::Unsat, Verdict::DeltaUnsat, Verdict::Exhausted]

@@ -148,6 +148,12 @@ fn metrics_on_run_is_byte_identical() {
             counter("cso_engine_oracle_calls_total") > 0,
             "threads {threads}: no oracle calls counted"
         );
+        // Contraction work: every emptied box is also a pruned one, and a
+        // SWAN run contracts some boxes.
+        let (contracted, emptied) =
+            (counter("cso_solver_contracted_total"), counter("cso_solver_emptied_total"));
+        assert!(contracted > 0, "threads {threads}: no contracted boxes counted");
+        assert!(emptied <= t.boxes_pruned as u64, "threads {threads}: emptied boxes not pruned");
         let bnp = delta.histograms.get("cso_solver_bnp_ns").expect("bnp histogram registered");
         assert_eq!(
             bnp.count(),

@@ -59,6 +59,9 @@ pub mod term;
 pub mod vars;
 
 pub use model::Model;
-pub use tape::{CompiledQuery, ExactScratch, Refuter, Tape, TapeScratch, TapeStats};
+pub use tape::{
+    CompiledQuery, Contractee, Contraction, ExactScratch, Refuter, Tape, TapeScratch, TapeStats,
+    VerdictPass,
+};
 pub use term::{CmpOp, Formula, Term};
 pub use vars::{BoxDomain, VarId, VarRegistry};

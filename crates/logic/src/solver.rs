@@ -9,10 +9,17 @@
 //!    synthesis loop, where the previous iteration's model is usually close
 //!    to a model of the next query. Disable via
 //!    [`SolverConfig::use_seeding`] for the ablation study.
-//! 2. **Branch-and-prune** — bisection over the box. A box is pruned when
-//!    interval evaluation certainly refutes one conjunct; a box whose every
-//!    conjunct is certainly true yields a model immediately. Boxes narrower
-//!    than [`SolverConfig::delta`] in every dimension that still cannot be
+//! 2. **Branch, contract and prune** — bisection over the box. A box is
+//!    pruned when interval evaluation certainly refutes one conjunct; a
+//!    box whose every conjunct is certainly true yields a model
+//!    immediately. Every box that survives is first *contracted*
+//!    ([`Tape::contract`], HC4-revise): each pending comparison is
+//!    projected backward through the tape's slots onto the variables, and
+//!    the box shrinks to the narrowed ranges. Contraction never removes a
+//!    point where every conjunct holds exactly, so a box it empties is
+//!    pruned, and samples, the residual test and the choice of split
+//!    dimension all see the narrowed box. Boxes narrower than
+//!    [`SolverConfig::delta`] in every dimension that still cannot be
 //!    decided are *residual*.
 //!
 //! Both phases evaluate through the query's compiled [`Tape`] (see
@@ -36,7 +43,10 @@
 //! certainly true on a box it stays true on every sub-box, and a conjunct
 //! whose variables were untouched by a split keeps its verdict. The solver
 //! therefore re-evaluates only the still-unknown conjuncts that mention the
-//! split dimension.
+//! split dimension. Contraction leans on the same facts: the root is
+//! contracted on every pending conjunct, and a child of a split box first
+//! only on those that read the split dimension, since the others were
+//! revised on the same ranges when its parent was contracted.
 //!
 //! # Rounds, batched and parallel
 //!
@@ -49,13 +59,18 @@
 //! **lowest index in the batch** wins, and statistics only count boxes up
 //! to and including the winner.
 //!
-//! With [`SolverConfig::threads`]` == 1` a round costs two tape passes in
-//! all: one interval-refutes every box's samples, one checks every split
-//! box's children, each pass scoring its boxes [`crate::tape::LANES`] at
-//! a time (see `BnpCtx::round`). The sample pass only needs "some conjunct
-//! is `False`" per sample: it encloses the drawn coordinates on machine
-//! words, without building a `Rat`, and runs the conjuncts one by one,
-//! stopping each chunk of samples as soon as all of them are refuted.
+//! With [`SolverConfig::threads`]` == 1` a round costs two tape passes,
+//! plus the contraction sweeps: one pass interval-refutes every box's
+//! samples, one checks every split box's children, each pass scoring its
+//! boxes [`crate::tape::LANES`] at a time (see `BnpCtx::round`). A child
+//! that survives takes its first contraction sweep from the lanes the
+//! child pass left, so it costs only the backward projection; the children
+//! whose first sweep narrowed a range by more than a tenth sweep again,
+//! sharing forward passes [`crate::tape::LANES`] at a time. The sample
+//! pass only needs "some conjunct is `False`" per sample: it encloses the
+//! drawn coordinates on machine words, without building a `Rat`, and runs
+//! the conjuncts one by one, stopping each chunk of samples as soon as all
+//! of them are refuted.
 //! Seeding refutes its candidates the same way, [`crate::tape::LANES`] at
 //! a time under one plan per query, and certifies the survivors in draw
 //! order. With more threads, workers pull boxes
@@ -69,7 +84,7 @@
 
 use crate::ieval::{rat_enclosure, Tri};
 use crate::model::Model;
-use crate::tape::{self, CompiledQuery, ExactScratch, Tape, LANES};
+use crate::tape::{self, CompiledQuery, Contractee, Contraction, ExactScratch, Tape, LANES};
 use crate::term::Formula;
 use crate::vars::BoxDomain;
 use cso_numeric::interval::{round_down, round_up};
@@ -212,6 +227,10 @@ pub struct SolverStats {
     pub bnp_time: Duration,
     /// Worker threads branch-and-prune ran with.
     pub workers: usize,
+    /// Boxes that contraction narrowed in at least one variable.
+    pub contracted: usize,
+    /// Boxes that contraction emptied (each also counts as pruned).
+    pub emptied: usize,
 }
 
 /// The solver. Holds configuration, RNG state, and last-run statistics.
@@ -258,6 +277,15 @@ struct TaskResult {
     samples: usize,
     pruned: usize,
     errors: usize,
+    contracted: usize,
+    emptied: usize,
+}
+
+impl TaskResult {
+    /// A result whose processing pruned and contracted nothing (yet).
+    fn new(verdict: TaskVerdict, samples: usize, errors: usize) -> TaskResult {
+        TaskResult { verdict, samples, pruned: 0, errors, contracted: 0, emptied: 0 }
+    }
 }
 
 /// Buffers a branch-and-prune round reuses, kept per thread so that no
@@ -282,6 +310,10 @@ struct RoundScratch {
     children: Vec<BoxDomain>,
     /// `pick_split_dim`'s per-dimension flags.
     relevant: Vec<bool>,
+    /// The children under contraction, and the batch index of each one's
+    /// parent.
+    contractees: Vec<Contractee>,
+    owners: Vec<usize>,
 }
 
 impl RoundScratch {
@@ -387,17 +419,12 @@ impl BnpCtx<'_> {
             let (m, e) = certify_exact(self.tape, &vals);
             errors += e;
             if let Some(m) = m {
-                return TaskResult {
-                    verdict: TaskVerdict::Sat(m),
-                    samples: i + 1,
-                    pruned: 0,
-                    errors,
-                };
+                return TaskResult::new(TaskVerdict::Sat(m), i + 1, errors);
             }
         }
         // All evaluations errored (division by zero on a measure-zero set
         // can do this); treat conservatively as residual.
-        TaskResult { verdict: TaskVerdict::Residual, samples: 4, pruned: 0, errors }
+        TaskResult::new(TaskVerdict::Residual, 4, errors)
     }
 
     /// Process one round of frontier boxes in batch order, with two tape
@@ -421,7 +448,9 @@ impl BnpCtx<'_> {
     ///    the first SAT ends the round and later boxes contribute nothing.
     /// 3. Every box before it that is neither SAT nor residual is
     ///    bisected, and one pass checks all children on the union of their
-    ///    re-check conjuncts (each child reads only its own).
+    ///    re-check conjuncts (each child reads only its own). Each child it
+    ///    does not refute is contracted: the first sweep from the lanes of
+    ///    the pass, the later ones shared by the children still sweeping.
     ///
     /// Lanes are independent, so every verdict, and with it the outcome
     /// and every counter, equals processing the boxes one at a time.
@@ -482,7 +511,7 @@ impl BnpCtx<'_> {
                     match EX_SCRATCH.with(|x| self.tape.eval_exact(&r.vals, &mut x.borrow_mut())) {
                         Ok(true) => {
                             let verdict = TaskVerdict::Sat(Model::new(r.vals.clone()));
-                            out.push(TaskResult { verdict, samples: j + 1, pruned: 0, errors });
+                            out.push(TaskResult::new(verdict, j + 1, errors));
                             break 'boxes;
                         }
                         Ok(false) => {}
@@ -497,7 +526,7 @@ impl BnpCtx<'_> {
                 r.splits.push((bi, self.pick_split_dim(task, &mut r.relevant)));
                 TaskVerdict::Split(Vec::new())
             };
-            out.push(TaskResult { verdict, samples: spb, pruned: 0, errors });
+            out.push(TaskResult::new(verdict, spb, errors));
         }
         if r.splits.is_empty() {
             return out;
@@ -520,34 +549,60 @@ impl BnpCtx<'_> {
             }
         }
         r.seal_cis();
-        tape::with_scratch(|s| self.tape.verdicts(&r.children, &r.cis, s, &mut r.verdicts));
+        // One verdict pass over the children, LANES at a time. A child that
+        // survives it takes its first contraction sweep from the lanes its
+        // chunk left; the children that sweep again share later passes.
         let width = r.cis.len();
-        let mut children = r.children.drain(..);
-        for (c0, &(bi, dim)) in r.splits.iter().enumerate() {
-            let task = &batch[bi];
-            let mut kept = Vec::with_capacity(2);
-            let mut pruned = 0usize;
-            'child: for c in [2 * c0, 2 * c0 + 1] {
-                let dom = children.next().expect("two children per split box");
-                let mut pending = Vec::with_capacity(task.pending.len());
-                for &ci in &task.pending {
-                    if !recheck(ci, dim) {
-                        pending.push(ci);
-                        continue;
-                    }
-                    match r.verdicts[c * width + r.pos[ci as usize] as usize] {
-                        Tri::False => {
-                            pruned += 1;
-                            continue 'child;
+        let mut children = std::mem::take(&mut r.children);
+        r.verdicts.clear();
+        r.owners.clear();
+        tape::with_scratch(|s| {
+            let mut pass = self.tape.verdict_pass(&r.cis, s);
+            for (first, chunk) in children.chunks_mut(LANES).enumerate() {
+                pass.chunk(chunk, &mut r.verdicts);
+                'child: for (k, dom) in chunk.iter_mut().enumerate() {
+                    let c = first * LANES + k;
+                    let (bi, dim) = r.splits[c / 2];
+                    let mut pending = Vec::with_capacity(batch[bi].pending.len());
+                    for &ci in &batch[bi].pending {
+                        if !recheck(ci, dim) {
+                            pending.push(ci);
+                            continue;
                         }
-                        Tri::Unknown => pending.push(ci),
-                        Tri::True => {}
+                        match r.verdicts[c * width + r.pos[ci as usize] as usize] {
+                            Tri::False => {
+                                out[bi].pruned += 1;
+                                continue 'child;
+                            }
+                            Tri::Unknown => pending.push(ci),
+                            Tri::True => {}
+                        }
                     }
+                    let dom = std::mem::replace(dom, BoxDomain::with_len(0));
+                    let mut child = Contractee::new(dom, pending, Some(dim));
+                    pass.contract(k, &mut child);
+                    r.owners.push(bi);
+                    r.contractees.push(child);
                 }
-                kept.push((dom, pending));
             }
-            out[bi].verdict = TaskVerdict::Split(kept);
-            out[bi].pruned = pruned;
+            self.tape.contract(&mut r.contractees, s);
+        });
+        children.clear();
+        r.children = children;
+        for (c, &bi) in r.contractees.drain(..).zip(&r.owners) {
+            let res = &mut out[bi];
+            match c.outcome {
+                Contraction::Empty => {
+                    res.pruned += 1;
+                    res.emptied += 1;
+                    continue;
+                }
+                Contraction::Narrowed => res.contracted += 1,
+                Contraction::Unchanged => {}
+            }
+            if let TaskVerdict::Split(kept) = &mut res.verdict {
+                kept.push((c.dom, c.pending));
+            }
         }
         out
     }
@@ -763,6 +818,9 @@ impl Solver {
         let mentions: Vec<Vec<u32>> =
             conjuncts.iter().map(|c| c.vars().iter().map(|v| v.0).collect()).collect();
 
+        let workers = self.cfg.threads.clamp(1, ROUND_SIZE);
+        self.stats.workers = workers;
+
         // Root: evaluate every conjunct in one batched tape pass, then
         // scan in conjunct order; the first `False` refutes the box.
         let cis: Vec<u32> = (0..conjuncts.len() as u32).collect();
@@ -780,13 +838,25 @@ impl Solver {
                 Tri::True => {}
             }
         }
+        // Contract the root before the first split, like every child.
+        let mut root = [Contractee::new(dom.clone(), root_pending, None)];
+        tape::with_scratch(|s| tape.contract(&mut root, s));
+        let [root] = root;
+        match root.outcome {
+            Contraction::Empty => {
+                self.stats.boxes_processed = 1;
+                self.stats.boxes_pruned = 1;
+                self.stats.emptied = 1;
+                return Outcome::Unsat;
+            }
+            Contraction::Narrowed => self.stats.contracted = 1,
+            Contraction::Unchanged => {}
+        }
 
-        let workers = self.cfg.threads.clamp(1, ROUND_SIZE);
-        self.stats.workers = workers;
         let ctx = BnpCtx { cfg: &self.cfg, mentions: &mentions, tape };
 
         // Depth-first stack of unexplored boxes; the top is the deepest.
-        let mut stack = vec![BoxTask { dom: dom.clone(), pending: root_pending, id: 0 }];
+        let mut stack = vec![BoxTask { dom: root.dom, pending: root.pending, id: 0 }];
         let mut next_id: u64 = 1;
 
         while !stack.is_empty() {
@@ -834,6 +904,8 @@ impl Solver {
                         self.stats.samples_tried += res.samples;
                         self.stats.boxes_pruned += res.pruned;
                         self.stats.eval_errors += res.errors;
+                        self.stats.contracted += res.contracted;
+                        self.stats.emptied += res.emptied;
                         match verdict {
                             TaskVerdict::Sat(m) => {
                                 sat = Some(m);
@@ -884,12 +956,7 @@ impl Solver {
         let best_sat = AtomicUsize::new(usize::MAX);
         pool::scoped_map((0..batch.len()).collect(), workers, |i: usize| {
             if best_sat.load(Ordering::Relaxed) < i {
-                return TaskResult {
-                    verdict: TaskVerdict::Skipped,
-                    samples: 0,
-                    pruned: 0,
-                    errors: 0,
-                };
+                return TaskResult::new(TaskVerdict::Skipped, 0, 0);
             }
             let res = Solver::run_batch_sequential(ctx, std::slice::from_ref(&batch[i]))
                 .pop()
@@ -915,11 +982,15 @@ impl Solver {
         }
     }
 
+    /// The range sampling draws from: `iv` with an infinite end capped at
+    /// ±1e9, or at the finite end where that lies beyond the cap, so the
+    /// range is never empty.
     fn clamp_iv(iv: Interval) -> (f64, f64) {
         const CAP: f64 = 1e9;
-        let lo = if iv.lo().is_finite() { iv.lo() } else { -CAP };
-        let hi = if iv.hi().is_finite() { iv.hi() } else { CAP };
-        (lo, hi)
+        let (lo, hi) = (iv.lo(), iv.hi());
+        let capped_lo = if hi.is_finite() { (-CAP).min(hi) } else { -CAP };
+        let capped_hi = if lo.is_finite() { CAP.max(lo) } else { CAP };
+        (if lo.is_finite() { lo } else { capped_lo }, if hi.is_finite() { hi } else { capped_hi })
     }
 
     /// `x` clamped into `iv` (infinite ends capped), and the numerator `k`
@@ -1301,9 +1372,18 @@ mod tests {
                     format!("{o4:?}"),
                     "seed {seed} query {qi}: rendered outcomes diverged"
                 );
+                let counters = |st: &SolverStats| {
+                    (
+                        st.boxes_processed,
+                        st.boxes_pruned,
+                        st.samples_tried,
+                        st.contracted,
+                        st.emptied,
+                    )
+                };
                 assert_eq!(
-                    (s1.stats.boxes_processed, s1.stats.boxes_pruned, s1.stats.samples_tried),
-                    (s4.stats.boxes_processed, s4.stats.boxes_pruned, s4.stats.samples_tried),
+                    counters(&s1.stats),
+                    counters(&s4.stats),
                     "seed {seed} query {qi}: deterministic counters diverged"
                 );
             }
@@ -1311,11 +1391,12 @@ mod tests {
     }
 
     /// Pins outcomes (models included) and every deterministic counter on
-    /// SAT bands, an UNSAT proof needing subdivision and an inexact
-    /// constant, with seeding off and on, for threads 1 and 4. The
-    /// constants were recorded when the tree-walking evaluators still
-    /// backed the solver and matched them exactly, so any change to what
-    /// branch-and-prune or seeding decides shows up here.
+    /// SAT bands, an UNSAT proof (which contraction now empties at the
+    /// root) and an inexact constant, with seeding off and on, for threads
+    /// 1 and 4. The seeding-answered rows are those the tree-walking
+    /// evaluators produced; the branch-and-prune rows were re-recorded when
+    /// contraction landed. Any change to what branch-and-prune or seeding
+    /// decides shows up here.
     #[test]
     fn outcomes_and_counters_are_pinned() {
         let (_, d, x, y) = setup2();
@@ -1343,21 +1424,62 @@ mod tests {
             Outcome::Sat(Model::new(vec![Rat::from_frac(x.0, x.1), Rat::from_frac(y.0, y.1)]))
         };
         // (outcome, boxes_processed, boxes_pruned, residual_boxes,
-        //  samples_tried, sat_from_seeding, eval_errors) per query.
+        //  samples_tried, sat_from_seeding, eval_errors, contracted, emptied)
+        // per query.
         let pinned = |seeding: bool| {
             if seeding {
                 [
-                    (sat((926_221, 200_000), (369_273, 1_000_000)), 298, 177, 0, 810, false, 0),
-                    (Outcome::Unsat, 4, 5, 0, 516, false, 0),
-                    (sat((4_925_383, 1_000_000), (2_617_797, 1_000_000)), 0, 0, 0, 98, true, 0),
-                    (sat((6_243_021, 1_000_000), (243_713, 1_000_000)), 0, 0, 0, 111, true, 0),
+                    (
+                        sat((412_691, 100_000), (873_189, 1_000_000)),
+                        79,
+                        0,
+                        0,
+                        591,
+                        false,
+                        0,
+                        157,
+                        0,
+                    ),
+                    (Outcome::Unsat, 1, 1, 0, 512, false, 0, 0, 1),
+                    (
+                        sat((4_925_383, 1_000_000), (2_617_797, 1_000_000)),
+                        0,
+                        0,
+                        0,
+                        98,
+                        true,
+                        0,
+                        0,
+                        0,
+                    ),
+                    (
+                        sat((6_243_021, 1_000_000), (243_713, 1_000_000)),
+                        0,
+                        0,
+                        0,
+                        111,
+                        true,
+                        0,
+                        0,
+                        0,
+                    ),
                 ]
             } else {
                 [
-                    (sat((926_221, 200_000), (369_273, 1_000_000)), 298, 177, 0, 298, false, 0),
-                    (Outcome::Unsat, 4, 5, 0, 4, false, 0),
-                    (sat((1_029_797, 250_000), (3_046_871, 1_000_000)), 20, 11, 0, 20, false, 0),
-                    (sat((1_640_539, 250_000), (150_137, 500_000)), 8, 5, 0, 8, false, 0),
+                    (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 79, false, 0, 157, 0),
+                    (Outcome::Unsat, 1, 1, 0, 0, false, 0, 0, 1),
+                    (
+                        sat((7_204_039, 1_000_000), (1_737_473, 1_000_000)),
+                        10,
+                        0,
+                        0,
+                        10,
+                        false,
+                        0,
+                        19,
+                        0,
+                    ),
+                    (sat((1_203_681, 200_000), (571_589, 1_000_000)), 1, 0, 0, 1, false, 0, 1, 0),
                 ]
             }
         };
@@ -1382,6 +1504,8 @@ mod tests {
                             st.samples_tried,
                             st.sat_from_seeding,
                             st.eval_errors,
+                            st.contracted,
+                            st.emptied,
                         ),
                         want,
                         "seeding {seeding} threads {threads} query {qi}"
@@ -1394,14 +1518,14 @@ mod tests {
         // the RNG state the previous one left, so seeding must leave it
         // exactly where drawing one sample at a time does.
         let reused = [
-            (sat((926_221, 200_000), (369_273, 1_000_000)), 298, 177, 0, 810, false, 0),
-            (Outcome::Unsat, 4, 5, 0, 516, false, 0),
-            (sat((1_846_013, 200_000), (1_307_647, 1_000_000)), 0, 0, 0, 15, true, 0),
-            (sat((6_427_091, 1_000_000), (150_673, 1_000_000)), 0, 0, 0, 127, true, 0),
-            (sat((926_221, 200_000), (369_273, 1_000_000)), 298, 177, 0, 827, false, 0),
-            (Outcome::Unsat, 4, 5, 0, 533, false, 0),
-            (sat((2_194_113, 500_000), (1_390_587, 500_000)), 0, 0, 0, 84, true, 0),
-            (sat((6_328_651, 1_000_000), (59_843, 250_000)), 0, 0, 0, 33, true, 0),
+            (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 591, false, 0, 157, 0),
+            (Outcome::Unsat, 1, 1, 0, 512, false, 0, 0, 1),
+            (sat((1_846_013, 200_000), (1_307_647, 1_000_000)), 0, 0, 0, 15, true, 0, 0, 0),
+            (sat((6_427_091, 1_000_000), (150_673, 1_000_000)), 0, 0, 0, 127, true, 0, 0, 0),
+            (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 608, false, 0, 157, 0),
+            (Outcome::Unsat, 1, 1, 0, 529, false, 0, 0, 1),
+            (sat((2_194_113, 500_000), (1_390_587, 500_000)), 0, 0, 0, 84, true, 0, 0, 0),
+            (sat((6_328_651, 1_000_000), (59_843, 250_000)), 0, 0, 0, 33, true, 0, 0, 0),
         ];
         let seed_model = Model::new(vec![Rat::from_int(1), Rat::from_int(1)]);
         for threads in [1usize, 4] {
@@ -1425,6 +1549,8 @@ mod tests {
                         st.samples_tried,
                         st.sat_from_seeding,
                         st.eval_errors,
+                        st.contracted,
+                        st.emptied,
                     ),
                     want,
                     "reused solver, threads {threads} run {qi}"
@@ -1531,9 +1657,6 @@ mod tests {
             |&(a, b, (x, which))| {
                 let iv = Interval::new(a.min(b), a.max(b));
                 let (lo, hi) = Solver::clamp_iv(iv);
-                if lo > hi {
-                    return Ok(()); // `rat_in` needs a capped box with lo <= hi
-                }
                 let x = match which {
                     1 => lo,
                     2 => lo.next_up().min(hi),
@@ -1555,6 +1678,33 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// A box with one infinite end whose finite end lies beyond the ±1e9
+    /// sampling cap: the capped range is the finite end alone, so drawing,
+    /// snapping and jittering around a seed all stay inside the box.
+    #[test]
+    fn half_infinite_box_beyond_the_cap_is_sampled() {
+        let mut r = VarRegistry::new();
+        let x = r.intern("x");
+        let f = Term::var(x).le(Term::int(0));
+        for (lo, hi) in [(f64::NEG_INFINITY, -2e9), (2e9, f64::INFINITY)] {
+            let mut d = BoxDomain::new(&r);
+            d.set(x, Interval::new(lo, hi));
+            let end = if lo.is_finite() { lo } else { hi };
+            assert_eq!(Solver::clamp_iv(d.get(x)), (end, end));
+            let seed = Model::new(vec![Rat::from_int(-5)]);
+            for seeds in [&[][..], std::slice::from_ref(&seed)] {
+                let out = solver().solve_seeded(&f, &d, seeds);
+                if lo.is_finite() {
+                    assert_eq!(out, Outcome::Unsat, "[{lo}, {hi}] holds no x <= 0");
+                    continue;
+                }
+                let m = out.model().expect("x = -2e9 is a model");
+                assert!(eval_formula(&f, m.values()).unwrap());
+                assert!(m.values()[0] <= Rat::from_int(-2_000_000_000), "{m:?} left the box");
+            }
+        }
     }
 
     #[test]

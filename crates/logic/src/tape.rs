@@ -54,6 +54,14 @@
 //!   [`LANES`] boxes runs the lists conjunct by conjunct and stops as soon
 //!   as every live lane is refuted. Sample refutation in branch-and-prune,
 //!   seeding and [`Tape::refutes_point`] all go through it.
+//! * **Contraction (HC4-revise).** [`Tape::contract`] narrows a box to the
+//!   solutions of its pending conjuncts: after a forward pass, each
+//!   comparison that must hold is projected backward through the slots,
+//!   from the last slot to the first, onto the variables, with the same
+//!   outward-rounded interval operators. A [`VerdictPass`] keeps each
+//!   chunk's lanes, so a box it scored takes its first sweep without a
+//!   forward pass of its own; later sweeps share forward passes
+//!   [`LANES`] boxes at a time.
 //!
 //! Lanes never mix, and each lane computes exactly the scalar `f64`
 //! operations of [`Interval`]'s operators — the lane kernels and the
@@ -81,7 +89,7 @@ use crate::ieval::{icmp, rat_enclosure, Tri};
 use crate::simplify::simplify_formula;
 use crate::term::{CmpOp, Formula, Term};
 use crate::vars::{BoxDomain, VarId};
-use cso_numeric::interval::for_each_lane;
+use cso_numeric::interval::{for_each_lane, round_down, round_up};
 use cso_numeric::{Interval, IntervalLanes, Rat};
 use cso_runtime::trace::{self, Value};
 use std::borrow::Borrow;
@@ -243,6 +251,144 @@ fn byte_tri(b: u8) -> Tri {
     }
 }
 
+/// Contraction sweeps per box at most: each is one forward interval pass
+/// and one backward projection.
+const CONTRACT_SWEEPS: usize = 8;
+
+/// A sweep that narrows no variable by more than this fraction of its
+/// width ends the contraction: the fixpoint is near, and another sweep
+/// costs more than the little it would cut.
+const CONTRACT_MIN_GAIN: f64 = 0.1;
+
+// Contraction requirement bits, per slot: the formula must be true, must
+// be false; the numeric slot's interval was narrowed.
+const NEED_TRUE: u8 = 1;
+const NEED_FALSE: u8 = 2;
+const NARROWED: u8 = 4;
+
+/// What [`Tape::contract`] concluded about a box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Contraction {
+    /// No variable narrowed.
+    Unchanged,
+    /// At least one variable narrowed.
+    Narrowed,
+    /// No point of the box satisfies every pending conjunct.
+    Empty,
+}
+
+/// The backward pass's view of the scratch (see [`Tape::revise`]): the
+/// forward values in lane `k`, and the narrowed intervals and requirement
+/// bits of the slots stamped with `epoch`.
+struct Revise<'a> {
+    iv: &'a [IntervalLanes<LANES>],
+    k: usize,
+    nar: &'a mut [Interval],
+    need: &'a mut [u8],
+    stamp: &'a mut [u32],
+    epoch: u32,
+}
+
+impl Revise<'_> {
+    /// Slot `j`'s interval: narrowed this pass, or as the forward pass left
+    /// it.
+    fn get(&self, j: u32) -> Interval {
+        let j = j as usize;
+        if self.stamp[j] == self.epoch {
+            self.nar[j]
+        } else {
+            Interval::new(self.iv[j].lo[self.k], self.iv[j].hi[self.k])
+        }
+    }
+
+    /// Stamp slot `j` for this pass, with no requirement yet.
+    fn touch(&mut self, j: usize, iv: Interval) {
+        self.stamp[j] = self.epoch;
+        self.need[j] = 0;
+        self.nar[j] = iv;
+    }
+
+    /// Intersect numeric slot `j`'s interval with `iv`; `false` when they
+    /// are disjoint. A NaN endpoint of `iv` bounds nothing.
+    fn narrow(&mut self, j: u32, iv: Interval) -> bool {
+        let cur = self.get(j);
+        let Some(x) = cur.intersect(&iv) else { return false };
+        if x != cur {
+            let j = j as usize;
+            if self.stamp[j] == self.epoch {
+                self.nar[j] = x;
+            } else {
+                self.touch(j, x);
+            }
+            self.need[j] |= NARROWED;
+        }
+        true
+    }
+
+    /// Require formula slot `j`, whose forward verdict is `v`, to be true
+    /// (or false): `false` when it certainly is not, or when it is already
+    /// required to be the opposite. A verdict that already holds asks for
+    /// nothing.
+    fn require(&mut self, j: u32, v: u8, want: bool) -> bool {
+        let (holds, fails, bit) =
+            if want { (TRUE, FALSE, NEED_TRUE) } else { (FALSE, TRUE, NEED_FALSE) };
+        if v == holds {
+            return true;
+        }
+        if v == fails {
+            return false;
+        }
+        let j = j as usize;
+        if self.stamp[j] != self.epoch {
+            self.touch(j, Interval::whole());
+        }
+        self.need[j] |= bit;
+        self.need[j] & (NEED_TRUE | NEED_FALSE) != NEED_TRUE | NEED_FALSE
+    }
+}
+
+/// `[lo, ∞]`.
+fn at_least(lo: f64) -> Interval {
+    Interval::new(lo, f64::INFINITY)
+}
+
+/// `[-∞, hi]`.
+fn at_most(hi: f64) -> Interval {
+    Interval::new(f64::NEG_INFINITY, hi)
+}
+
+/// Whether `x` is bounded and excludes zero: dividing by it is defined
+/// everywhere and yields no `∞/∞` or `0/0`.
+fn safe_divisor(x: Interval) -> bool {
+    x.lo().is_finite() && x.hi().is_finite() && !x.contains_zero()
+}
+
+/// An enclosure of `{z / y : z ∈ z, y ∈ y, y ≠ 0}`, the operand `x` of
+/// `z = x·y` wherever `y ≠ 0` or `z ≠ 0`; `None` where it bounds nothing.
+/// A bounded divisor excluding zero divides outright. One that only
+/// touches zero from one side, under a `z` that excludes zero, leaves a
+/// ray: for `y ∈ (0, ȳ]` and `z ≥ z̲ > 0`, `z / y ≥ z̲ / ȳ`, and likewise
+/// for the other three sign cases, each bound rounded outward.
+fn div_back(z: Interval, y: Interval) -> Option<Interval> {
+    if safe_divisor(y) {
+        return Some(z / y);
+    }
+    let (ylo, yhi) = (y.lo(), y.hi());
+    if !(ylo.is_finite() && yhi.is_finite()) || z.contains_zero() || ylo == yhi {
+        return None;
+    }
+    let pos = z.lo() > 0.0;
+    if ylo >= 0.0 {
+        // y ∈ (0, yhi]
+        Some(if pos { at_least(round_down(z.lo() / yhi)) } else { at_most(round_up(z.hi() / yhi)) })
+    } else if yhi <= 0.0 {
+        // y ∈ [ylo, 0)
+        Some(if pos { at_most(round_up(z.lo() / ylo)) } else { at_least(round_down(z.hi() / ylo)) })
+    } else {
+        None
+    }
+}
+
 /// Verdict byte of a comparison from its "certainly true" and "certainly
 /// false" tests; `t` wins when both hold, as in `icmp`'s branch order.
 #[inline(always)]
@@ -314,6 +460,18 @@ pub struct TapeScratch {
     /// root slot.
     segs: Vec<(u32, u32)>,
     point: Vec<Interval>,
+    /// Contraction: per slot stamped with the current `epoch`, its
+    /// narrowed interval and its requirement bits (`NEED_TRUE`,
+    /// `NEED_FALSE`, `NARROWED`).
+    nar: Vec<Interval>,
+    need: Vec<u8>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Contraction: the conjuncts each box of a sweep revises, run
+    /// together, and per box still sweeping its index and its run in
+    /// `active`.
+    active: Vec<u32>,
+    live: Vec<(u32, u32, u32)>,
 }
 
 impl TapeScratch {
@@ -392,6 +550,11 @@ pub struct Tape {
     /// Per variable index: whether some conjunct's pass reads it (a `Var`
     /// slot in `all_mask`). Unread coordinates need no enclosure.
     reads: Vec<bool>,
+    /// Per conjunct: the variables its pass reads (the `Var` slots of its
+    /// mask), ascending.
+    conj_vars: Vec<Vec<u32>>,
+    /// Per variable index: its `Var` slot, if the formula mentions it.
+    var_slots: Vec<Option<u32>>,
     stats: TapeStats,
 }
 
@@ -735,6 +898,8 @@ impl Tape {
             conj_masks: Vec::new(),
             all_mask: Vec::new(),
             reads: Vec::new(),
+            conj_vars: Vec::new(),
+            var_slots: Vec::new(),
             stats,
         };
         if let Some(dom) = seed {
@@ -799,10 +964,22 @@ impl Tape {
         }
         // The whole-formula root only matters for exact evaluation, which
         // is demand-driven and maskless; conjunct masks are enough.
+        let vars_of = |mask: &[u64]| -> Vec<u32> {
+            let mut vs: Vec<u32> = set_bits(mask)
+                .filter_map(|i| if let Op::Var(v) = self.ops[i] { Some(v) } else { None })
+                .collect();
+            vs.sort_unstable();
+            vs
+        };
         let mut reads = vec![false; self.max_var.map_or(0, |m| m as usize + 1)];
-        for i in set_bits(&all_mask) {
-            if let Op::Var(v) = self.ops[i] {
-                reads[v as usize] = true;
+        for v in vars_of(&all_mask) {
+            reads[v as usize] = true;
+        }
+        self.conj_vars = conj_masks.iter().map(|m| vars_of(m)).collect();
+        self.var_slots = vec![None; reads.len()];
+        for (i, op) in self.ops.iter().enumerate() {
+            if let Op::Var(v) = *op {
+                self.var_slots[v as usize] = Some(i as u32);
             }
         }
         self.conj_masks = conj_masks;
@@ -974,34 +1151,40 @@ impl Tape {
         scratch: &mut TapeScratch,
         out: &mut Vec<Tri>,
     ) {
-        let n = doms.len();
         out.clear();
-        if n == 0 || cis.is_empty() {
+        if doms.is_empty() || cis.is_empty() {
             return;
         }
-        if cis.len() == self.roots.len() {
-            self.plan(set_bits(&self.all_mask), scratch);
-        } else {
-            let mut mask = std::mem::take(&mut scratch.mask);
-            mask.clear();
-            mask.resize(self.all_mask.len(), 0);
-            for &ci in cis {
-                for (m, w) in mask.iter_mut().zip(&self.conj_masks[ci as usize]) {
-                    *m |= *w;
-                }
-            }
-            self.plan(set_bits(&mask), scratch);
-            scratch.mask = mask;
+        let mut pass = self.verdict_pass(cis, scratch);
+        out.reserve(doms.len() * cis.len());
+        for chunk in doms.chunks(LANES) {
+            pass.chunk(chunk, out);
         }
-        out.reserve(n * cis.len());
-        for start in (0..n).step_by(LANES) {
-            let len = LANES.min(n - start);
-            let var = |k: usize, v: u32| doms[start + k].borrow().get(VarId(v));
-            self.run(0..scratch.run.len(), len, var, scratch);
-            for k in 0..len {
-                for &ci in cis {
-                    out.push(byte_tri(scratch.tri[self.roots[ci as usize] as usize][k]));
-                }
+    }
+
+    /// Plan a verdict pass over the conjunct roots `cis`: the slots of the
+    /// union of their needed-slot masks. The returned [`VerdictPass`]
+    /// scores boxes [`LANES`] at a time and can contract each box of its
+    /// last chunk from the lanes the chunk left.
+    pub fn verdict_pass<'a>(&'a self, cis: &'a [u32], s: &'a mut TapeScratch) -> VerdictPass<'a> {
+        if cis.len() == self.roots.len() {
+            self.plan(set_bits(&self.all_mask), s);
+        } else {
+            let mut mask = std::mem::take(&mut s.mask);
+            self.union_mask(cis, &mut mask);
+            self.plan(set_bits(&mask), s);
+            s.mask = mask;
+        }
+        VerdictPass { tape: self, cis, s }
+    }
+
+    /// Set `mask` to the union of the needed-slot masks of conjuncts `cis`.
+    fn union_mask(&self, cis: &[u32], mask: &mut Vec<u64>) {
+        mask.clear();
+        mask.resize(self.all_mask.len(), 0);
+        for &ci in cis {
+            for (m, w) in mask.iter_mut().zip(&self.conj_masks[ci as usize]) {
+                *m |= *w;
             }
         }
     }
@@ -1053,6 +1236,233 @@ impl Tape {
         }
         s.mask = seen;
         Refuter { tape: self, s }
+    }
+
+    // -- contraction -----------------------------------------------------------
+
+    /// Contract every box of `boxes` (HC4-revise) towards the solutions of
+    /// its pending conjuncts. A sweep runs one forward interval pass over
+    /// the slots of the conjuncts it revises, then one backward projection
+    /// ([`Tape::revise`]) that narrows every slot the revised roots reach,
+    /// down to the variables, whose ranges then narrow to match. A box's
+    /// sweep revises its pending conjuncts that read a variable flagged in
+    /// its [`Contractee`] (one its last sweep narrowed), and a box sweeps
+    /// again only while its last sweep narrowed some variable by more than
+    /// [`CONTRACT_MIN_GAIN`] of its width, [`CONTRACT_SWEEPS`] sweeps in
+    /// all. The boxes still sweeping share each forward pass, [`LANES`] at
+    /// a time; lanes are independent, so every box ends as it would alone.
+    ///
+    /// No point at which every pending conjunct holds exactly leaves its
+    /// box, and a conjunct certainly true on the contracted box leaves its
+    /// pending list.
+    pub fn contract(&self, boxes: &mut [Contractee], s: &mut TapeScratch) {
+        let mut live = std::mem::take(&mut s.live);
+        let mut active = std::mem::take(&mut s.active);
+        let mut mask = std::mem::take(&mut s.mask);
+        loop {
+            // The boxes still sweeping, each with its run of `active`.
+            live.clear();
+            active.clear();
+            for (b, c) in boxes.iter_mut().enumerate() {
+                if !c.live {
+                    continue;
+                }
+                let from = active.len();
+                if c.sweeps < CONTRACT_SWEEPS && self.binds(c.dom.len()) {
+                    self.reading(&c.pending, &c.hot, &mut active);
+                }
+                if active.len() == from {
+                    c.live = false;
+                    continue;
+                }
+                live.push((b as u32, from as u32, active.len() as u32));
+            }
+            if live.is_empty() {
+                break;
+            }
+            self.union_mask(&active, &mut mask);
+            self.plan(set_bits(&mask), s);
+            for chunk in live.chunks(LANES) {
+                let var = |k: usize, v: u32| boxes[chunk[k].0 as usize].dom.get(VarId(v));
+                self.run(0..s.run.len(), chunk.len(), var, s);
+                for (k, &(b, from, end)) in chunk.iter().enumerate() {
+                    let run = &active[from as usize..end as usize];
+                    self.narrow_box(k, run, &mut boxes[b as usize], s);
+                }
+            }
+        }
+        s.live = live;
+        s.active = active;
+        s.mask = mask;
+    }
+
+    /// Append to `active` the conjuncts of `pending` that read a variable
+    /// flagged in `hot`.
+    fn reading(&self, pending: &[u32], hot: &[bool], active: &mut Vec<u32>) {
+        active.extend(
+            pending
+                .iter()
+                .copied()
+                .filter(|&ci| self.conj_vars[ci as usize].iter().any(|&v| hot[v as usize])),
+        );
+    }
+
+    /// Finish a sweep of box `c` whose forward pass left its slot values in
+    /// lane `k`: revise the conjuncts `active`, drop from its pending list
+    /// those certainly true, narrow its range and flag the variables that
+    /// narrowed. The box stays live when another sweep is worth running.
+    fn narrow_box(&self, k: usize, active: &[u32], c: &mut Contractee, s: &mut TapeScratch) {
+        c.sweeps += 1;
+        c.live = false;
+        if active.is_empty() {
+            return;
+        }
+        if !self.revise(k, active, s) {
+            c.outcome = Contraction::Empty;
+            return;
+        }
+        // A conjunct true over the box is true on every point left.
+        let decided = |ci: &u32| s.tri[self.roots[*ci as usize] as usize][k] == TRUE;
+        c.pending.retain(|ci| active.binary_search(ci).is_err() || !decided(ci));
+        c.hot.fill(false);
+        for (v, &slot) in self.var_slots.iter().enumerate() {
+            let Some(i) = slot.map(|i| i as usize) else { continue };
+            if s.stamp[i] != s.epoch || s.need[i] & NARROWED == 0 {
+                continue;
+            }
+            let (old, new) = (c.dom.get(VarId(v as u32)), s.nar[i]);
+            c.dom.set(VarId(v as u32), new);
+            c.hot[v] = true;
+            c.outcome = Contraction::Narrowed;
+            c.live |=
+                new.width() < old.width() && new.width() <= old.width() * (1.0 - CONTRACT_MIN_GAIN);
+        }
+    }
+
+    /// The backward half of a sweep (HC4-revise), over the planned slots
+    /// whose values a forward pass left in lane `k`. Every root of `active`
+    /// must be true. The slots are then visited from the last to the
+    /// first, so each has heard from all its readers before it projects
+    /// onto its own operands:
+    ///
+    /// * a comparison that must hold (or fail) bounds each side by the
+    ///   other; `All` that must hold makes every child hold, `Any` that
+    ///   must hold makes its one child that is not certainly false hold
+    ///   (and dually for must-fail); `Not` flips;
+    /// * `z = x + y` gives `x ⊆ z − y` and `y ⊆ z − x`, and likewise for
+    ///   `−`, `×`, `÷`, negation, `min` and `max`, each computed with the
+    ///   outward-rounded interval operators; a product or quotient is
+    ///   divided back only where that bounds something (`div_back`);
+    /// * `Ite` passes its interval to the branch its guard takes, and only
+    ///   where the guard is decided on the box.
+    ///
+    /// Every projection keeps each point at which the active conjuncts
+    /// hold exactly (a point where exact evaluation errors satisfies
+    /// nothing). Slots stamped with the current epoch carry their narrowed
+    /// interval in `s.nar` and their requirement bits in `s.need`.
+    /// `false` when some requirement cannot hold on the box.
+    fn revise(&self, k: usize, active: &[u32], s: &mut TapeScratch) -> bool {
+        let slots = self.ops.len();
+        if s.stamp.len() < slots {
+            s.nar.resize(slots, Interval::whole());
+            s.need.resize(slots, 0);
+            s.stamp.resize(slots, 0);
+        }
+        s.epoch = s.epoch.wrapping_add(1);
+        if s.epoch == 0 {
+            s.stamp.fill(0);
+            s.epoch = 1;
+        }
+        let TapeScratch { iv, tri, run, nar, need, stamp, epoch, .. } = s;
+        let mut r = Revise { iv, k, nar, need, stamp, epoch: *epoch };
+        let v = |j: u32| tri[j as usize][k];
+        for &ci in active {
+            let root = self.roots[ci as usize];
+            if !r.require(root, v(root), true) {
+                return false;
+            }
+        }
+        // Readers come after their operands, so every slot is visited once
+        // all of its readers have been.
+        for &i in run.iter().rev() {
+            if r.stamp[i as usize] != r.epoch {
+                continue;
+            }
+            let bits = r.need[i as usize];
+            let z = r.nar[i as usize];
+            let ok = match self.ops[i as usize] {
+                _ if bits == 0 => true,
+                Op::Const | Op::Var(_) | Op::True | Op::False => true,
+                Op::Cmp(op, a, b) => {
+                    let op = if bits & NEED_TRUE != 0 { op } else { op.negate() };
+                    let (x, y) = (r.get(a), r.get(b));
+                    match op {
+                        CmpOp::Lt | CmpOp::Le => {
+                            r.narrow(a, at_most(y.hi())) && r.narrow(b, at_least(x.lo()))
+                        }
+                        CmpOp::Gt | CmpOp::Ge => {
+                            r.narrow(a, at_least(y.lo())) && r.narrow(b, at_most(x.hi()))
+                        }
+                        CmpOp::Eq => r.narrow(a, y) && r.narrow(b, r.get(a)),
+                        CmpOp::Ne => true,
+                    }
+                }
+                Op::All(st, l) | Op::Any(st, l) => {
+                    let kids = kids_of(&self.kids, st, l);
+                    let want = bits & NEED_TRUE != 0;
+                    // `All` must hold or `Any` must fail: every child alike.
+                    // Otherwise one child must go the other way, which
+                    // binds only when it is the one child left undecided.
+                    if want == matches!(self.ops[i as usize], Op::All(..)) {
+                        kids.iter().all(|&c| r.require(c, v(c), want))
+                    } else {
+                        let mut open = kids.iter().filter(|&&c| v(c) == UNKNOWN);
+                        match (open.next(), open.next()) {
+                            (Some(&c), None) => r.require(c, v(c), want),
+                            _ => true,
+                        }
+                    }
+                }
+                Op::Not(a) => r.require(a, v(a), bits & NEED_TRUE == 0),
+                // Numeric slots: their readers narrowed them to `z`.
+                Op::Neg(a) => r.narrow(a, -z),
+                Op::Add(a, b) => r.narrow(a, z - r.get(b)) && r.narrow(b, z - r.get(a)),
+                Op::Sub(a, b) => r.narrow(a, z + r.get(b)) && r.narrow(b, r.get(a) - z),
+                Op::Mul(a, b) => {
+                    div_back(z, r.get(b)).is_none_or(|x| r.narrow(a, x))
+                        && div_back(z, r.get(a)).is_none_or(|y| r.narrow(b, y))
+                }
+                // `z = x / y` with `y ≠ 0` is `x = z·y`, and `y = x / z`
+                // where `z ≠ 0` (which `x ≠ 0` implies).
+                Op::Div(a, b) => {
+                    r.narrow(a, z * r.get(b))
+                        && div_back(r.get(a), z).is_none_or(|y| r.narrow(b, y))
+                }
+                Op::Min(a, b) => {
+                    let (x, y) = (r.get(a), r.get(b));
+                    r.narrow(a, at_least(z.lo()))
+                        && r.narrow(b, at_least(z.lo()))
+                        && (y.lo() <= z.hi() || r.narrow(a, z))
+                        && (x.lo() <= z.hi() || r.narrow(b, z))
+                }
+                Op::Max(a, b) => {
+                    let (x, y) = (r.get(a), r.get(b));
+                    r.narrow(a, at_most(z.hi()))
+                        && r.narrow(b, at_most(z.hi()))
+                        && (y.hi() >= z.lo() || r.narrow(a, z))
+                        && (x.hi() >= z.lo() || r.narrow(b, z))
+                }
+                Op::Ite(c, a, b) => match v(c) {
+                    TRUE => r.narrow(a, z),
+                    FALSE => r.narrow(b, z),
+                    _ => true,
+                },
+            };
+            if !ok {
+                return false;
+            }
+        }
+        true
     }
 
     // -- exact rational interpreter -------------------------------------------
@@ -1165,6 +1575,83 @@ impl Tape {
             Op::Not(a) => Ok(!self.exact_form(a, env, s)?),
             _ => unreachable!("term op in formula position"),
         }
+    }
+}
+
+/// A planned verdict pass (see [`Tape::verdict_pass`]). Each chunk's
+/// lanes stay in the scratch until the next chunk, so a box of the chunk
+/// can take its first contraction sweep without a forward pass of its own.
+#[derive(Debug)]
+pub struct VerdictPass<'a> {
+    tape: &'a Tape,
+    cis: &'a [u32],
+    s: &'a mut TapeScratch,
+}
+
+impl VerdictPass<'_> {
+    /// Score `doms` (at most [`LANES`] boxes) side by side and append
+    /// their verdicts box-major, as [`Tape::verdicts`] does.
+    pub fn chunk<D: Borrow<BoxDomain>>(&mut self, doms: &[D], out: &mut Vec<Tri>) {
+        let n = doms.len();
+        debug_assert!(n <= LANES);
+        let var = |k: usize, v: u32| doms[k].borrow().get(VarId(v));
+        self.tape.run(0..self.s.run.len(), n, var, self.s);
+        for k in 0..n {
+            for &ci in self.cis {
+                out.push(byte_tri(self.s.tri[self.tape.roots[ci as usize] as usize][k]));
+            }
+        }
+    }
+
+    /// The first contraction sweep of `c`, whose range is box `k` of the
+    /// last chunk, from that chunk's lanes: [`Tape::contract`] then takes
+    /// any further sweeps. Every conjunct the sweep revises (the pending
+    /// ones that read a variable flagged in `c`) must be among the pass's
+    /// conjuncts.
+    pub fn contract(&mut self, k: usize, c: &mut Contractee) {
+        let tape = self.tape;
+        if !tape.binds(c.dom.len()) {
+            c.live = false;
+            return;
+        }
+        let mut active = std::mem::take(&mut self.s.active);
+        active.clear();
+        tape.reading(&c.pending, &c.hot, &mut active);
+        tape.narrow_box(k, &active, c, self.s);
+        self.s.active = active;
+    }
+}
+
+/// A box under contraction (see [`Tape::contract`]): its range, the
+/// conjuncts still undecided on it, the variables whose narrowing its next
+/// sweep revises from, and what contraction has concluded about it.
+#[derive(Debug, Clone)]
+pub struct Contractee {
+    /// The range, narrowed in place.
+    pub dom: BoxDomain,
+    /// Conjuncts not certainly true on `dom`, ascending.
+    pub pending: Vec<u32>,
+    /// What contraction concluded so far; after `Empty` the other fields
+    /// are unspecified.
+    pub outcome: Contraction,
+    hot: Vec<bool>,
+    live: bool,
+    sweeps: usize,
+}
+
+impl Contractee {
+    /// A box to contract, with its `pending` conjuncts in ascending order.
+    /// Its first sweep revises those that read variable `changed`, or
+    /// every one for `None`: on a box split from a contracted parent, only
+    /// the conjuncts that read the split variable see a range they were
+    /// not revised on.
+    #[must_use]
+    pub fn new(dom: BoxDomain, pending: Vec<u32>, changed: Option<usize>) -> Contractee {
+        let mut hot = vec![changed.is_none(); dom.len()];
+        if let Some(d) = changed {
+            hot[d] = true;
+        }
+        Contractee { dom, pending, outcome: Contraction::Unchanged, hot, live: true, sweeps: 0 }
     }
 }
 
@@ -1618,6 +2105,33 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// `x·y ≥ 7` with `y` in a range that touches zero from one side
+    /// leaves `x` on a ray: `x ≥ 7/3` for `y ∈ [0, 3]`, `x ≤ -7/3` for
+    /// `y ∈ [-3, 0]`. The ray's end is rounded outward, so the tight
+    /// solutions `(±7/3, ±3)` stay inside, and the box does narrow.
+    #[test]
+    fn contraction_bounds_products_over_zero_touching_ranges() {
+        let f = Term::var(VarId(0)).mul(Term::var(VarId(1))).ge(Term::int(7));
+        for sign in [1.0, -1.0] {
+            let dom = dom2((-10.0, 10.0), (0.0f64.min(3.0 * sign), 0.0f64.max(3.0 * sign)));
+            let (_, conjuncts, tape) = compile(&f, Some(&dom));
+            let mut boxes = [Contractee::new(dom.clone(), vec![0], None)];
+            tape.contract(&mut boxes, &mut TapeScratch::new());
+            let c = &boxes[0];
+            assert_eq!(c.outcome, Contraction::Narrowed, "{}", c.dom);
+            let x = c.dom.get(VarId(0));
+            let bound = Rat::from_frac(7, 3) * Rat::from_int(sign as i64);
+            let end = if sign > 0.0 { x.lo() } else { x.hi() };
+            let tight = vec![bound.clone(), Rat::from_int(3 * sign as i64)];
+            assert_eq!(eval_formula(&conjuncts[0], &tight), Ok(true));
+            assert!(
+                Rat::from_f64(x.lo()).unwrap() <= bound && bound <= Rat::from_f64(x.hi()).unwrap(),
+                "7/3 left {x}"
+            );
+            assert!((end - 7.0 / 3.0 * sign).abs() < 1e-9, "{x} did not narrow to the ray");
+        }
     }
 
     #[test]

@@ -538,3 +538,208 @@ fn shrinking_reaches_minimal_term() {
         failure.value.size()
     );
 }
+
+/// Whether every coordinate of `p` lies in `b` (an infinite end bounds
+/// nothing).
+fn inside(p: &[Rat], b: &BoxDomain) -> bool {
+    p.iter().zip(b.intervals()).all(|(x, iv)| {
+        Rat::from_f64(iv.lo()).is_none_or(|lo| lo <= *x)
+            && Rat::from_f64(iv.hi()).is_none_or(|hi| *x <= hi)
+    })
+}
+
+/// Whether `inner` lies in `outer`, dimension by dimension.
+fn within(inner: &BoxDomain, outer: &BoxDomain) -> bool {
+    inner.intervals().iter().zip(outer.intervals()).all(|(i, o)| o.contains(i))
+}
+
+/// The comparison atoms of `f` outside `ite` guards, as `lhs - rhs`.
+fn atom_gaps(f: &Formula, out: &mut Vec<Term>) {
+    match f {
+        Formula::Cmp(_, a, b) => out.push((**a).clone().sub((**b).clone())),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| atom_gaps(g, out)),
+        Formula::Not(g) => atom_gaps(g, out),
+        Formula::True | Formula::False => {}
+    }
+}
+
+/// Candidate points of `dom` on which contraction is checked: the given
+/// point, the box's corners, points at given percentages of each range,
+/// and points where an atom is tight. Those solve `gap = 0` for one
+/// coordinate, the others at a corner or at `pt`, wherever the atom's gap
+/// is affine along that line, so they sit on the boundary of the atom's
+/// solution set: exactly where a projection that rounds inward would cut.
+fn contraction_probes(
+    f: &Formula,
+    dom: &BoxDomain,
+    pt: &[Rat],
+    fracs: &[Vec<i64>],
+) -> Vec<Vec<Rat>> {
+    let ends: Vec<[Rat; 2]> = dom
+        .intervals()
+        .iter()
+        .map(|iv| [iv.lo(), iv.hi()].map(|x| Rat::from_f64(x).expect("finite box end")))
+        .collect();
+    let mut bases = vec![pt.to_vec()];
+    for corner in 0..1usize << NVARS {
+        bases.push((0..NVARS).map(|i| ends[i][corner >> i & 1].clone()).collect());
+    }
+    let mut probes = bases.clone();
+    for per in fracs {
+        probes.push(
+            (0..NVARS)
+                .map(|i| &ends[i][0] + &((&ends[i][1] - &ends[i][0]) * Rat::from_frac(per[i], 100)))
+                .collect(),
+        );
+    }
+    let mut gaps = Vec::new();
+    atom_gaps(f, &mut gaps);
+    for gap in gaps.iter().take(6) {
+        for base in &bases {
+            for v in 0..NVARS {
+                let at = |t: i64| {
+                    let mut p = base.clone();
+                    p[v] = Rat::from_int(t);
+                    eval_term(gap, &p).ok()
+                };
+                let (Some(g0), Some(g1), Some(g2)) = (at(0), at(1), at(2)) else { continue };
+                let slope = &g1 - &g0;
+                if slope.is_zero() || &g2 - &g1 != slope {
+                    continue;
+                }
+                let mut p = base.clone();
+                p[v] = -(&g0 / &slope);
+                probes.push(p);
+            }
+        }
+    }
+    probes.retain(|p| inside(p, dom));
+    probes
+}
+
+/// Contraction is sound against exact arithmetic. On random formulas
+/// (division and inexact constants included) and boxes, some with a range
+/// that ends at zero, every probe point
+/// where the compiled formula holds exactly (see `contraction_probes`)
+/// lies inside the contracted box, the contracted box lies inside the
+/// original, and a conjunct dropped from `pending` is certainly true on
+/// it. Checked for a whole box contracted from its own forward pass, and
+/// for both halves of a split box contracted from the lanes of the verdict
+/// pass that scored them.
+#[test]
+fn contraction_keeps_every_exact_solution() {
+    use cso_logic::{CompiledQuery, Contractee, Contraction, ExactScratch, TapeScratch};
+    let fracs = vec_of(vec_of(int_in(0, 100), NVARS, NVARS), 2, 2);
+    // A dimension to split, and one to move so that it starts (1) or ends
+    // (2) at zero, where a product is divided back by a range touching
+    // zero from one side.
+    let dims = zip3(int_in(0, NVARS as i64 - 1), int_in(0, NVARS as i64 - 1), int_in(0, 2));
+    prop::check_with(
+        &Config { cases: 512, ..Config::default() },
+        "contraction_keeps_every_exact_solution",
+        &zip4(arb_box_and_point(), arb_formula_partial(), fracs, dims),
+        |((dom, pt), f, fracs, (split, zeroed, at))| {
+            let mut dom = dom.clone();
+            let iv = dom.intervals()[*zeroed as usize];
+            match at {
+                1 => dom.set(VarId::from_index(*zeroed as usize), Interval::new(0.0, iv.width())),
+                2 => dom.set(VarId::from_index(*zeroed as usize), Interval::new(-iv.width(), 0.0)),
+                _ => {}
+            }
+            let dom = &dom;
+            let q = CompiledQuery::prepare(f, Some(dom), true);
+            let Some(tape) = &q.tape else { return Ok(()) };
+            let mut ex = ExactScratch::new();
+            let sols: Vec<Vec<Rat>> = contraction_probes(&q.simplified, dom, pt, fracs)
+                .into_iter()
+                .filter(|p| tape.eval_exact(p, &mut ex) == Ok(true))
+                .collect();
+            let all: Vec<u32> = (0..q.conjuncts.len() as u32).collect();
+            let mut s = TapeScratch::new();
+            // Check one contraction of `before` (a sub-box of `dom`, with
+            // every conjunct in `asked` pending on it) that left `after`.
+            let check = |how: &str,
+                         before: &BoxDomain,
+                         after: &BoxDomain,
+                         asked: &[u32],
+                         pending: &[u32],
+                         out: Contraction|
+             -> prop::CaseResult {
+                let kept: Vec<&Vec<Rat>> = sols.iter().filter(|p| inside(p, before)).collect();
+                if out == Contraction::Empty {
+                    prop_assert!(
+                        kept.is_empty(),
+                        "{how}: emptied {} holding {:?} of {}",
+                        before,
+                        kept[0],
+                        f
+                    );
+                    return Ok(());
+                }
+                prop_assert!(
+                    within(after, before),
+                    "{how}: {} grew to {} for {}",
+                    before,
+                    after,
+                    f
+                );
+                prop_assert_eq!(
+                    out == Contraction::Narrowed,
+                    after.intervals() != before.intervals(),
+                    "{}: {:?}",
+                    how,
+                    out
+                );
+                for p in kept {
+                    prop_assert!(
+                        inside(p, after),
+                        "{how}: {:?} left {} -> {} for {}",
+                        p,
+                        before,
+                        after,
+                        f
+                    );
+                }
+                for ci in asked.iter().filter(|ci| !pending.contains(ci)) {
+                    let v = ieval_formula(&q.conjuncts[*ci as usize], after);
+                    prop_assert_eq!(v, Tri::True, "{}: dropped conjunct {} of {}", how, ci, f);
+                }
+                Ok(())
+            };
+            // The whole box, from forward passes of its own.
+            let mut whole = [Contractee::new(dom.clone(), all.clone(), None)];
+            tape.contract(&mut whole, &mut s);
+            let [c] = &whole;
+            check("whole box", dom, &c.dom, &all, &c.pending, c.outcome)?;
+            // Both halves of a split: the first sweep from the verdict
+            // pass's lanes, the others sharing passes.
+            let dim = *split as usize;
+            let (lo, hi) = dom.bisect(dim);
+            let halves = [lo, hi];
+            let mut verdicts = Vec::new();
+            let mut asked = Vec::new();
+            let mut cs = Vec::new();
+            let mut pass = tape.verdict_pass(&all, &mut s);
+            pass.chunk(&halves, &mut verdicts);
+            for (k, half) in halves.iter().enumerate() {
+                let row = &verdicts[k * all.len()..(k + 1) * all.len()];
+                if row.contains(&Tri::False) {
+                    let held = sols.iter().any(|p| inside(p, half));
+                    prop_assert!(!held, "half {} refuted but holds a solution of {}", k, f);
+                    continue;
+                }
+                let open: Vec<u32> =
+                    all.iter().copied().filter(|&ci| row[ci as usize] == Tri::Unknown).collect();
+                let mut c = Contractee::new(half.clone(), open.clone(), Some(dim));
+                pass.contract(k, &mut c);
+                asked.push((half, open));
+                cs.push(c);
+            }
+            tape.contract(&mut cs, &mut s);
+            for ((half, open), c) in asked.iter().zip(&cs) {
+                check("split half", half, &c.dom, open, &c.pending, c.outcome)?;
+            }
+            Ok(())
+        },
+    );
+}
