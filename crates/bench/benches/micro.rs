@@ -111,7 +111,6 @@ fn logic(c: &mut Criterion) {
         max_boxes: 1000,
         delta_per_dim: Some(qb.deltas(cfg.delta_rel)),
         seed: 7,
-        threads: 1,
         ..cfg.solver.clone()
     };
     let seeds = [qb.seed_from_holes(target.hole_values())];

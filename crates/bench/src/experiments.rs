@@ -33,7 +33,7 @@ impl ExperimentProfile {
     /// The synthesis configuration template.
     #[must_use]
     pub fn synth_config(self) -> SynthConfig {
-        let mut cfg = match self {
+        match self {
             ExperimentProfile::Quick => SynthConfig::fast_test(),
             ExperimentProfile::Paper => {
                 let mut cfg = SynthConfig::default();
@@ -43,13 +43,7 @@ impl ExperimentProfile {
                 cfg.solver.max_boxes = 120_000;
                 cfg
             }
-        };
-        // Sweeps are parallelized at the run level (one thread per run via
-        // `parallel_map`); per-query solver threads on top of that would
-        // oversubscribe the host, so campaigns always run the sequential
-        // solver — even under a `CSO_SOLVER_THREADS` override.
-        cfg.solver.threads = 1;
-        cfg
+        }
     }
 }
 
@@ -449,13 +443,6 @@ mod tests {
             assert!(r.solver.queries > 0, "solver telemetry must be populated");
             assert!(r.solver.seeding_time + r.solver.bnp_time > Duration::ZERO);
         }
-    }
-
-    #[test]
-    fn campaign_configs_pin_sequential_solver() {
-        // Per-query threads would oversubscribe the run-level parallelism.
-        assert_eq!(ExperimentProfile::Quick.synth_config().solver.threads, 1);
-        assert_eq!(ExperimentProfile::Paper.synth_config().solver.threads, 1);
     }
 
     #[test]

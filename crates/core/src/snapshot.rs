@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic   8 bytes  "CSOSNAP\0"
-//! version 1 byte   currently 6 (see [`VERSION`])
+//! version 1 byte   currently 7 (see [`VERSION`])
 //! session 8 bytes  session id, little-endian u64
 //! config  sketch source, metric space, SynthConfig
 //! state   rng, pool, graph, stats, loop context, engine state
@@ -50,8 +50,9 @@ pub const MAGIC: [u8; 8] = *b"CSOSNAP\0";
 /// version 5 dropped the solver memo (and with it the term and formula
 /// encoding) and the telemetry's always-zero `cache_hits`; version 6
 /// dropped the config's clause-cache toggle, the graph's change counter
-/// and the telemetry's reused-clause count.
-pub const VERSION: u8 = 6;
+/// and the telemetry's reused-clause count; version 7 dropped the solver's
+/// `threads` word and the telemetry's largest worker count.
+pub const VERSION: u8 = 7;
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug, Clone)]
@@ -170,7 +171,6 @@ impl Writer {
         self.usize(t.eval_errors);
         self.duration(t.seeding_time);
         self.duration(t.bnp_time);
-        self.usize(t.max_workers);
     }
 
     fn stats(&mut self, s: &SynthStats) {
@@ -297,7 +297,6 @@ impl<'a> Reader<'a> {
             eval_errors: self.usize()?,
             seeding_time: self.duration()?,
             bnp_time: self.duration()?,
-            max_workers: self.usize()?,
             cache_hits: 0,
         })
     }
@@ -396,7 +395,6 @@ fn write_config(w: &mut Writer, cfg: &SynthConfig) {
     w.usize(cfg.solver.jitters_per_seed);
     w.u64(cfg.solver.seed);
     w.bool(cfg.solver.use_seeding);
-    w.usize(cfg.solver.threads);
     w.f64(cfg.delta_rel);
     w.usize(cfg.max_exhausted_streak);
     w.bool(cfg.repair_noise);
@@ -606,7 +604,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
     let jitters_per_seed = r.usize()?;
     let solver_seed = r.u64()?;
     let use_seeding = r.bool()?;
-    let threads = r.usize()?;
     let solver = SolverConfig {
         delta,
         delta_per_dim,
@@ -616,7 +613,7 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         jitters_per_seed,
         seed: solver_seed,
         use_seeding,
-        threads,
+        ..SolverConfig::default()
     };
     let delta_rel = r.f64()?;
     let max_exhausted_streak = r.usize()?;
@@ -793,8 +790,10 @@ mod tests {
         bytes[MAGIC.len()] = 99;
         assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(99))));
         // Earlier formats are refused: v3 (with the solver's `tape` byte),
-        // v4 (with the solver memo) and v5 (with the clause-cache toggle).
-        for old in [3, 4, 5] {
+        // v4 (with the solver memo), v5 (with the clause-cache toggle) and
+        // v6 (with the solver's thread count and the telemetry's worker
+        // count).
+        for old in [3, 4, 5, 6] {
             bytes[MAGIC.len()] = old;
             assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(v)) if v == old));
         }

@@ -80,7 +80,6 @@ impl Work {
                 ("residual", u(s.residual_boxes)),
                 ("samples", u(s.samples_tried)),
                 ("eval_errors", u(s.eval_errors)),
-                ("workers", u(s.workers)),
                 ("from_seeding", u(usize::from(s.sat_from_seeding))),
                 ("contracted", u(s.contracted)),
                 ("emptied", u(s.emptied)),
@@ -108,7 +107,6 @@ impl Work {
                     residual_boxes: n("residual"),
                     samples_tried: n("samples"),
                     eval_errors: n("eval_errors"),
-                    workers: n("workers"),
                     sat_from_seeding: u("from_seeding") != 0,
                     contracted: n("contracted"),
                     emptied: n("emptied"),
@@ -150,8 +148,6 @@ pub struct SolverTelemetry {
     pub seeding_time: Duration,
     /// Wall-clock time spent in branch-and-prune.
     pub bnp_time: Duration,
-    /// Largest worker-thread count any folded query ran with.
-    pub max_workers: usize,
     /// Always 0: the engine has no query memo, so every query is a solver
     /// run counted in `queries`. Kept only because the perf ledger
     /// (`ledger/src/workload.rs`) still reads it; it goes when the ledger
@@ -172,7 +168,6 @@ impl SolverTelemetry {
                 self.eval_errors += s.eval_errors;
                 self.seeding_time += s.seeding_time;
                 self.bnp_time += s.bnp_time;
-                self.max_workers = self.max_workers.max(s.workers);
             }
             Work::Clauses { .. } => {}
         }
@@ -355,23 +350,22 @@ mod tests {
     /// Any work record: counters up to 2⁴⁰, phase times in whole
     /// nanoseconds (what the trace carries), every verdict.
     fn work_gen() -> Gen<Work> {
-        let query = prop::vec_of(prop::u64_in(0, 1 << 40), 12, 12).map(|v| Work::Query {
+        let query = prop::vec_of(prop::u64_in(0, 1 << 40), 11, 11).map(|v| Work::Query {
             stats: SolverStats {
                 boxes_processed: v[0] as usize,
                 boxes_pruned: v[1] as usize,
                 residual_boxes: v[2] as usize,
                 samples_tried: v[3] as usize,
                 eval_errors: v[4] as usize,
-                workers: (v[5] % 64) as usize,
-                sat_from_seeding: v[6] % 2 == 1,
-                seeding_time: Duration::from_nanos(v[7]),
-                bnp_time: Duration::from_nanos(v[8]),
-                contracted: v[10] as usize,
-                emptied: v[11] as usize,
+                sat_from_seeding: v[5] % 2 == 1,
+                seeding_time: Duration::from_nanos(v[6]),
+                bnp_time: Duration::from_nanos(v[7]),
+                contracted: v[9] as usize,
+                emptied: v[10] as usize,
             },
             outcome: Some(
                 [Verdict::Sat, Verdict::Unsat, Verdict::DeltaUnsat, Verdict::Exhausted]
-                    [(v[9] % 4) as usize],
+                    [(v[8] % 4) as usize],
             ),
         });
         let clauses = prop::usize_in(0, 1 << 20).map(|compiled| Work::Clauses { compiled });
@@ -428,7 +422,6 @@ mod tests {
                 eval_errors: sum(|s| s.eval_errors),
                 seeding_time: queries.iter().map(|s| s.seeding_time).sum(),
                 bnp_time: queries.iter().map(|s| s.bnp_time).sum(),
-                max_workers: queries.iter().map(|s| s.workers).max().unwrap_or(0),
                 cache_hits: 0,
             };
             let totals = synth.stats.solver_totals;

@@ -14,7 +14,6 @@ use cso_synth::{GroundTruthOracle, MetricSpace, SynthConfig, SynthOutcome, Synth
 #[test]
 fn hard_first_feasibility_search_escalates_instead_of_failing() {
     let mut cfg = SynthConfig::fast_test();
-    cfg.solver.threads = 1;
     cfg.seed = 6_561_849;
     let mut synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), cfg)
         .expect("SWAN sketch matches its metric space");

@@ -23,7 +23,6 @@ const QUICK_SEEDS: [u64; 3] = [1000, 1001, 1002];
 /// iteration cap.
 fn quick_run(seed: u64, streak: usize, max_iterations: Option<usize>) -> SynthResult {
     let mut cfg = SynthConfig::fast_test();
-    cfg.solver.threads = 1;
     cfg.seed = seed;
     cfg.max_exhausted_streak = streak;
     if let Some(cap) = max_iterations {
@@ -35,20 +34,12 @@ fn quick_run(seed: u64, streak: usize, max_iterations: Option<usize>) -> SynthRe
 }
 
 /// Every deterministic work counter (the phase times are wall clock).
-fn work(t: &SolverTelemetry) -> [usize; 7] {
-    [
-        t.queries,
-        t.boxes_explored,
-        t.boxes_pruned,
-        t.residual_boxes,
-        t.samples_tried,
-        t.eval_errors,
-        t.max_workers,
-    ]
+fn work(t: &SolverTelemetry) -> [usize; 6] {
+    [t.queries, t.boxes_explored, t.boxes_pruned, t.residual_boxes, t.samples_tried, t.eval_errors]
 }
 
 /// The deterministic part of each iteration record.
-fn records(rs: &[IterationRecord]) -> Vec<(usize, usize, bool, [usize; 7])> {
+fn records(rs: &[IterationRecord]) -> Vec<(usize, usize, bool, [usize; 6])> {
     rs.iter().map(|r| (r.index, r.scenarios_asked, r.sat_from_seeding, work(&r.solver))).collect()
 }
 

@@ -4,8 +4,8 @@
 //! property for spans): a full SWAN synthesis with `CSO_METRICS`
 //! collection enabled must produce byte-identical results — outcome,
 //! hole values, iteration count, the exact oracle interaction sequence —
-//! to a run with metrics off, under solver thread counts {1, 4}, while
-//! actually accumulating solver counters. (`ci.sh` extends the same
+//! to a run with metrics off, while actually accumulating solver
+//! counters. (`ci.sh` extends the same
 //! check to a whole Table 1 campaign, golden-diffing `table1.csv`.)
 //!
 //! The second half pins the trace→metrics bridge: folding a real run's
@@ -71,10 +71,9 @@ struct Observed {
     trace: Vec<Interaction>,
 }
 
-fn run_swan(seed: u64, threads: usize) -> (Observed, SolverTelemetry) {
+fn run_swan(seed: u64) -> (Observed, SolverTelemetry) {
     let mut cfg = SynthConfig::fast_test();
     cfg.seed = seed;
-    cfg.solver.threads = threads;
     let mut synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), cfg)
         .expect("SWAN sketch matches its metric space");
     let mut oracle = RecordingOracle::new();
@@ -92,75 +91,57 @@ fn run_swan(seed: u64, threads: usize) -> (Observed, SolverTelemetry) {
 }
 
 /// Metrics on vs off: identical synthesis outcomes and identical
-/// deterministic telemetry, under both solver thread counts — while the
-/// on-run demonstrably accumulated solver counters.
+/// deterministic telemetry, while the on-run demonstrably accumulated
+/// solver counters.
 #[test]
 fn metrics_on_run_is_byte_identical() {
     let _g = lock();
-    for threads in [1usize, 4] {
-        metrics::disable();
-        let (plain, plain_totals) = run_swan(11, threads);
+    metrics::disable();
+    let (plain, plain_totals) = run_swan(11);
 
-        metrics::enable();
-        let before = metrics::snapshot();
-        let (metered, metered_totals) = run_swan(11, threads);
-        let delta = metrics::snapshot().delta(&before);
-        metrics::disable();
+    metrics::enable();
+    let before = metrics::snapshot();
+    let (metered, metered_totals) = run_swan(11);
+    let delta = metrics::snapshot().delta(&before);
+    metrics::disable();
 
-        assert_eq!(plain, metered, "threads {threads}: metrics changed observable behaviour");
-        let zero_times = |t: &SolverTelemetry| SolverTelemetry {
-            seeding_time: std::time::Duration::ZERO,
-            bnp_time: std::time::Duration::ZERO,
-            ..*t
-        };
-        assert_eq!(
-            zero_times(&plain_totals),
-            zero_times(&metered_totals),
-            "threads {threads}: metrics changed telemetry"
-        );
+    assert_eq!(plain, metered, "metrics changed observable behaviour");
+    let zero_times = |t: &SolverTelemetry| SolverTelemetry {
+        seeding_time: std::time::Duration::ZERO,
+        bnp_time: std::time::Duration::ZERO,
+        ..*t
+    };
+    assert_eq!(zero_times(&plain_totals), zero_times(&metered_totals), "metrics changed telemetry");
 
-        // The enabled run really collected: every solver-work counter
-        // delta agrees with the telemetry (this also re-checks that
-        // sharded registration under pool threads loses nothing).
-        let counter = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
-        let t = &metered_totals;
-        for (name, want) in [
-            ("cso_solver_queries_total", t.queries),
-            ("cso_solver_boxes_total", t.boxes_explored),
-            ("cso_solver_boxes_pruned_total", t.boxes_pruned),
-            ("cso_solver_residual_boxes_total", t.residual_boxes),
-            ("cso_solver_samples_total", t.samples_tried),
-            ("cso_solver_eval_errors_total", t.eval_errors),
-        ] {
-            assert_eq!(
-                counter(name),
-                want as u64,
-                "threads {threads}: {name} drifted from telemetry"
-            );
-        }
-        let verdicts: u64 = ["sat", "unsat", "delta_unsat", "exhausted"]
-            .iter()
-            .map(|v| counter(&format!("cso_solver_{v}_total")))
-            .sum();
-        assert_eq!(verdicts, t.queries as u64, "threads {threads}: one verdict per query");
-        assert!(t.queries > 0, "threads {threads}: no queries counted");
-        assert!(
-            counter("cso_engine_oracle_calls_total") > 0,
-            "threads {threads}: no oracle calls counted"
-        );
-        // Contraction work: every emptied box is also a pruned one, and a
-        // SWAN run contracts some boxes.
-        let (contracted, emptied) =
-            (counter("cso_solver_contracted_total"), counter("cso_solver_emptied_total"));
-        assert!(contracted > 0, "threads {threads}: no contracted boxes counted");
-        assert!(emptied <= t.boxes_pruned as u64, "threads {threads}: emptied boxes not pruned");
-        let bnp = delta.histograms.get("cso_solver_bnp_ns").expect("bnp histogram registered");
-        assert_eq!(
-            bnp.count(),
-            counter("cso_solver_queries_total"),
-            "threads {threads}: one bnp duration per query"
-        );
+    // The enabled run really collected: every solver-work counter
+    // delta agrees with the telemetry.
+    let counter = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
+    let t = &metered_totals;
+    for (name, want) in [
+        ("cso_solver_queries_total", t.queries),
+        ("cso_solver_boxes_total", t.boxes_explored),
+        ("cso_solver_boxes_pruned_total", t.boxes_pruned),
+        ("cso_solver_residual_boxes_total", t.residual_boxes),
+        ("cso_solver_samples_total", t.samples_tried),
+        ("cso_solver_eval_errors_total", t.eval_errors),
+    ] {
+        assert_eq!(counter(name), want as u64, "{name} drifted from telemetry");
     }
+    let verdicts: u64 = ["sat", "unsat", "delta_unsat", "exhausted"]
+        .iter()
+        .map(|v| counter(&format!("cso_solver_{v}_total")))
+        .sum();
+    assert_eq!(verdicts, t.queries as u64, "one verdict per query");
+    assert!(t.queries > 0, "no queries counted");
+    assert!(counter("cso_engine_oracle_calls_total") > 0, "no oracle calls counted");
+    // Contraction work: every emptied box is also a pruned one, and a
+    // SWAN run contracts some boxes.
+    let (contracted, emptied) =
+        (counter("cso_solver_contracted_total"), counter("cso_solver_emptied_total"));
+    assert!(contracted > 0, "no contracted boxes counted");
+    assert!(emptied <= t.boxes_pruned as u64, "emptied boxes not pruned");
+    let bnp = delta.histograms.get("cso_solver_bnp_ns").expect("bnp histogram registered");
+    assert_eq!(bnp.count(), counter("cso_solver_queries_total"), "one bnp duration per query");
 }
 
 /// Flame reconciliation: fold a real run's event stream and check the
@@ -172,7 +153,7 @@ fn flame_stacks_reconcile_with_span_durations() {
     let _ = trace::uninstall();
     let mem = Arc::new(trace::MemorySink::new());
     trace::install(mem.clone());
-    let (_, totals) = run_swan(7, 1);
+    let (_, totals) = run_swan(7);
     let _ = trace::uninstall();
     let events = mem.take();
     trace::check_well_formed(&events).expect("stream well-formed");

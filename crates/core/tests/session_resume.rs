@@ -9,7 +9,7 @@
 //! seed-dependent park and resuming from the snapshot — and asserts the
 //! two trajectories match exactly: same outcome, same learnt hole values,
 //! same iteration count, and the exact same sequence of ranking requests,
-//! across seeds × solver thread counts {1, 4}.
+//! across seeds.
 //!
 //! Also covered here: the snapshot encoding is itself deterministic
 //! (`snapshot(restore(s)) == s`), snapshots stay small (they carry no
@@ -73,10 +73,9 @@ fn observe(result: &SynthResult, oracle: RecordingOracle) -> Observed {
     }
 }
 
-fn fresh_session(seed: u64, threads: usize) -> Session {
+fn fresh_session(seed: u64) -> Session {
     let mut cfg = SynthConfig::fast_test();
     cfg.seed = seed;
-    cfg.solver.threads = threads;
     let synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), cfg)
         .expect("SWAN sketch matches its metric space");
     Session::new(seed, synth)
@@ -130,22 +129,20 @@ fn drive(
 #[test]
 fn suspend_resume_is_byte_identical() {
     for seed in [11u64, 42, 2026] {
-        for threads in [1usize, 4] {
-            let mut oracle_straight = RecordingOracle::new();
-            let straight = drive(fresh_session(seed, threads), &mut oracle_straight, None);
+        let mut oracle_straight = RecordingOracle::new();
+        let straight = drive(fresh_session(seed), &mut oracle_straight, None);
 
-            // Park index varies with the seed so the matrix hits the
-            // initial ranking (park 0) and later iteration parks.
-            let park = (seed % 4) as usize;
-            let mut oracle_resumed = RecordingOracle::new();
-            let resumed = drive(fresh_session(seed, threads), &mut oracle_resumed, Some(park));
+        // Park index varies with the seed so the matrix hits the initial
+        // ranking (park 0) and later iteration parks.
+        let park = (seed % 4) as usize;
+        let mut oracle_resumed = RecordingOracle::new();
+        let resumed = drive(fresh_session(seed), &mut oracle_resumed, Some(park));
 
-            assert_eq!(
-                observe(&straight, oracle_straight),
-                observe(&resumed, oracle_resumed),
-                "seed {seed}, threads {threads}, park {park}: suspend/resume diverged"
-            );
-        }
+        assert_eq!(
+            observe(&straight, oracle_straight),
+            observe(&resumed, oracle_resumed),
+            "seed {seed}, park {park}: suspend/resume diverged"
+        );
     }
 }
 
@@ -157,7 +154,7 @@ fn suspend_resume_is_byte_identical() {
 fn quick_run_snapshots_stay_small() {
     const LIMIT: usize = 16 * 1024;
     for seed in [1000u64, 1001, 1002] {
-        let mut session = fresh_session(seed, 1);
+        let mut session = fresh_session(seed);
         let mut oracle = GroundTruthOracle::new(swan_target());
         let mut parks = 0;
         loop {
@@ -186,7 +183,7 @@ fn quick_run_snapshots_stay_small() {
 fn park_time_is_excluded_from_totals() {
     let park_delay = Duration::from_secs(3);
     let mut oracle = GroundTruthOracle::new(swan_target());
-    let mut session = fresh_session(3, 1);
+    let mut session = fresh_session(3);
 
     // Reach the first park and let the architect think for a long time.
     let StepResult::NeedsRanking { scenarios, .. } = session.step() else {
@@ -229,7 +226,7 @@ fn park_time_is_excluded_from_totals() {
 /// versioned error (or, rarely, an equal-value decode) — never a panic.
 #[test]
 fn corrupted_snapshots_fail_cleanly() {
-    let mut session = fresh_session(5, 1);
+    let mut session = fresh_session(5);
     // Park at the first question so the snapshot carries real state.
     let StepResult::NeedsRanking { .. } = session.step() else {
         panic!("expected a ranking query");

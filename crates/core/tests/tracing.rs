@@ -8,9 +8,10 @@
 //!    exact oracle interaction sequence) to an untraced run — tracing
 //!    never feeds back into the loop.
 //! 2. **Stream well-formedness at engine scale**: the event stream of a
-//!    whole run — solver spans nested inside iteration spans, counters
-//!    from pool workers — is balanced per thread with monotone logical
-//!    clocks, under solver thread counts {1, 4}.
+//!    whole run — solver spans nested inside iteration spans — is
+//!    balanced with monotone logical clocks. (Streams from many pool
+//!    workers are covered by `cso-runtime`'s
+//!    `prop_streams_are_well_formed_across_threads`.)
 //! 3. **Counters and traces agree**: [`SolverTelemetry::from_events`]
 //!    over the run's event stream reconstructs exactly the
 //!    `stats.solver_totals` the engine aggregated imperatively.
@@ -74,10 +75,9 @@ struct Observed {
     trace: Vec<Interaction>,
 }
 
-fn run_swan(seed: u64, threads: usize) -> (Observed, SolverTelemetry) {
+fn run_swan(seed: u64) -> (Observed, SolverTelemetry) {
     let mut cfg = SynthConfig::fast_test();
     cfg.seed = seed;
-    cfg.solver.threads = threads;
     let mut synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), cfg)
         .expect("SWAN sketch matches its metric space");
     let mut oracle = RecordingOracle::new();
@@ -95,61 +95,53 @@ fn run_swan(seed: u64, threads: usize) -> (Observed, SolverTelemetry) {
 }
 
 /// Tracing on vs off: identical synthesis outcomes; and the event stream
-/// reconstructs the imperative telemetry exactly — under both solver
-/// thread counts.
+/// reconstructs the imperative telemetry exactly.
 #[test]
 fn traced_run_is_byte_identical_and_events_match_telemetry() {
     let _g = lock();
-    for threads in [1usize, 4] {
-        let _ = trace::uninstall();
-        let (plain, plain_totals) = run_swan(11, threads);
+    let _ = trace::uninstall();
+    let (plain, plain_totals) = run_swan(11);
 
-        let mem = Arc::new(trace::MemorySink::new());
-        trace::install(mem.clone());
-        let (traced, traced_totals) = run_swan(11, threads);
-        let _ = trace::uninstall();
-        let events = mem.take();
+    let mem = Arc::new(trace::MemorySink::new());
+    trace::install(mem.clone());
+    let (traced, traced_totals) = run_swan(11);
+    let _ = trace::uninstall();
+    let events = mem.take();
 
-        assert_eq!(plain, traced, "threads {threads}: tracing changed observable behaviour");
-        // Phase times are wall-clock and legitimately differ run to run;
-        // every deterministic counter must not.
-        let zero_times = |t: &SolverTelemetry| SolverTelemetry {
-            seeding_time: std::time::Duration::ZERO,
-            bnp_time: std::time::Duration::ZERO,
-            ..*t
-        };
-        assert_eq!(
-            zero_times(&plain_totals),
-            zero_times(&traced_totals),
-            "threads {threads}: tracing changed telemetry"
-        );
+    assert_eq!(plain, traced, "tracing changed observable behaviour");
+    // Phase times are wall-clock and legitimately differ run to run;
+    // every deterministic counter must not.
+    let zero_times = |t: &SolverTelemetry| SolverTelemetry {
+        seeding_time: std::time::Duration::ZERO,
+        bnp_time: std::time::Duration::ZERO,
+        ..*t
+    };
+    assert_eq!(zero_times(&plain_totals), zero_times(&traced_totals), "tracing changed telemetry");
 
-        trace::check_well_formed(&events)
-            .unwrap_or_else(|e| panic!("threads {threads}: malformed stream: {e}"));
-        assert_eq!(
-            SolverTelemetry::from_events(&events),
-            traced_totals,
-            "threads {threads}: event stream disagrees with imperative counters"
-        );
+    trace::check_well_formed(&events).unwrap_or_else(|e| panic!("malformed stream: {e}"));
+    assert_eq!(
+        SolverTelemetry::from_events(&events),
+        traced_totals,
+        "event stream disagrees with imperative counters"
+    );
 
-        // The run's phase structure is present.
-        let span_names: Vec<&str> = events
-            .iter()
-            .filter(|e| e.kind == trace::Kind::SpanStart)
-            .map(|e| e.name.as_str())
-            .collect();
-        for phase in ["engine.run", "engine.initial_ranking", "engine.iteration", "engine.oracle"] {
-            assert!(span_names.contains(&phase), "threads {threads}: missing span {phase:?}");
-        }
-        // One iteration span per recorded iteration (plus possibly the
-        // convergence iteration, which records no IterationRecord).
-        let iter_spans = span_names.iter().filter(|n| **n == "engine.iteration").count();
-        assert!(
-            iter_spans >= traced.iterations,
-            "threads {threads}: {iter_spans} iteration spans for {} iterations",
-            traced.iterations
-        );
+    // The run's phase structure is present.
+    let span_names: Vec<&str> = events
+        .iter()
+        .filter(|e| e.kind == trace::Kind::SpanStart)
+        .map(|e| e.name.as_str())
+        .collect();
+    for phase in ["engine.run", "engine.initial_ranking", "engine.iteration", "engine.oracle"] {
+        assert!(span_names.contains(&phase), "missing span {phase:?}");
     }
+    // One iteration span per recorded iteration (plus possibly the
+    // convergence iteration, which records no IterationRecord).
+    let iter_spans = span_names.iter().filter(|n| **n == "engine.iteration").count();
+    assert!(
+        iter_spans >= traced.iterations,
+        "{iter_spans} iteration spans for {} iterations",
+        traced.iterations
+    );
 }
 
 /// A full SWAN run through the JSONL sink: every line parses back, the
@@ -162,11 +154,11 @@ fn traced_run_is_byte_identical_and_events_match_telemetry() {
 fn jsonl_sink_full_run_roundtrips() {
     let _g = lock();
     let _ = trace::uninstall();
-    let (plain, _) = run_swan(42, 1);
+    let (plain, _) = run_swan(42);
 
     let path = std::env::temp_dir().join(format!("cso_trace_swan_{}.jsonl", std::process::id()));
     trace::install(Arc::new(trace::JsonlSink::create(&path).expect("create trace file")));
-    let (traced, totals) = run_swan(42, 1);
+    let (traced, totals) = run_swan(42);
     let sink = trace::uninstall().expect("sink installed above");
     sink.flush();
 

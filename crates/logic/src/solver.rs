@@ -48,7 +48,7 @@
 //! only on those that read the split dimension, since the others were
 //! revised on the same ranges when its parent was contracted.
 //!
-//! # Rounds, batched and parallel
+//! # Rounds
 //!
 //! Branch-and-prune processes the subdivision frontier in deterministic
 //! *rounds*: each round pops a fixed-size batch off the depth-first stack
@@ -59,28 +59,23 @@
 //! **lowest index in the batch** wins, and statistics only count boxes up
 //! to and including the winner.
 //!
-//! With [`SolverConfig::threads`]` == 1` a round costs two tape passes,
-//! plus the contraction sweeps: one pass interval-refutes every box's
-//! samples, one checks every split box's children, each pass scoring its
-//! boxes [`crate::tape::LANES`] at a time (see `BnpCtx::round`). A child
-//! that survives takes its first contraction sweep from the lanes the
-//! child pass left, so it costs only the backward projection; the children
-//! whose first sweep narrowed a range by more than a tenth sweep again,
-//! sharing forward passes [`crate::tape::LANES`] at a time. The sample
-//! pass only needs "some conjunct is `False`" per sample: it encloses the
-//! drawn coordinates on machine words, without building a `Rat`, and runs
-//! the conjuncts one by one, stopping each chunk of samples as soon as all
-//! of them are refuted.
+//! A round costs two tape passes, plus the contraction sweeps: one pass
+//! interval-refutes every box's samples, one checks every split box's
+//! children, each pass scoring its boxes [`crate::tape::LANES`] at a time
+//! (see `BnpCtx::round`). A child that survives takes its first
+//! contraction sweep from the lanes the child pass left, so it costs only
+//! the backward projection; the children whose first sweep narrowed a
+//! range by more than a tenth sweep again, sharing forward passes
+//! [`crate::tape::LANES`] at a time. The sample pass only needs "some
+//! conjunct is `False`" per sample: it encloses the drawn coordinates on
+//! machine words, without building a `Rat`, and runs the conjuncts one by
+//! one, stopping each chunk of samples as soon as all of them are refuted.
 //! Seeding refutes its candidates the same way, [`crate::tape::LANES`] at
 //! a time under one plan per query, and certifies the survivors in draw
-//! order. With more threads, workers pull boxes
-//! from the shared work queue in `cso_runtime::pool` and run each as a
-//! round of its own. Tape lanes are independent, so either way the
-//! outcome, the model, and every counter are byte-identical to a solver
-//! that processes one box at a time, regardless of thread count or
-//! scheduling. Engine runs keep `threads = 1` because the repro sweeps are
-//! already parallelized one level up (one thread per run); `threads > 1`
-//! is for single-query workloads where the solver is the whole show.
+//! order. Tape lanes are independent, so the outcome, the model, and every
+//! counter are byte-identical to a solver that processes one box at a
+//! time. A query runs on the calling thread; callers that want
+//! parallelism run independent queries or synthesis runs side by side.
 
 use crate::ieval::{rat_enclosure, Tri};
 use crate::model::Model;
@@ -90,24 +85,9 @@ use crate::vars::BoxDomain;
 use cso_numeric::interval::{round_down, round_up};
 use cso_numeric::{words_to_f64, Interval, Rat};
 use cso_runtime::trace::{self, Value};
-use cso_runtime::{pool, Rng};
+use cso_runtime::Rng;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// Worker threads to use when `CSO_SOLVER_THREADS` is unset: 1 (the
-/// sequential solver). The environment override lets a whole test suite or
-/// CI pass exercise the parallel path without touching every config.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("CSO_SOLVER_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    })
-}
 
 thread_local! {
     /// Per-thread exact-evaluation scratch (memo cells for the rational
@@ -144,11 +124,9 @@ pub struct SolverConfig {
     pub seed: u64,
     /// Enable phase 1 (seeding). Disabled for the seeding ablation.
     pub use_seeding: bool,
-    /// Worker threads for branch-and-prune (1 = sequential). Outcomes are
-    /// byte-identical for every value; this knob only buys wall-clock.
-    /// Defaults to `CSO_SOLVER_THREADS` when set, else 1 — engine runs are
-    /// parallelized at the sweep level, so per-query parallelism is meant
-    /// for single-query workloads.
+    /// Ignored: branch-and-prune always runs on the calling thread. Kept
+    /// (default 1, read and written nowhere in the workspace) only because
+    /// the perf ledger still sets it; it goes when the ledger stops.
     pub threads: usize,
 }
 
@@ -163,7 +141,7 @@ impl Default for SolverConfig {
             jitters_per_seed: 16,
             seed: 0xC50_5EED,
             use_seeding: true,
-            threads: default_threads(),
+            threads: 1,
         }
     }
 }
@@ -200,9 +178,8 @@ impl Outcome {
 
 /// Counters describing the work done by the last `solve` call.
 ///
-/// Box and sample counts are deterministic given the config and query —
-/// identical for every `threads` value; the two `*_time` fields are
-/// wall-clock and exist for telemetry only.
+/// Box and sample counts are deterministic given the config and query;
+/// the two `*_time` fields are wall-clock and exist for telemetry only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Boxes popped from the subdivision frontier.
@@ -225,8 +202,6 @@ pub struct SolverStats {
     pub seeding_time: Duration,
     /// Wall-clock time spent in branch-and-prune.
     pub bnp_time: Duration,
-    /// Worker threads branch-and-prune ran with.
-    pub workers: usize,
     /// Boxes that contraction narrowed in at least one variable.
     pub contracted: usize,
     /// Boxes that contraction emptied (each also counts as pruned).
@@ -242,14 +217,10 @@ pub struct Solver {
     pub stats: SolverStats,
 }
 
-/// Boxes per branch-and-prune round. Fixed — never derived from the
-/// thread count — so the processing order, and therefore the outcome, is
-/// identical for every `SolverConfig::threads` value.
+/// Boxes per branch-and-prune round. Fixed, because the round boundaries
+/// decide the DFS order and which box ids the children's RNG streams are
+/// forked from, and with them the outcome.
 const ROUND_SIZE: usize = 64;
-
-/// Minimum batch worth spawning worker threads for; smaller rounds run on
-/// the calling thread (same result either way, cheaper).
-const PAR_MIN_BATCH: usize = 8;
 
 /// Frontier item: a box, the indices of conjuncts still undecided on it,
 /// and the deterministic id its sampling RNG is forked from.
@@ -267,8 +238,6 @@ enum TaskVerdict {
     Residual,
     /// Surviving children after the split (0–2 of them).
     Split(Vec<(BoxDomain, Vec<u32>)>),
-    /// Not processed: a lower-index box in the round already found SAT.
-    Skipped,
 }
 
 /// Per-box result plus the counters its processing accrued.
@@ -337,7 +306,7 @@ impl RoundScratch {
     }
 }
 
-/// Shared read-only context for processing frontier boxes (worker-safe).
+/// Shared read-only context for processing frontier boxes.
 struct BnpCtx<'a> {
     cfg: &'a SolverConfig,
     mentions: &'a [Vec<u32>],
@@ -355,8 +324,8 @@ impl BnpCtx<'_> {
     }
 
     /// The box's private RNG stream, forked deterministically from the
-    /// solver seed and the box's id — independent of which worker
-    /// processes the box or in what order.
+    /// solver seed and the box's id — independent of where in its round
+    /// the box is processed.
     fn box_rng(&self, id: u64) -> Rng {
         Rng::seed_from_u64(
             self.cfg.seed ^ id.wrapping_add(0x9E37_79B9).wrapping_mul(0xA24B_AED4_963E_E407),
@@ -666,7 +635,6 @@ impl Solver {
         seeds: &[Model],
     ) -> Outcome {
         self.stats = SolverStats::default();
-        self.stats.workers = 1;
         match q.simplified {
             Formula::True => {
                 // The midpoint is a model; it counts as one sample.
@@ -818,9 +786,6 @@ impl Solver {
         let mentions: Vec<Vec<u32>> =
             conjuncts.iter().map(|c| c.vars().iter().map(|v| v.0).collect()).collect();
 
-        let workers = self.cfg.threads.clamp(1, ROUND_SIZE);
-        self.stats.workers = workers;
-
         // Root: evaluate every conjunct in one batched tape pass, then
         // scan in conjunct order; the first `False` refutes the box.
         let cis: Vec<u32> = (0..conjuncts.len() as u32).collect();
@@ -879,43 +844,27 @@ impl Solver {
                 batch.push(stack.pop().expect("b <= stack.len()"));
             }
 
-            let results = if workers > 1 && b >= PAR_MIN_BATCH {
-                Solver::run_batch_parallel(&ctx, &batch, workers)
-            } else {
-                Solver::run_batch_sequential(&ctx, &batch)
-            };
+            let results = ROUND_SCRATCH.with(|r| ctx.round(&batch, &mut r.borrow_mut()));
 
             // Deterministic selection and accounting: scan in batch order
-            // and stop at the first SAT (lowest box index wins). Work a
-            // parallel round performed past the winner is discarded, so
-            // every counter matches the sequential solver exactly.
+            // and stop at the first SAT (lowest box index wins); the round
+            // itself stops there, so the boxes after it report nothing.
             let mut sat: Option<Model> = None;
             let mut child_sets: Vec<Vec<(BoxDomain, Vec<u32>)>> = Vec::with_capacity(b);
             for res in results {
+                self.stats.boxes_processed += 1;
+                self.stats.samples_tried += res.samples;
+                self.stats.boxes_pruned += res.pruned;
+                self.stats.eval_errors += res.errors;
+                self.stats.contracted += res.contracted;
+                self.stats.emptied += res.emptied;
                 match res.verdict {
-                    TaskVerdict::Skipped => {
-                        // Unreachable before the winning index by
-                        // construction; never counted.
-                        debug_assert!(false, "skip below the winning box");
-                        continue;
+                    TaskVerdict::Sat(m) => {
+                        sat = Some(m);
+                        break;
                     }
-                    verdict => {
-                        self.stats.boxes_processed += 1;
-                        self.stats.samples_tried += res.samples;
-                        self.stats.boxes_pruned += res.pruned;
-                        self.stats.eval_errors += res.errors;
-                        self.stats.contracted += res.contracted;
-                        self.stats.emptied += res.emptied;
-                        match verdict {
-                            TaskVerdict::Sat(m) => {
-                                sat = Some(m);
-                                break;
-                            }
-                            TaskVerdict::Residual => self.stats.residual_boxes += 1,
-                            TaskVerdict::Split(children) => child_sets.push(children),
-                            TaskVerdict::Skipped => unreachable!("matched above"),
-                        }
-                    }
+                    TaskVerdict::Residual => self.stats.residual_boxes += 1,
+                    TaskVerdict::Split(children) => child_sets.push(children),
                 }
             }
             if let Some(m) = sat {
@@ -936,36 +885,6 @@ impl Solver {
         } else {
             Outcome::DeltaUnsat
         }
-    }
-
-    /// Sequential round: the whole batch in one [`BnpCtx::round`], which
-    /// stops at the first SAT (the boxes after it are this round's
-    /// discarded work).
-    fn run_batch_sequential(ctx: &BnpCtx<'_>, batch: &[BoxTask]) -> Vec<TaskResult> {
-        ROUND_SCRATCH.with(|r| ctx.round(batch, &mut r.borrow_mut()))
-    }
-
-    /// Parallel round: workers pull box indices from the shared work
-    /// queue and run each box as a round of its own. `best_sat` is the
-    /// early-exit flag — an `AtomicUsize` rather than a plain "SAT found"
-    /// bool because a SAT at a *higher* index must not suppress boxes that
-    /// precede it in the deterministic order (the lowest SAT index wins the
-    /// round). A skipped box is therefore always above the winner, and the
-    /// winner-prefix scan in `branch_and_prune` never observes it.
-    fn run_batch_parallel(ctx: &BnpCtx<'_>, batch: &[BoxTask], workers: usize) -> Vec<TaskResult> {
-        let best_sat = AtomicUsize::new(usize::MAX);
-        pool::scoped_map((0..batch.len()).collect(), workers, |i: usize| {
-            if best_sat.load(Ordering::Relaxed) < i {
-                return TaskResult::new(TaskVerdict::Skipped, 0, 0);
-            }
-            let res = Solver::run_batch_sequential(ctx, std::slice::from_ref(&batch[i]))
-                .pop()
-                .expect("a one-box round reports its box");
-            if matches!(res.verdict, TaskVerdict::Sat(_)) {
-                best_sat.fetch_min(i, Ordering::Relaxed);
-            }
-            res
-        })
     }
 
     // -- sampling helpers -----------------------------------------------------
@@ -1329,71 +1248,10 @@ mod tests {
         assert_eq!(m1, m2);
     }
 
-    /// The parallel solver must be bit-for-bit the sequential solver:
-    /// same outcome, same model, same deterministic counters — for SAT
-    /// found by branch-and-prune, UNSAT proofs, and δ-UNSAT residue.
-    #[test]
-    fn parallel_matches_sequential_byte_for_byte() {
-        let (_, d, x, y) = setup2();
-        let queries: Vec<Formula> = vec![
-            // SAT only reachable through branch-and-prune sampling.
-            Formula::and(vec![
-                Term::var(x).add(Term::var(y)).ge(Term::constant(Rat::from_frac(4999, 1000))),
-                Term::var(x).add(Term::var(y)).le(Term::constant(Rat::from_frac(5001, 1000))),
-            ]),
-            // UNSAT requiring subdivision.
-            Formula::and(vec![
-                Term::var(x).mul(Term::var(y)).ge(Term::int(60)),
-                Term::var(x).add(Term::var(y)).le(Term::int(10)),
-            ]),
-            // Nonlinear SAT band.
-            Formula::and(vec![
-                Term::var(x).mul(Term::var(y)).ge(Term::int(12)),
-                Term::var(x).mul(Term::var(y)).le(Term::int(13)),
-                Term::var(x).gt(Term::var(y)),
-            ]),
-        ];
-        for seed in [1u64, 7, 0xC50_5EED] {
-            for (qi, f) in queries.iter().enumerate() {
-                let cfg1 = SolverConfig {
-                    seed,
-                    use_seeding: false,
-                    threads: 1,
-                    ..SolverConfig::default()
-                };
-                let cfg4 = SolverConfig { threads: 4, ..cfg1.clone() };
-                let mut s1 = Solver::new(cfg1);
-                let mut s4 = Solver::new(cfg4);
-                let o1 = s1.solve(f, &d);
-                let o4 = s4.solve(f, &d);
-                assert_eq!(o1, o4, "seed {seed} query {qi}: outcomes diverged");
-                assert_eq!(
-                    format!("{o1:?}"),
-                    format!("{o4:?}"),
-                    "seed {seed} query {qi}: rendered outcomes diverged"
-                );
-                let counters = |st: &SolverStats| {
-                    (
-                        st.boxes_processed,
-                        st.boxes_pruned,
-                        st.samples_tried,
-                        st.contracted,
-                        st.emptied,
-                    )
-                };
-                assert_eq!(
-                    counters(&s1.stats),
-                    counters(&s4.stats),
-                    "seed {seed} query {qi}: deterministic counters diverged"
-                );
-            }
-        }
-    }
-
     /// Pins outcomes (models included) and every deterministic counter on
     /// SAT bands, an UNSAT proof (which contraction now empties at the
-    /// root) and an inexact constant, with seeding off and on, for threads
-    /// 1 and 4. The seeding-answered rows are those the tree-walking
+    /// root) and an inexact constant, with seeding off and on. The
+    /// seeding-answered rows are those the tree-walking
     /// evaluators produced; the branch-and-prune rows were re-recorded when
     /// contraction landed. Any change to what branch-and-prune or seeding
     /// decides shows up here.
@@ -1484,33 +1342,26 @@ mod tests {
             }
         };
         for seeding in [false, true] {
-            for threads in [1usize, 4] {
-                for (qi, (f, want)) in queries.iter().zip(pinned(seeding)).enumerate() {
-                    let cfg = SolverConfig {
-                        seed: 7,
-                        use_seeding: seeding,
-                        threads,
-                        ..SolverConfig::default()
-                    };
-                    let mut s = Solver::new(cfg);
-                    let out = s.solve(f, &d);
-                    let st = s.stats;
-                    assert_eq!(
-                        (
-                            out,
-                            st.boxes_processed,
-                            st.boxes_pruned,
-                            st.residual_boxes,
-                            st.samples_tried,
-                            st.sat_from_seeding,
-                            st.eval_errors,
-                            st.contracted,
-                            st.emptied,
-                        ),
-                        want,
-                        "seeding {seeding} threads {threads} query {qi}"
-                    );
-                }
+            for (qi, (f, want)) in queries.iter().zip(pinned(seeding)).enumerate() {
+                let cfg = SolverConfig { seed: 7, use_seeding: seeding, ..SolverConfig::default() };
+                let mut s = Solver::new(cfg);
+                let out = s.solve(f, &d);
+                let st = s.stats;
+                assert_eq!(
+                    (
+                        out,
+                        st.boxes_processed,
+                        st.boxes_pruned,
+                        st.residual_boxes,
+                        st.samples_tried,
+                        st.sat_from_seeding,
+                        st.eval_errors,
+                        st.contracted,
+                        st.emptied,
+                    ),
+                    want,
+                    "seeding {seeding} query {qi}"
+                );
             }
         }
         // One solver reused across the queries, twice through, the second
@@ -1528,49 +1379,45 @@ mod tests {
             (sat((6_328_651, 1_000_000), (59_843, 250_000)), 0, 0, 0, 33, true, 0, 0, 0),
         ];
         let seed_model = Model::new(vec![Rat::from_int(1), Rat::from_int(1)]);
-        for threads in [1usize, 4] {
-            let cfg =
-                SolverConfig { seed: 7, use_seeding: true, threads, ..SolverConfig::default() };
-            let mut s = Solver::new(cfg);
-            let runs = queries.iter().map(|f| (f, false)).chain(queries.iter().map(|f| (f, true)));
-            for (qi, ((f, seeded), want)) in runs.zip(reused.clone()).enumerate() {
-                let out = if seeded {
-                    s.solve_seeded(f, &d, std::slice::from_ref(&seed_model))
-                } else {
-                    s.solve(f, &d)
-                };
-                let st = s.stats;
-                assert_eq!(
-                    (
-                        out,
-                        st.boxes_processed,
-                        st.boxes_pruned,
-                        st.residual_boxes,
-                        st.samples_tried,
-                        st.sat_from_seeding,
-                        st.eval_errors,
-                        st.contracted,
-                        st.emptied,
-                    ),
-                    want,
-                    "reused solver, threads {threads} run {qi}"
-                );
-            }
+        let cfg = SolverConfig { seed: 7, use_seeding: true, ..SolverConfig::default() };
+        let mut s = Solver::new(cfg);
+        let runs = queries.iter().map(|f| (f, false)).chain(queries.iter().map(|f| (f, true)));
+        for (qi, ((f, seeded), want)) in runs.zip(reused).enumerate() {
+            let out = if seeded {
+                s.solve_seeded(f, &d, std::slice::from_ref(&seed_model))
+            } else {
+                s.solve(f, &d)
+            };
+            let st = s.stats;
+            assert_eq!(
+                (
+                    out,
+                    st.boxes_processed,
+                    st.boxes_pruned,
+                    st.residual_boxes,
+                    st.samples_tried,
+                    st.sat_from_seeding,
+                    st.eval_errors,
+                    st.contracted,
+                    st.emptied,
+                ),
+                want,
+                "reused solver run {qi}"
+            );
         }
     }
 
     #[test]
-    fn stats_report_workers_and_phase_times() {
+    fn stats_report_phase_times() {
         let (_, d, x, y) = setup2();
         let f = Formula::and(vec![
             Term::var(x).mul(Term::var(y)).ge(Term::int(60)),
             Term::var(x).add(Term::var(y)).le(Term::int(10)),
         ]);
-        let cfg = SolverConfig { threads: 3, use_seeding: false, ..SolverConfig::default() };
+        let cfg = SolverConfig { use_seeding: false, ..SolverConfig::default() };
         let mut s = Solver::new(cfg);
         let out = s.solve(&f, &d);
         assert!(out.is_unsat_like());
-        assert_eq!(s.stats.workers, 3);
         assert!(s.stats.bnp_time > Duration::ZERO, "branch-and-prune time must be recorded");
         assert_eq!(s.stats.seeding_time, Duration::ZERO, "seeding disabled, no seeding time");
     }

@@ -125,7 +125,6 @@ fn fleet_cfg(seed: u64) -> SynthConfig {
     cfg.solver.max_boxes = 300;
     cfg.solver.initial_samples = 12;
     cfg.solver.jitters_per_seed = 4;
-    cfg.solver.threads = 1;
     cfg
 }
 

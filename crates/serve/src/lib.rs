@@ -418,9 +418,7 @@ mod tests {
     use cso_synth::{MetricSpace, SynthConfig, Synthesizer};
 
     fn fleet_cfg(seed: u64) -> SynthConfig {
-        let mut cfg = SynthConfig { seed, ..SynthConfig::fast_test() };
-        cfg.solver.threads = 1;
-        cfg
+        SynthConfig { seed, ..SynthConfig::fast_test() }
     }
 
     fn make_session(id: u64) -> Session {

@@ -33,7 +33,6 @@ fn session_cfg(id: u64) -> SynthConfig {
     };
     cfg.solver.delta = 0.05;
     cfg.solver.max_boxes = 300;
-    cfg.solver.threads = 1;
     cfg
 }
 
