@@ -46,12 +46,18 @@ fn main() {
     let wants = |name: &str| run_all || which.iter().any(|w| w == name);
 
     if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            std::process::exit(2);
+        }
     }
     let write_csv = |name: &str, contents: &str| {
         if let Some(dir) = &csv_dir {
             let path = dir.join(name);
-            std::fs::write(&path, contents).expect("write csv");
+            if let Err(e) = std::fs::write(&path, contents) {
+                eprintln!("cannot write {}: {e}", path.display());
+                std::process::exit(2);
+            }
             println!("wrote {}", path.display());
         }
     };
