@@ -929,6 +929,12 @@ impl Solver {
         (x, inside.then_some(scaled as i64))
     }
 
+    /// The exact value a draw `x` from `iv` is sampled at: `snap(x)` when
+    /// that lies in the box (infinite ends capped). Snapping can push an
+    /// edge draw, or any draw from a box narrower than the `10^-6` grid,
+    /// out of the box; then the in-box point nearest `x` on the coarsest
+    /// decimal grid that has one ([`decimal_in`]), and only when none
+    /// does, the box end nearest the snap.
     fn rat_in(iv: Interval, x: f64) -> Rat {
         let (x, k) = Solver::grid_in(iv, x);
         if let Some(k) = k {
@@ -936,14 +942,13 @@ impl Solver {
         }
         let (lo, hi) = Solver::clamp_iv(iv);
         let snapped = Solver::snap(x);
-        // Snapping may push just outside the box; clamp exactly.
         let rlo = Rat::from_f64(lo).unwrap_or_else(Rat::zero);
         let rhi = Rat::from_f64(hi).unwrap_or_else(Rat::zero);
-        if rlo <= rhi {
-            snapped.clamp(&rlo, &rhi)
-        } else {
-            snapped
+        if rlo > rhi || (rlo <= snapped && snapped <= rhi) {
+            return snapped;
         }
+        let rx = Rat::from_f64(x).unwrap_or_else(Rat::zero);
+        decimal_in(&rlo, &rhi, &rx).unwrap_or_else(|| snapped.clamp(&rlo, &rhi))
     }
 
     /// `rat_enclosure(&Solver::rat_in(iv, x))`, bit for bit, computed on
@@ -1031,6 +1036,24 @@ impl Solver {
             c + rng.random_range(-radius..=radius)
         }));
     }
+}
+
+/// The point of `[lo, hi]` nearest `x` (ties upward) on the coarsest
+/// decimal grid `10^-p`, `p = 6..=15`, that has a point in `[lo, hi]`;
+/// `None` when none of them has one.
+fn decimal_in(lo: &Rat, hi: &Rat, x: &Rat) -> Option<Rat> {
+    let ten = Rat::from_int(10);
+    let half = Rat::from_frac(1, 2);
+    let mut scale = Rat::from_int(1_000_000);
+    for _ in 6..=15 {
+        let (kmin, kmax) = ((lo * &scale).ceil(), (hi * &scale).floor());
+        if kmin <= kmax {
+            let k = (x * &scale + &half).floor().clamp(kmin, kmax);
+            return Some(Rat::from(k) / scale);
+        }
+        scale *= &ten;
+    }
+    None
 }
 
 /// The one-ulp enclosure of `k / 10^6` for `|k| < 9e15`, on machine words:
@@ -1422,11 +1445,15 @@ mod tests {
         assert_eq!(s.stats.seeding_time, Duration::ZERO, "seeding disabled, no seeding time");
     }
 
-    /// `rat_in`'s fast path returns exactly what the exact clamp returns,
-    /// including for box ends on, and one ulp around, the `k/10^6` grid
-    /// that snapping rounds to.
+    /// `rat_in` returns the snap when it lies in the box, else the in-box
+    /// point nearest the draw on the coarsest decimal grid `10^-p`
+    /// (`p = 6..=15`) with a point in the box, else the box end nearest the
+    /// snap: including for box ends on, and one ulp around, the `k/10^6`
+    /// grid that snapping rounds to. The reference picks the nearest grid
+    /// point by comparing distances, not by rounding and clamping.
     #[test]
     fn rat_in_matches_the_exact_clamp() {
+        use cso_numeric::BigInt;
         use cso_runtime::prop::{self, f64_in, int_in, just, one_of, zip3, Config, Gen};
         let grid = || {
             zip3(int_in(-2_000_000_000, 2_000_000_000), int_in(-1, 1), just(())).map(
@@ -1447,14 +1474,49 @@ mod tests {
             |&(a, b, x)| {
                 let iv = Interval::new(a.min(b), a.max(b));
                 let (lo, hi) = Solver::clamp_iv(iv);
-                let want = Solver::snap(x.clamp(lo, hi)).clamp(
-                    &Rat::from_f64(lo).expect("finite"),
-                    &Rat::from_f64(hi).expect("finite"),
-                );
+                let x = x.clamp(lo, hi);
+                let (rlo, rhi) =
+                    (Rat::from_f64(lo).expect("finite"), Rat::from_f64(hi).expect("finite"));
+                let rx = Rat::from_f64(x).expect("finite");
+                let snapped = Solver::snap(x);
+                let on_grid = |p: u32| {
+                    let unit = Rat::from(BigInt::from(10).pow(p));
+                    let (kmin, kmax) = ((&rlo * &unit).ceil(), (&rhi * &unit).floor());
+                    let t = &rx * &unit;
+                    [kmin.clone(), kmax.clone(), t.floor(), t.ceil()]
+                        .into_iter()
+                        .filter(|k| &kmin <= k && k <= &kmax)
+                        .map(|k| Rat::from(k) / &unit)
+                        .min_by(|u, v| {
+                            let (du, dv) = ((u - &rx).abs(), (v - &rx).abs());
+                            du.cmp(&dv).then(v.cmp(u))
+                        })
+                };
+                let want = if rlo <= snapped && snapped <= rhi {
+                    snapped
+                } else {
+                    (6..=15).find_map(on_grid).unwrap_or_else(|| snapped.clamp(&rlo, &rhi))
+                };
                 cso_runtime::prop_assert_eq!(Solver::rat_in(iv, x), want, "{} at {:e}", iv, x);
                 Ok(())
             },
         );
+    }
+
+    /// A draw whose snap leaves the box lands on the coarsest decimal grid
+    /// with a point in the box: a box narrower than the `10^-6` grid gets a
+    /// 7-digit decimal, an edge draw on a wide box the first `10^-6` point
+    /// inside, and a one-ulp box holding no 15-digit decimal its nearer end.
+    #[test]
+    fn rat_in_lands_on_the_coarsest_decimal_grid_in_the_box() {
+        let narrow = Interval::new(0.123_456_1, 0.123_456_3);
+        assert_eq!(Solver::rat_in(narrow, 0.123_456_2), Rat::from_frac(1_234_562, 10_000_000));
+        let wide = Interval::new(0.123_456_4, 0.5);
+        assert_eq!(Solver::rat_in(wide, 0.123_456_4), Rat::from_frac(123_457, 1_000_000));
+        let lo = 0.123_456_789_012_345_67_f64;
+        let ulp = Interval::new(lo, lo.next_up());
+        let end = Rat::from_f64(lo.next_up()).expect("finite");
+        assert_eq!(Solver::rat_in(ulp, lo), end);
     }
 
     /// The sampler's word-level enclosure equals `rat_enclosure` of the
