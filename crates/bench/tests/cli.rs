@@ -2,8 +2,7 @@
 //! with exit status 2, never as a panic.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Output};
 
 /// A fresh scratch directory for one test.
 fn scratch(name: &str) -> PathBuf {
@@ -13,28 +12,16 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Run `repro table1 --csv <csv>`. A run that outlives the deadline is
-/// killed: a Quick campaign takes seconds.
+/// Run `repro table1 --csv <csv>`.
 fn run(csv: &Path) -> Output {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+    Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("table1")
         .arg("--csv")
         .arg(csv)
         .env_remove("CSO_TRACE")
         .env_remove("CSO_METRICS")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn repro");
-    let deadline = Instant::now() + Duration::from_secs(300);
-    while child.try_wait().expect("poll repro").is_none() {
-        if Instant::now() > deadline {
-            child.kill().expect("kill repro");
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    child.wait_with_output().expect("collect repro output")
+        .output()
+        .expect("run repro")
 }
 
 fn assert_refused(output: &Output, what: &str, path: &Path) {
