@@ -29,9 +29,10 @@ cargo test -q --workspace --offline
 # arithmetic on one-limb parts must equal `BigInt` arithmetic, the tape's lane
 # interpreter must agree with the tree walker at every batch size, on all
 # conjuncts and on random subsets of them (planned passes over unions of
-# conjunct masks), point refutation must never reject a model, and every
-# lane slot must contain its exact rational value, the sampler's
-# word-level enclosures must equal the `Rat` path's bit for bit, and
+# conjunct masks), the early-exit refuter run on a point's one-ulp
+# enclosures must never reject a model, every lane slot must contain its
+# exact rational value, the sampler's word-level enclosures must equal
+# the `Rat` path's bit for bit, and
 # contraction (whole boxes and split halves contracted from a verdict
 # pass's lanes) must keep every exact solution. Release build, so the
 # vectorized loops are the code under test.

@@ -208,20 +208,13 @@ impl QueryBuilder {
         Formula::and(conjuncts)
     }
 
-    /// Constraint that the symbolic holes differ from `fa`'s holes in at
-    /// least one coordinate by `sep_rel` times that hole's range width —
-    /// used to steer the fast-path search toward a genuinely different
-    /// second candidate.
-    #[must_use]
-    pub fn holes_differ_from(&self, fa_holes: &[Rat], sep_rel: f64) -> Formula {
-        self.holes_differ_from_masked(fa_holes, sep_rel, None)
-    }
-
-    /// Like [`QueryBuilder::holes_differ_from`], but optionally restricted
-    /// to a single hole. The engine cycles the restriction across holes so
-    /// every remaining degree of freedom gets probed — without it the
-    /// solver keeps producing candidates that differ only in whichever
-    /// hole is easiest to move.
+    /// Constraint that the symbolic holes differ from `fa`'s holes by
+    /// `sep_rel` times that hole's range width, in at least one coordinate
+    /// or, with `only_hole`, in that hole alone — used to steer the
+    /// fast-path search toward a genuinely different second candidate. The
+    /// engine cycles the restriction across holes so every remaining
+    /// degree of freedom gets probed; without it the solver keeps producing
+    /// candidates that differ only in whichever hole is easiest to move.
     #[must_use]
     pub fn holes_differ_from_masked(
         &self,

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic   8 bytes  "CSOSNAP\0"
-//! version 1 byte   currently 7 (see [`VERSION`])
+//! version 1 byte   currently 8 (see [`VERSION`])
 //! session 8 bytes  session id, little-endian u64
 //! config  sketch source, metric space, SynthConfig
 //! state   rng, pool, graph, stats, loop context, engine state
@@ -51,8 +51,10 @@ pub const MAGIC: [u8; 8] = *b"CSOSNAP\0";
 /// encoding) and the telemetry's always-zero `cache_hits`; version 6
 /// dropped the config's clause-cache toggle, the graph's change counter
 /// and the telemetry's reused-clause count; version 7 dropped the solver's
-/// `threads` word and the telemetry's largest worker count.
-pub const VERSION: u8 = 7;
+/// `threads` word and the telemetry's largest worker count; version 8
+/// dropped the solver's samples-per-box word (branch-and-prune draws one
+/// sample per box).
+pub const VERSION: u8 = 8;
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug, Clone)]
@@ -390,7 +392,6 @@ fn write_config(w: &mut Writer, cfg: &SynthConfig) {
         None => w.bool(false),
     }
     w.usize(cfg.solver.max_boxes);
-    w.usize(cfg.solver.samples_per_box);
     w.usize(cfg.solver.initial_samples);
     w.usize(cfg.solver.jitters_per_seed);
     w.u64(cfg.solver.seed);
@@ -599,7 +600,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         None
     };
     let max_boxes = r.usize()?;
-    let samples_per_box = r.usize()?;
     let initial_samples = r.usize()?;
     let jitters_per_seed = r.usize()?;
     let solver_seed = r.u64()?;
@@ -608,7 +608,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         delta,
         delta_per_dim,
         max_boxes,
-        samples_per_box,
         initial_samples,
         jitters_per_seed,
         seed: solver_seed,
@@ -790,10 +789,10 @@ mod tests {
         bytes[MAGIC.len()] = 99;
         assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(99))));
         // Earlier formats are refused: v3 (with the solver's `tape` byte),
-        // v4 (with the solver memo), v5 (with the clause-cache toggle) and
-        // v6 (with the solver's thread count and the telemetry's worker
-        // count).
-        for old in [3, 4, 5, 6] {
+        // v4 (with the solver memo), v5 (with the clause-cache toggle), v6
+        // (with the solver's thread count and the telemetry's worker count)
+        // and v7 (with the solver's samples per box).
+        for old in [3, 4, 5, 6, 7] {
             bytes[MAGIC.len()] = old;
             assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(v)) if v == old));
         }

@@ -52,15 +52,16 @@
 //!
 //! Branch-and-prune processes the subdivision frontier in deterministic
 //! *rounds*: each round pops a fixed-size batch off the depth-first stack
-//! (deepest boxes first, preserving the DFS search profile) and evaluates
-//! the batch's boxes independently. Every box samples from its own RNG
-//! stream forked deterministically from `(seed, box id)`, and the round
-//! winner is selected by a deterministic rule — the SAT box with the
-//! **lowest index in the batch** wins, and statistics only count boxes up
-//! to and including the winner.
+//! (deepest boxes first, preserving the DFS search profile) and walks it
+//! in batch order. Every box draws one sample from its own RNG stream,
+//! forked deterministically from `(seed, box id)`. The first box that
+//! certifies a model ends the search, and the boxes after it in the batch
+//! are not counted. Otherwise the surviving children go back on the stack
+//! in reverse batch order, each low child below its high one, so the first
+//! box's high child is on top; children take their ids in push order.
 //!
 //! A round costs two tape passes, plus the contraction sweeps: one pass
-//! interval-refutes every box's samples, one checks every split box's
+//! interval-refutes every box's sample, one checks every split box's
 //! children, each pass scoring its boxes [`crate::tape::LANES`] at a time
 //! (see `BnpCtx::round`). A child that survives takes its first
 //! contraction sweep from the lanes the child pass left, so it costs only
@@ -101,7 +102,9 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Minimum box width: boxes narrower than this in every dimension are
-    /// not split further. This is the δ of δ-completeness.
+    /// not split further. This is the δ of δ-completeness. The synthesis
+    /// engine never reads it: every query it solves sets `delta_per_dim`
+    /// for every dimension, from `SynthConfig::delta_rel`.
     pub delta: f64,
     /// Optional per-dimension δ overriding `delta` (indexed by variable
     /// index). Dimensions whose ranges differ by orders of magnitude —
@@ -112,8 +115,6 @@ pub struct SolverConfig {
     /// Maximum number of boxes to process before giving up with
     /// [`Outcome::Exhausted`].
     pub max_boxes: usize,
-    /// Random samples drawn inside each processed box.
-    pub samples_per_box: usize,
     /// Uniform random samples drawn across the whole box before
     /// branch-and-prune starts.
     pub initial_samples: usize,
@@ -136,7 +137,6 @@ impl Default for SolverConfig {
             delta: 1e-3,
             delta_per_dim: None,
             max_boxes: 200_000,
-            samples_per_box: 1,
             initial_samples: 512,
             jitters_per_seed: 16,
             seed: 0xC50_5EED,
@@ -230,33 +230,6 @@ struct BoxTask {
     id: u64,
 }
 
-/// What processing one box concluded.
-enum TaskVerdict {
-    /// An exactly certified model was found inside the box.
-    Sat(Model),
-    /// Sub-δ in every constrained dimension and sampling found nothing.
-    Residual,
-    /// Surviving children after the split (0–2 of them).
-    Split(Vec<(BoxDomain, Vec<u32>)>),
-}
-
-/// Per-box result plus the counters its processing accrued.
-struct TaskResult {
-    verdict: TaskVerdict,
-    samples: usize,
-    pruned: usize,
-    errors: usize,
-    contracted: usize,
-    emptied: usize,
-}
-
-impl TaskResult {
-    /// A result whose processing pruned and contracted nothing (yet).
-    fn new(verdict: TaskVerdict, samples: usize, errors: usize) -> TaskResult {
-        TaskResult { verdict, samples, pruned: 0, errors, contracted: 0, emptied: 0 }
-    }
-}
-
 /// Buffers a branch-and-prune round reuses, kept per thread so that no
 /// round allocates a buffer per box or per sample.
 #[derive(Default)]
@@ -279,10 +252,8 @@ struct RoundScratch {
     children: Vec<BoxDomain>,
     /// `pick_split_dim`'s per-dimension flags.
     relevant: Vec<bool>,
-    /// The children under contraction, and the batch index of each one's
-    /// parent.
+    /// The children under contraction.
     contractees: Vec<Contractee>,
-    owners: Vec<usize>,
 }
 
 impl RoundScratch {
@@ -378,28 +349,28 @@ impl BnpCtx<'_> {
 
     /// Close out a box on which every conjunct is certainly true: certify
     /// its midpoint, then up to three samples from the box's own stream.
-    fn certify_decided(&self, task: &BoxTask) -> TaskResult {
+    /// When every evaluation errors (division by zero on a measure-zero
+    /// set can do this), the box counts as residual.
+    fn certify_decided(&self, task: &BoxTask, stats: &mut SolverStats) -> Option<Model> {
         let mut rng = self.box_rng(task.id);
-        let mut errors = 0usize;
         let mid = Solver::mid_values(&task.dom);
         let tries =
             std::iter::once(mid).chain((0..3).map(|_| Solver::sample_uniform(&mut rng, &task.dom)));
-        for (i, vals) in tries.enumerate() {
-            let (m, e) = certify_exact(self.tape, &vals);
-            errors += e;
-            if let Some(m) = m {
-                return TaskResult::new(TaskVerdict::Sat(m), i + 1, errors);
+        for vals in tries {
+            stats.samples_tried += 1;
+            if holds_exactly(self.tape, &vals, &mut stats.eval_errors) {
+                return Some(Model::new(vals));
             }
         }
-        // All evaluations errored (division by zero on a measure-zero set
-        // can do this); treat conservatively as residual.
-        TaskResult::new(TaskVerdict::Residual, 4, errors)
+        stats.residual_boxes += 1;
+        None
     }
 
     /// Process one round of frontier boxes in batch order, with two tape
-    /// passes for the whole round instead of one or two per box:
+    /// passes for the whole round instead of one or two per box, adding
+    /// the round's work to `stats`:
     ///
-    /// 1. Every box with pending conjuncts draws its samples from its own
+    /// 1. Every box with pending conjuncts draws one sample from its own
     ///    stream (the values a box-at-a-time solver would draw). Each
     ///    coordinate's one-ulp enclosure is computed on machine words from
     ///    the drawn `f64` ([`Solver::enclosure_in`]), and coordinates no
@@ -411,20 +382,27 @@ impl BnpCtx<'_> {
     ///    certainly true on it, so by soundness it cannot be refuted at a
     ///    point of the box: checking more conjuncts than the box's own
     ///    never changes a sample's decision. Only the enclosures are kept;
-    ///    a box with a surviving sample redraws its stream for the exact
-    ///    values.
+    ///    a box whose sample survives redraws it for the exact values.
     /// 2. The survivors are certified exactly in batch order, box by box;
-    ///    the first SAT ends the round and later boxes contribute nothing.
-    /// 3. Every box before it that is neither SAT nor residual is
+    ///    the first model stops the walk, and the round returns it.
+    /// 3. Every box before it that is neither certified nor residual is
     ///    bisected, and one pass checks all children on the union of their
     ///    re-check conjuncts (each child reads only its own). Each child it
     ///    does not refute is contracted: the first sweep from the lanes of
     ///    the pass, the later ones shared by the children still sweeping.
+    ///    The children that survive go onto `stack`, numbered from
+    ///    `next_id` in push order.
     ///
     /// Lanes are independent, so every verdict, and with it the outcome
     /// and every counter, equals processing the boxes one at a time.
-    fn round(&self, batch: &[BoxTask], r: &mut RoundScratch) -> Vec<TaskResult> {
-        let spb = self.cfg.samples_per_box;
+    fn round(
+        &self,
+        batch: &[BoxTask],
+        r: &mut RoundScratch,
+        stats: &mut SolverStats,
+        stack: &mut Vec<BoxTask>,
+        next_id: &mut u64,
+    ) -> Option<Model> {
         let n_conj = self.mentions.len();
         let dims = batch.first().map_or(0, |t| t.dom.len());
 
@@ -433,9 +411,7 @@ impl BnpCtx<'_> {
             let mut rng = self.box_rng(task.id);
             let ivs = task.dom.intervals();
             r.xs.clear();
-            for _ in 0..spb {
-                r.xs.extend(ivs.iter().map(|&iv| Solver::draw_uniform(&mut rng, iv)));
-            }
+            r.xs.extend(ivs.iter().map(|&iv| Solver::draw_uniform(&mut rng, iv)));
             Solver::enclose_draws(self.tape, &r.xs, ivs, &mut r.encl);
         }
         r.reset_cis(n_conj);
@@ -445,62 +421,51 @@ impl BnpCtx<'_> {
             }
         }
         r.seal_cis();
-        let n_samples = batch.iter().filter(|t| !t.pending.is_empty()).count() * spb;
+        let n_samples = batch.iter().filter(|t| !t.pending.is_empty()).count();
         let encl = &r.encl;
         tape::with_scratch(|s| {
             let var = |b: usize, v: u32| encl[b * dims + v as usize];
             self.tape.refuter(r.cis.iter().copied(), s).refutes(n_samples, var, &mut r.refuted);
         });
 
-        let mut out = Vec::with_capacity(batch.len());
+        let mut model = None;
         r.splits.clear();
         let mut sample = 0usize;
-        'boxes: for (bi, task) in batch.iter().enumerate() {
+        for (bi, task) in batch.iter().enumerate() {
+            stats.boxes_processed += 1;
             if task.pending.is_empty() {
-                let res = self.certify_decided(task);
-                let sat = matches!(res.verdict, TaskVerdict::Sat(_));
-                out.push(res);
-                if sat {
+                model = self.certify_decided(task, stats);
+                if model.is_some() {
                     break;
                 }
                 continue;
             }
-            let refuted = |s: usize| r.refuted[s];
-            let mut errors = 0usize;
-            if (sample..sample + spb).any(|s| !refuted(s)) {
-                // Redraw the box's samples from its stream: only the
-                // survivors of refutation need their exact values.
-                let mut rng = self.box_rng(task.id);
-                for j in 0..spb {
-                    r.vals.clear();
-                    Solver::sample_uniform_into(&mut rng, &task.dom, &mut r.vals);
-                    if refuted(sample + j) {
-                        continue;
-                    }
-                    match EX_SCRATCH.with(|x| self.tape.eval_exact(&r.vals, &mut x.borrow_mut())) {
-                        Ok(true) => {
-                            let verdict = TaskVerdict::Sat(Model::new(r.vals.clone()));
-                            out.push(TaskResult::new(verdict, j + 1, errors));
-                            break 'boxes;
-                        }
-                        Ok(false) => {}
-                        Err(_) => errors += 1,
-                    }
+            stats.samples_tried += 1;
+            if !r.refuted[sample] {
+                // Redraw the sample from the box's stream: only a survivor
+                // of refutation needs its exact values.
+                r.vals.clear();
+                Solver::sample_uniform_into(&mut self.box_rng(task.id), &task.dom, &mut r.vals);
+                if holds_exactly(self.tape, &r.vals, &mut stats.eval_errors) {
+                    model = Some(Model::new(r.vals.clone()));
+                    break;
                 }
             }
-            sample += spb;
-            let verdict = if self.box_is_residual(task) {
-                TaskVerdict::Residual
+            sample += 1;
+            if self.box_is_residual(task) {
+                stats.residual_boxes += 1;
             } else {
                 r.splits.push((bi, self.pick_split_dim(task, &mut r.relevant)));
-                TaskVerdict::Split(Vec::new())
-            };
-            out.push(TaskResult::new(verdict, spb, errors));
+            }
         }
         if r.splits.is_empty() {
-            return out;
+            return model;
         }
 
+        // Children are built in push order: boxes in reverse batch order,
+        // each low child before its high one, so batch[0]'s high child ends
+        // on top, the box a depth-first search explores next.
+        r.splits.reverse();
         // Conjuncts to re-check on a child: those that mention the split
         // dim; the others keep their verdict on the sub-box.
         let recheck =
@@ -524,7 +489,6 @@ impl BnpCtx<'_> {
         let width = r.cis.len();
         let mut children = std::mem::take(&mut r.children);
         r.verdicts.clear();
-        r.owners.clear();
         tape::with_scratch(|s| {
             let mut pass = self.tape.verdict_pass(&r.cis, s);
             for (first, chunk) in children.chunks_mut(LANES).enumerate() {
@@ -540,7 +504,7 @@ impl BnpCtx<'_> {
                         }
                         match r.verdicts[c * width + r.pos[ci as usize] as usize] {
                             Tri::False => {
-                                out[bi].pruned += 1;
+                                stats.boxes_pruned += 1;
                                 continue 'child;
                             }
                             Tri::Unknown => pending.push(ci),
@@ -550,7 +514,6 @@ impl BnpCtx<'_> {
                     let dom = std::mem::replace(dom, BoxDomain::with_len(0));
                     let mut child = Contractee::new(dom, pending, Some(dim));
                     pass.contract(k, &mut child);
-                    r.owners.push(bi);
                     r.contractees.push(child);
                 }
             }
@@ -558,40 +521,33 @@ impl BnpCtx<'_> {
         });
         children.clear();
         r.children = children;
-        for (c, &bi) in r.contractees.drain(..).zip(&r.owners) {
-            let res = &mut out[bi];
+        for c in r.contractees.drain(..) {
             match c.outcome {
                 Contraction::Empty => {
-                    res.pruned += 1;
-                    res.emptied += 1;
+                    stats.boxes_pruned += 1;
+                    stats.emptied += 1;
                     continue;
                 }
-                Contraction::Narrowed => res.contracted += 1,
+                Contraction::Narrowed => stats.contracted += 1,
                 Contraction::Unchanged => {}
             }
-            if let TaskVerdict::Split(kept) = &mut res.verdict {
-                kept.push((c.dom, c.pending));
-            }
+            stack.push(BoxTask { dom: c.dom, pending: c.pending, id: *next_id });
+            *next_id += 1;
         }
-        out
+        model
     }
 }
 
-/// Exact rational check of the compiled formula at `vals` (no counters —
-/// callers count). Returns the model plus the number of evaluation errors
-/// observed (0 or 1). The point is first interval-refuted on the tape
-/// (one-ulp enclosures); a sound rejection implies exact evaluation
-/// returns `Ok(false)` or an error, neither of which certifies, so the
-/// *decision* equals `eval_formula`'s and only the error tally can be
-/// lower.
-fn certify_exact(tape: &Tape, vals: &[Rat]) -> (Option<Model>, usize) {
-    if tape::with_scratch(|s| tape.refutes_point(vals, s)) {
-        return (None, 0);
-    }
+/// Exact rational check of the compiled formula at `vals`. An evaluation
+/// error (division by zero, unbound variable) certifies nothing and is
+/// counted in `errors`.
+fn holds_exactly(tape: &Tape, vals: &[Rat], errors: &mut usize) -> bool {
     match EX_SCRATCH.with(|s| tape.eval_exact(vals, &mut s.borrow_mut())) {
-        Ok(true) => (Some(Model::new(vals.to_vec())), 0),
-        Ok(false) => (None, 0),
-        Err(_) => (None, 1),
+        Ok(holds) => holds,
+        Err(_) => {
+            *errors += 1;
+            false
+        }
     }
 }
 
@@ -771,10 +727,8 @@ impl Solver {
                 continue;
             }
             let vals = vals_of(k);
-            match EX_SCRATCH.with(|x| tape.eval_exact(&vals, &mut x.borrow_mut())) {
-                Ok(true) => return Some((k, Model::new(vals))),
-                Ok(false) => {}
-                Err(_) => self.stats.eval_errors += 1,
+            if holds_exactly(tape, &vals, &mut self.stats.eval_errors) {
+                return Some((k, Model::new(vals)));
             }
         }
         None
@@ -839,44 +793,13 @@ impl Solver {
                     ("explored", Value::U64(self.stats.boxes_processed as u64)),
                 ]
             });
-            let mut batch: Vec<BoxTask> = Vec::with_capacity(b);
-            for _ in 0..b {
-                batch.push(stack.pop().expect("b <= stack.len()"));
-            }
-
-            let results = ROUND_SCRATCH.with(|r| ctx.round(&batch, &mut r.borrow_mut()));
-
-            // Deterministic selection and accounting: scan in batch order
-            // and stop at the first SAT (lowest box index wins); the round
-            // itself stops there, so the boxes after it report nothing.
-            let mut sat: Option<Model> = None;
-            let mut child_sets: Vec<Vec<(BoxDomain, Vec<u32>)>> = Vec::with_capacity(b);
-            for res in results {
-                self.stats.boxes_processed += 1;
-                self.stats.samples_tried += res.samples;
-                self.stats.boxes_pruned += res.pruned;
-                self.stats.eval_errors += res.errors;
-                self.stats.contracted += res.contracted;
-                self.stats.emptied += res.emptied;
-                match res.verdict {
-                    TaskVerdict::Sat(m) => {
-                        sat = Some(m);
-                        break;
-                    }
-                    TaskVerdict::Residual => self.stats.residual_boxes += 1,
-                    TaskVerdict::Split(children) => child_sets.push(children),
-                }
-            }
-            if let Some(m) = sat {
+            let batch: Vec<BoxTask> = stack.drain(stack.len() - b..).rev().collect();
+            let model = ROUND_SCRATCH.with(|r| {
+                let r = &mut r.borrow_mut();
+                ctx.round(&batch, r, &mut self.stats, &mut stack, &mut next_id)
+            });
+            if let Some(m) = model {
                 return Outcome::Sat(m);
-            }
-            // Push children so that batch[0]'s high child ends up on top,
-            // matching the order a sequential DFS would explore.
-            for children in child_sets.into_iter().rev() {
-                for (child_dom, pending) in children {
-                    stack.push(BoxTask { dom: child_dom, pending, id: next_id });
-                    next_id += 1;
-                }
             }
         }
 

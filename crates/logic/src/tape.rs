@@ -52,8 +52,8 @@
 //!   conjuncts once, in the order given: each conjunct's run list is its
 //!   needed slots minus those of the conjuncts before it. Each chunk of
 //!   [`LANES`] boxes runs the lists conjunct by conjunct and stops as soon
-//!   as every live lane is refuted. Sample refutation in branch-and-prune,
-//!   seeding and [`Tape::refutes_point`] all go through it.
+//!   as every live lane is refuted. Sample refutation in branch-and-prune
+//!   and seeding both go through it.
 //! * **Contraction (HC4-revise).** [`Tape::contract`] narrows a box to the
 //!   solutions of its pending conjuncts: after a forward pass, each
 //!   comparison that must hold is projected backward through the slots,
@@ -447,9 +447,8 @@ fn ite_lanes(
 /// Reusable scratch for the interval interpreter: slot-major lane arrays
 /// (one [`IntervalLanes`] and one verdict-byte row per slot), the merged
 /// needed-slot bitmask, the current pass's plan (the uncached slots it
-/// runs, and for a refutation pass where each conjunct's list ends), and
-/// the point enclosure `refutes_point` fills. Buffers grow on demand, so
-/// one scratch serves tapes of any size.
+/// runs, and for a refutation pass where each conjunct's list ends).
+/// Buffers grow on demand, so one scratch serves tapes of any size.
 #[derive(Debug, Default)]
 pub struct TapeScratch {
     iv: Vec<IntervalLanes<LANES>>,
@@ -459,7 +458,6 @@ pub struct TapeScratch {
     /// Refutation plan: per conjunct, the end of its list in `run` and its
     /// root slot.
     segs: Vec<(u32, u32)>,
-    point: Vec<Interval>,
     /// Contraction: per slot stamped with the current `epoch`, its
     /// narrowed interval and its requirement bits (`NEED_TRUE`,
     /// `NEED_FALSE`, `NARROWED`).
@@ -1187,24 +1185,6 @@ impl Tape {
                 *m |= *w;
             }
         }
-    }
-
-    /// Sound fast rejection of an exact sample: encloses each value in a
-    /// one-ulp point box and interval-refutes the conjuncts. `true` means
-    /// the exact formula certainly does not hold at `env` (so exact
-    /// certification can be skipped); `false` is inconclusive.
-    #[must_use]
-    pub fn refutes_point(&self, env: &[Rat], scratch: &mut TapeScratch) -> bool {
-        if !self.binds(env.len()) {
-            return false; // mirror eval_formula's UnboundVar path: inconclusive
-        }
-        let mut point = std::mem::take(&mut scratch.point);
-        point.clear();
-        point.extend(env.iter().map(rat_enclosure));
-        let all = 0..self.roots.len() as u32;
-        let refuted = self.refuter(all, scratch).refutes_chunk(1, |_, v| point[v as usize])[0];
-        scratch.point = point;
-        refuted
     }
 
     /// Plan an early-exit refutation pass over the conjunct roots `cis`,
@@ -1984,8 +1964,11 @@ mod tests {
         }
     }
 
+    /// The refuter run on one point's one-ulp enclosures, as seeding runs
+    /// it on its candidates: a plainly violating point is refuted, a model
+    /// never is.
     #[test]
-    fn refutes_point_is_sound_and_useful() {
+    fn point_refutation_is_sound_and_useful() {
         let mut r = VarRegistry::new();
         let x = r.intern("x");
         let y = r.intern("y");
@@ -1995,13 +1978,18 @@ mod tests {
         ]);
         let (simplified, _, tape) = compile(&f, None);
         let mut s = TapeScratch::new();
+        let mut refutes = |pt: &[Rat]| {
+            let encl: Vec<Interval> = pt.iter().map(rat_enclosure).collect();
+            let all = 0..tape.conjunct_count() as u32;
+            tape.refuter(all, &mut s).refutes_chunk(1, |_, v| encl[v as usize])[0]
+        };
         // A point that plainly violates x <= 2 is rejected by intervals.
         let bad = vec![Rat::from_int(7), Rat::from_int(7)];
-        assert!(tape.refutes_point(&bad, &mut s));
+        assert!(refutes(&bad));
         assert_eq!(eval_formula(&simplified, &bad), Ok(false));
         // A satisfying point is never rejected.
         let good = vec![Rat::from_int(1), Rat::from_int(6)];
-        assert!(!tape.refutes_point(&good, &mut s));
+        assert!(!refutes(&good));
         assert_eq!(eval_formula(&simplified, &good), Ok(true));
     }
 

@@ -277,12 +277,22 @@ fn tape_interval_verdicts_match_tree_walker() {
     );
 }
 
+/// Whether the tape's early-exit refuter rejects the point `pt`, run over
+/// every conjunct on the point's one-ulp enclosures: the path seeding and
+/// branch-and-prune's sample pass take before exact evaluation.
+fn refuted_at(tape: &cso_logic::Tape, pt: &[Rat]) -> bool {
+    let encl: Vec<Interval> = pt.iter().map(rat_enclosure).collect();
+    let mut s = cso_logic::TapeScratch::new();
+    let all = 0..tape.conjunct_count() as u32;
+    tape.refuter(all, &mut s).refutes_chunk(1, |_, v| encl[v as usize])[0]
+}
+
 /// The tape's exact interpreter replays `eval_formula` bit for bit —
 /// same verdicts, same errors (division by zero surfaces from the same
 /// operand order, untaken `ite` branches never evaluate).
 #[test]
 fn tape_exact_eval_matches_eval_formula() {
-    use cso_logic::{CompiledQuery, ExactScratch, TapeScratch};
+    use cso_logic::{CompiledQuery, ExactScratch};
     prop::check_with(
         &cfg128(),
         "tape_exact_eval_matches_eval_formula",
@@ -294,11 +304,10 @@ fn tape_exact_eval_matches_eval_formula() {
             let mut ex = ExactScratch::new();
             let got = tape.eval_exact(pt, &mut ex);
             prop_assert_eq!(&got, &tree, "exact replay diverged on {}", f);
-            // The interval point fast path is sound: a refuted point can
-            // never be a model.
-            let mut iv = TapeScratch::new();
-            if tape.refutes_point(pt, &mut iv) {
-                prop_assert!(!matches!(tree, Ok(true)), "refutes_point rejected a model of {}", f);
+            // The interval point fast path is sound: a point the refuter
+            // rejects, on its one-ulp enclosures, can never be a model.
+            if refuted_at(tape, pt) {
+                prop_assert!(!matches!(tree, Ok(true)), "the refuter rejected a model of {}", f);
             }
             Ok(())
         },
@@ -433,10 +442,10 @@ fn tape_verdicts_match_ieval_for_every_batch_size() {
                     }
                 }
             }
-            if tape.refutes_point(pt, &mut scratch) {
+            if refuted_at(tape, pt) {
                 prop_assert!(
                     !matches!(eval_formula(&q.simplified, pt), Ok(true)),
-                    "refutes_point rejected a model {:?} of {}",
+                    "the refuter rejected a model {:?} of {}",
                     pt,
                     f
                 );

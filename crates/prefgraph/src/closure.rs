@@ -1,7 +1,7 @@
-//! Reachability, cycle finding and topological ordering over the quotient
-//! graph (scenarios collapsed into indifference classes).
+//! Cycle finding over the quotient graph (scenarios collapsed into
+//! indifference classes).
 
-use crate::graph::{EdgeId, PrefGraph, ScenarioId};
+use crate::graph::{EdgeId, PrefGraph};
 
 /// Find a directed cycle among active edges (over indifference classes).
 /// Returns the edge ids forming the cycle, or `None` if the graph is a DAG.
@@ -71,173 +71,6 @@ pub fn find_cycle<S>(g: &PrefGraph<S>) -> Option<Vec<EdgeId>> {
     None
 }
 
-/// Topological order of indifference-class representatives, most preferred
-/// first. Returns `None` if the graph has a cycle.
-///
-/// Kahn's algorithm over per-class adjacency lists — O((V + E) log V) for
-/// the heap — with deterministic tie-breaking: among classes whose every
-/// predecessor is already placed, the smallest class id comes first.
-#[must_use]
-pub fn topo_order<S>(g: &PrefGraph<S>) -> Option<Vec<ScenarioId>> {
-    let n = g.scenario_count();
-    let is_rep: Vec<bool> = (0..n).map(|id| g.class_of(ScenarioId(id)).index() == id).collect();
-    let rep_count = is_rep.iter().filter(|&&r| r).count();
-    // Per-class adjacency and in-degrees, built once (O(V + E)). Parallel
-    // edges are kept: each contributes one in-degree and is consumed once.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for e in g.active_edges() {
-        let u = g.class_of(e.preferred).index();
-        let v = g.class_of(e.other).index();
-        if u == v {
-            return None;
-        }
-        adj[u].push(v);
-        indeg[v] += 1;
-    }
-    // Min-heap: the ready class with the smallest id is placed first, so
-    // equally-preferred roots appear in id order ("most preferred first"
-    // with deterministic ties).
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-        (0..n).filter(|&r| is_rep[r] && indeg[r] == 0).map(std::cmp::Reverse).collect();
-    let mut out = Vec::with_capacity(rep_count);
-    while let Some(std::cmp::Reverse(u)) = ready.pop() {
-        out.push(ScenarioId(u));
-        for &v in &adj[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                ready.push(std::cmp::Reverse(v));
-            }
-        }
-    }
-    if out.len() == rep_count {
-        Some(out)
-    } else {
-        None
-    }
-}
-
-/// Count of ordered class pairs `(a, b)` with `a` strictly above `b` —
-/// i.e. the size of the transitive closure. Useful as a measure of how
-/// constrained the preference graph has become.
-#[must_use]
-pub fn closure_size<S>(g: &PrefGraph<S>) -> usize {
-    closure(g).len()
-}
-
-/// The transitive closure over indifference-class representatives: every
-/// ordered pair `(a, b)` of distinct class reps with a strict path from
-/// `a` to `b`, sorted by `(a, b)` id. This is the *semantic* content of
-/// the graph — two graphs with equal closures denote the same constraint
-/// set, which is what cache invalidation compares.
-#[must_use]
-pub fn closure<S>(g: &PrefGraph<S>) -> Vec<(ScenarioId, ScenarioId)> {
-    let n = g.scenario_count();
-    // reach[u] holds the set of classes reachable from class u, computed
-    // bottom-up in bitset rows (n is small: one row per class).
-    let words = n.div_ceil(64);
-    let mut direct: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in g.active_edges() {
-        let u = g.class_of(e.preferred).index();
-        let v = g.class_of(e.other).index();
-        if u != v {
-            direct[u].push(v);
-        }
-    }
-    let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    // Iterate to a fixed point; cycles (possible under prefer_unchecked)
-    // converge because bits only ever get set.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for u in 0..n {
-            for &v in &direct[u] {
-                let mut new = false;
-                // reach[u] |= reach[v] | {v}
-                let (row_v, row_u) = if u < v {
-                    let (a, b) = reach.split_at_mut(v);
-                    (&b[0], &mut a[u])
-                } else {
-                    let (a, b) = reach.split_at_mut(u);
-                    (&a[v], &mut b[0])
-                };
-                for w in 0..words {
-                    let add = row_v[w] | if w == v / 64 { 1u64 << (v % 64) } else { 0 };
-                    let merged = row_u[w] | add;
-                    if merged != row_u[w] {
-                        row_u[w] = merged;
-                        new = true;
-                    }
-                }
-                changed |= new;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (u, row) in reach.iter().enumerate() {
-        if g.class_of(ScenarioId(u)).index() != u {
-            continue;
-        }
-        for v in 0..n {
-            if v == u || g.class_of(ScenarioId(v)).index() != v {
-                continue;
-            }
-            if row[v / 64] >> (v % 64) & 1 == 1 {
-                out.push((ScenarioId(u), ScenarioId(v)));
-            }
-        }
-    }
-    out
-}
-
-/// The transitive reduction: the subset of active edges whose removal
-/// would change the closure. For a DAG this is the unique minimal graph
-/// with the same closure, and it is contained (as a set of ordered class
-/// pairs) in *every* graph with that closure — the property the cache's
-/// invalidation deltas and the `reduce(closure(G)) ⊆ G` law rely on.
-///
-/// An edge `u → v` is redundant iff some other out-neighbor `w` of `u`
-/// still reaches `v`, or a parallel edge `u → v` with a smaller id exists.
-/// Returns the ids of the kept edges in insertion order.
-#[must_use]
-pub fn reduce<S>(g: &PrefGraph<S>) -> Vec<EdgeId> {
-    let pairs = closure(g);
-    let n = g.scenario_count();
-    let words = n.div_ceil(64);
-    let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    for &(a, b) in &pairs {
-        reach[a.index()][b.index() / 64] |= 1u64 << (b.index() % 64);
-    }
-    let edges: Vec<(usize, usize, usize)> = g
-        .all_edges()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| !e.removed)
-        .map(|(i, e)| (i, g.class_of(e.preferred).index(), g.class_of(e.other).index()))
-        .collect();
-    let mut kept = Vec::new();
-    'edge: for &(i, u, v) in &edges {
-        if u == v {
-            continue; // self-loop after class collapse: never structural
-        }
-        for &(j, u2, v2) in &edges {
-            if j == i || u2 != u {
-                continue;
-            }
-            // Parallel duplicate: keep only the first occurrence.
-            if v2 == v && j < i {
-                continue 'edge;
-            }
-            // u → u2=u's other successor v2 ⤳ v makes (u, v) redundant.
-            if v2 != v && reach[v2][v / 64] >> (v % 64) & 1 == 1 {
-                continue 'edge;
-            }
-        }
-        kept.push(EdgeId(i));
-    }
-    kept
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,71 +121,5 @@ mod tests {
         g.prefer_unchecked(a, b, 0.5);
         let cyc = find_cycle(&g).expect("self-loop cycle");
         assert_eq!(cyc.len(), 1);
-    }
-
-    #[test]
-    fn topo_order_most_preferred_first() {
-        let mut g = PrefGraph::new();
-        let a = g.add_scenario("best");
-        let b = g.add_scenario("mid");
-        let c = g.add_scenario("worst");
-        g.prefer(b, c).unwrap();
-        g.prefer(a, b).unwrap();
-        let order = topo_order(&g).expect("dag");
-        let pos = |x: ScenarioId| order.iter().position(|&y| y == x).unwrap();
-        assert!(pos(a) < pos(b));
-        assert!(pos(b) < pos(c));
-    }
-
-    #[test]
-    fn topo_order_breaks_ties_by_smallest_id() {
-        // Two independent chains: a0 > a2 and a1 > a3. Every prefix of the
-        // order must list ready classes smallest-id first: [a0, a1, a2, a3].
-        let mut g = PrefGraph::new();
-        let ids: Vec<ScenarioId> = (0..4).map(|_| g.add_scenario(())).collect();
-        g.prefer(ids[0], ids[2]).unwrap();
-        g.prefer(ids[1], ids[3]).unwrap();
-        let order = topo_order(&g).expect("dag");
-        assert_eq!(order, vec![ids[0], ids[1], ids[2], ids[3]]);
-    }
-
-    #[test]
-    fn topo_order_with_indifference_classes_and_parallel_edges() {
-        // b and c collapse into one class; duplicate edges into d must not
-        // strand d's in-degree.
-        let mut g = PrefGraph::new();
-        let a = g.add_scenario(());
-        let b = g.add_scenario(());
-        let c = g.add_scenario(());
-        let d = g.add_scenario(());
-        g.mark_indifferent(b, c).unwrap();
-        g.prefer(a, b).unwrap();
-        g.prefer_unchecked(b, d, 1.0);
-        g.prefer_unchecked(c, d, 1.0);
-        let order = topo_order(&g).expect("dag");
-        assert_eq!(order.len(), 3, "one entry per class");
-        assert_eq!(order.first(), Some(&a));
-        assert_eq!(order.last(), Some(&d));
-    }
-
-    #[test]
-    fn topo_order_none_on_cycle() {
-        let mut g = PrefGraph::new();
-        let a = g.add_scenario(());
-        let b = g.add_scenario(());
-        g.prefer_unchecked(a, b, 1.0);
-        g.prefer_unchecked(b, a, 1.0);
-        assert!(topo_order(&g).is_none());
-    }
-
-    #[test]
-    fn closure_counts_transitive_pairs() {
-        let mut g = PrefGraph::new();
-        let a = g.add_scenario(());
-        let b = g.add_scenario(());
-        let c = g.add_scenario(());
-        g.prefer(a, b).unwrap();
-        g.prefer(b, c).unwrap();
-        assert_eq!(closure_size(&g), 3); // a>b, b>c, a>c
     }
 }

@@ -34,25 +34,6 @@ pub fn repair<S>(g: &mut PrefGraph<S>) -> Vec<EdgeId> {
     removed
 }
 
-/// Fraction of active edges that are "suspect": their reverse pair is also
-/// recorded, or their confidence is below `threshold`. A cheap diagnostic
-/// the engine can surface to the user before attempting repair.
-#[must_use]
-pub fn suspect_fraction<S>(g: &PrefGraph<S>, threshold: f64) -> f64 {
-    let active: Vec<_> = g.active_edges().collect();
-    if active.is_empty() {
-        return 0.0;
-    }
-    let mut suspect = 0usize;
-    for e in &active {
-        let reversed = active.iter().any(|f| f.preferred == e.other && f.other == e.preferred);
-        if reversed || e.confidence < threshold {
-            suspect += 1;
-        }
-    }
-    suspect as f64 / active.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,20 +93,5 @@ mod tests {
         let removed = repair(&mut g);
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0], e1, "lowest edge id wins ties");
-    }
-
-    #[test]
-    fn suspect_fraction_diagnostics() {
-        let mut g = PrefGraph::new();
-        let a = g.add_scenario(());
-        let b = g.add_scenario(());
-        let c = g.add_scenario(());
-        g.prefer_unchecked(a, b, 1.0);
-        assert_eq!(suspect_fraction(&g, 0.5), 0.0);
-        g.prefer_unchecked(b, a, 1.0); // reversed pair: both suspect
-        assert_eq!(suspect_fraction(&g, 0.5), 1.0);
-        g.prefer_unchecked(a, c, 0.1); // low confidence
-        assert!((suspect_fraction(&g, 0.5) - 1.0).abs() < 1e-9);
-        assert_eq!(suspect_fraction(&PrefGraph::<()>::new(), 0.5), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the preference graph.
 
-use cso_prefgraph::{closure, noise, PrefGraph};
+use cso_prefgraph::{noise, PrefGraph};
 use cso_runtime::prop::{self, bool_any, usize_in, vec_of, zip3, Gen};
 use cso_runtime::{prop_assert, prop_assert_eq};
 
@@ -26,7 +26,6 @@ fn checked_insertion_keeps_graph_acyclic() {
             }
         }
         prop_assert!(g.is_consistent());
-        prop_assert!(closure::topo_order(&g).is_some());
         Ok(())
     });
 }
@@ -97,7 +96,7 @@ fn reaches_is_antisymmetric_on_dags() {
 }
 
 /// Naive Floyd–Warshall reachability over indifference classes, as an
-/// independent reference for `reaches`/`closure`.
+/// independent reference for `reaches`.
 fn floyd_warshall_reach(g: &PrefGraph<usize>) -> Vec<Vec<bool>> {
     let n = g.scenario_count();
     let mut r = vec![vec![false; n]; n];
@@ -116,109 +115,6 @@ fn floyd_warshall_reach(g: &PrefGraph<usize>) -> Vec<Vec<bool>> {
         }
     }
     r
-}
-
-/// Build a graph from a script, mixing checked strict edges and
-/// indifference rankings the way the engine's `record_ranking` does.
-fn build(n: usize, script: &[(usize, usize, bool)]) -> PrefGraph<usize> {
-    let mut g = PrefGraph::new();
-    let ids: Vec<_> = (0..n).map(|i| g.add_scenario(i)).collect();
-    for &(a, b, indiff) in script {
-        if a == b {
-            continue;
-        }
-        if indiff {
-            let _ = g.mark_indifferent(ids[a], ids[b]);
-        } else {
-            let _ = g.prefer(ids[a], ids[b]);
-        }
-    }
-    g
-}
-
-#[test]
-fn closure_matches_floyd_warshall() {
-    prop::check("closure_matches_floyd_warshall", &arb_script(), |(n, script)| {
-        let g = build(*n, script);
-        let reference = floyd_warshall_reach(&g);
-        let pairs = closure::closure(&g);
-        // Every closure pair is FW-reachable and vice versa (over reps).
-        for &(a, b) in &pairs {
-            prop_assert!(reference[a.index()][b.index()], "closure pair not FW-reachable");
-            prop_assert!(g.reaches(a, b), "closure pair not reaches()-reachable");
-        }
-        let mut count = 0;
-        for a in g.scenario_ids() {
-            for b in g.scenario_ids() {
-                if a == b || g.class_of(a) != a || g.class_of(b) != b {
-                    continue;
-                }
-                if reference[a.index()][b.index()] {
-                    count += 1;
-                    prop_assert!(pairs.contains(&(a, b)), "FW pair missing from closure");
-                }
-                prop_assert_eq!(
-                    g.reaches(a, b),
-                    reference[a.index()][b.index()],
-                    "reaches() disagrees with Floyd–Warshall"
-                );
-            }
-        }
-        prop_assert_eq!(pairs.len(), count);
-        Ok(())
-    });
-}
-
-#[test]
-fn closure_is_idempotent() {
-    prop::check("closure_is_idempotent", &arb_script(), |(n, script)| {
-        let g = build(*n, script);
-        let pairs = closure::closure(&g);
-        // Re-assemble a graph whose edges ARE the closure pairs; its
-        // closure must be the same set again.
-        let mut g2 = PrefGraph::new();
-        let ids: Vec<_> = (0..*n).map(|i| g2.add_scenario(i)).collect();
-        for &(a, b) in &pairs {
-            g2.prefer_unchecked(ids[a.index()], ids[b.index()], 1.0);
-        }
-        let again = closure::closure(&g2);
-        prop_assert_eq!(&pairs, &again, "closure(closure(G)) != closure(G)");
-        Ok(())
-    });
-}
-
-#[test]
-fn reduction_of_closure_is_contained_in_graph() {
-    prop::check("reduction_of_closure_is_contained_in_graph", &arb_script(), |(n, script)| {
-        let g = build(*n, script);
-        let pairs = closure::closure(&g);
-        let mut gc = PrefGraph::new();
-        let ids: Vec<_> = (0..*n).map(|i| gc.add_scenario(i)).collect();
-        for &(a, b) in &pairs {
-            gc.prefer_unchecked(ids[a.index()], ids[b.index()], 1.0);
-        }
-        // reduce(closure(G)) ⊆ G: the reduction of the closure graph is
-        // the unique minimal DAG, contained in every graph with the same
-        // closure — in particular in G's own active edge set (over reps).
-        let g_pairs: std::collections::HashSet<(usize, usize)> = g
-            .active_edges()
-            .map(|e| (g.class_of(e.preferred).index(), g.class_of(e.other).index()))
-            .collect();
-        for id in closure::reduce(&gc) {
-            let e = &gc.all_edges()[id.index()];
-            let pair = (e.preferred.index(), e.other.index());
-            prop_assert!(g_pairs.contains(&pair), "reduction edge absent from the original graph");
-        }
-        // And reducing must preserve the closure: rebuild from kept edges.
-        let mut gr = PrefGraph::new();
-        let rids: Vec<_> = (0..*n).map(|i| gr.add_scenario(i)).collect();
-        for id in closure::reduce(&gc) {
-            let e = &gc.all_edges()[id.index()];
-            gr.prefer_unchecked(rids[e.preferred.index()], rids[e.other.index()], 1.0);
-        }
-        prop_assert_eq!(closure::closure(&gr), pairs, "reduction changed the closure");
-        Ok(())
-    });
 }
 
 #[test]

@@ -103,9 +103,9 @@ fn fleet_size(source: &str, value: Option<&str>) -> usize {
     }
 }
 
-/// A fleet-friendly configuration: coarse enough that one session costs
-/// milliseconds, per-query solver parallelism off (the fleet itself is the
-/// parallelism), still converging on the SWAN sketch for every seed.
+/// A fleet-friendly configuration: coarse enough (δ at a fifth of each
+/// dimension's range, a 300-box budget) that one session costs
+/// milliseconds, still converging on the SWAN sketch for every seed.
 fn fleet_cfg(seed: u64) -> SynthConfig {
     let mut cfg = SynthConfig {
         seed,
@@ -121,7 +121,6 @@ fn fleet_cfg(seed: u64) -> SynthConfig {
         margin: Rat::from_int(10),
         ..SynthConfig::default()
     };
-    cfg.solver.delta = 0.05;
     cfg.solver.max_boxes = 300;
     cfg.solver.initial_samples = 12;
     cfg.solver.jitters_per_seed = 4;

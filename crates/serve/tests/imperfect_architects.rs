@@ -31,7 +31,6 @@ fn session_cfg(id: u64) -> SynthConfig {
         margin: Rat::from_int(10),
         ..SynthConfig::default()
     };
-    cfg.solver.delta = 0.05;
     cfg.solver.max_boxes = 300;
     cfg
 }
