@@ -32,17 +32,19 @@ cargo test -q --workspace --offline
 # conjunct masks), the early-exit refuter run on a point's one-ulp
 # enclosures must never reject a model, every lane slot must contain its
 # exact rational value, the sampler's word-level enclosures must equal
-# the `Rat` path's bit for bit, and
+# the `Rat` path's bit for bit,
 # contraction (whole boxes and split halves contracted from a verdict
-# pass's lanes) must keep every exact solution. Release build, so the
-# vectorized loops are the code under test.
+# pass's lanes) must keep every exact solution, and so must a split at a
+# guard constant. Release build, so the vectorized loops are the code
+# under test.
 echo "==> lane and kernel properties (CSO_PROP_CASES=20000, release)"
 CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-numeric --test properties -- \
     round_down_up_match_next_down_up interval_lanes_match_scalar_bit_for_bit \
     interval_mul_matches_hardware rat_ops_match_bigint_arithmetic
 CSO_PROP_CASES=20000 cargo test -q --release --offline -p cso-logic -- \
     lane_slots_contain_exact_values tape_verdicts_match_ieval_for_every_batch_size \
-    enclosure_in_matches_rat_enclosure_of_rat_in contraction_keeps_every_exact_solution
+    enclosure_in_matches_rat_enclosure_of_rat_in contraction_keeps_every_exact_solution \
+    guard_cuts_keep_every_exact_solution
 
 # The perf ledger is a standalone package (its own workspace and lock
 # file), so the workspace passes above never build it. Its tests include

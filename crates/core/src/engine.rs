@@ -686,21 +686,7 @@ impl Synthesizer {
                 feas.clone(),
                 self.qb.holes_differ_from_masked(fa.hole_values(), sep_rel, Some(hole)),
             ]);
-            // Seed with fa shifted by ±sep on the probed hole: fa satisfies
-            // every preference, so a small shift is usually still feasible
-            // and satisfies the differs-constraint by construction.
-            let mut seeds = Vec::with_capacity(extra_seeds.len() + 2);
-            for sign in [1i64, -1] {
-                let mut shifted = fa.hole_values().to_vec();
-                let (lo, hi) = self.qb.hole_bounds(hole);
-                let width = &hi - &lo;
-                let sep = &width
-                    * &cso_numeric::Rat::from_f64(sep_rel * 1.05)
-                        .unwrap_or_else(cso_numeric::Rat::zero);
-                shifted[hole] =
-                    (&shifted[hole] + &(&sep * &cso_numeric::Rat::from_int(sign))).clamp(&lo, &hi);
-                seeds.push(self.qb.seed_from_holes(&shifted));
-            }
+            let mut seeds = self.shifted_seeds(fa.hole_values(), hole, sep_rel);
             seeds.extend(extra_seeds.iter().cloned());
             let (fb_out, _) = self.solve(SITE_FB, &fb_q, &seeds, 1.0, 0.25);
             let fb = match fb_out {
@@ -758,6 +744,27 @@ impl Synthesizer {
             Outcome::Unsat | Outcome::DeltaUnsat => PairSearch::Converged,
             Outcome::Exhausted => PairSearch::Exhausted,
         }
+    }
+
+    /// The fb search's seeds for probing `hole` at separation `sep_rel`:
+    /// `fa` with that hole moved up, then down, by `1.05 · sep_rel` of its
+    /// range, clamped into it. `fa` satisfies every preference, so a small
+    /// shift is usually still feasible, and it satisfies the
+    /// differs-constraint by construction. The factor is a decimal with
+    /// six digits, so a seed keeps the denominators of `fa` and the bounds.
+    fn shifted_seeds(&self, fa: &[cso_numeric::Rat], hole: usize, sep_rel: f64) -> Vec<Model> {
+        use cso_numeric::Rat;
+        let (lo, hi) = self.qb.hole_bounds(hole);
+        let factor = Rat::from_frac((sep_rel * 1.05 * 1e6).round() as i64, 1_000_000);
+        let step = &(&hi - &lo) * &factor;
+        [1i64, -1]
+            .into_iter()
+            .map(|sign| {
+                let mut shifted = fa.to_vec();
+                shifted[hole] = (&shifted[hole] + &(&step * &Rat::from_int(sign))).clamp(&lo, &hi);
+                self.qb.seed_from_holes(&shifted)
+            })
+            .collect()
     }
 
     /// Run the interactive loop against `oracle`: a thin driver over
@@ -1188,6 +1195,41 @@ mod tests {
         let synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), fast_cfg(42)).unwrap();
         let report = synth.lint_report().expect("deny policy analyses");
         assert!(!report.has_errors(), "{report:?}");
+    }
+
+    /// The fb search's seeds shift a hole by a six-digit decimal fraction
+    /// of its range, so a seed built from a candidate with six-digit
+    /// decimal holes has six-digit decimal holes too, at every separation
+    /// the search probes (`0.2 · 2^-r`, floored at the δs of the Quick and
+    /// default profiles).
+    #[test]
+    fn shifted_seeds_keep_six_digit_decimals() {
+        let synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), fast_cfg(1)).unwrap();
+        let million = Rat::from_int(1_000_000);
+        let candidates = [
+            swan_target().hole_values().to_vec(),
+            vec![
+                Rat::from_frac(1_473_799, 500_000),
+                Rat::from_frac(52_204_301, 1_000_000),
+                Rat::from_frac(3, 8),
+                Rat::from_frac(4_999_999, 1_000_000),
+            ],
+        ];
+        let seps = (0..8).map(|r| 0.2 * 0.5f64.powi(r)).chain([0.03, 2e-3]);
+        for sep_rel in seps {
+            for fa in &candidates {
+                for hole in 0..fa.len() {
+                    for seed in synth.shifted_seeds(fa, hole, sep_rel) {
+                        for v in synth.qb.model_holes(&seed) {
+                            assert!(
+                                (&v * &million).is_integer(),
+                                "hole {hole} at sep {sep_rel}: {v} is not a six-digit decimal"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

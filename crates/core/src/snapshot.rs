@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic   8 bytes  "CSOSNAP\0"
-//! version 1 byte   currently 8 (see [`VERSION`])
+//! version 1 byte   currently 9 (see [`VERSION`])
 //! session 8 bytes  session id, little-endian u64
 //! config  sketch source, metric space, SynthConfig
 //! state   rng, pool, graph, stats, loop context, engine state
@@ -53,8 +53,10 @@ pub const MAGIC: [u8; 8] = *b"CSOSNAP\0";
 /// and the telemetry's reused-clause count; version 7 dropped the solver's
 /// `threads` word and the telemetry's largest worker count; version 8
 /// dropped the solver's samples-per-box word (branch-and-prune draws one
-/// sample per box).
-pub const VERSION: u8 = 8;
+/// sample per box); version 9 dropped the solver's `delta`, which no
+/// engine query reads (each sets a δ per dimension), so a restored
+/// session carries the default.
+pub const VERSION: u8 = 9;
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug, Clone)]
@@ -380,7 +382,6 @@ fn write_config(w: &mut Writer, cfg: &SynthConfig) {
     w.rat(&cfg.default_hole_range.0);
     w.rat(&cfg.default_hole_range.1);
     w.u64(cfg.seed);
-    w.f64(cfg.solver.delta);
     match &cfg.solver.delta_per_dim {
         Some(ds) => {
             w.bool(true);
@@ -588,7 +589,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
     let tie_tolerance = r.rat()?;
     let default_hole_range = (r.rat()?, r.rat()?);
     let seed = r.u64()?;
-    let delta = r.f64()?;
     let delta_per_dim = if r.bool()? {
         let n = r.len(8)?;
         let mut ds = Vec::with_capacity(n);
@@ -605,7 +605,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
     let solver_seed = r.u64()?;
     let use_seeding = r.bool()?;
     let solver = SolverConfig {
-        delta,
         delta_per_dim,
         max_boxes,
         initial_samples,
@@ -790,9 +789,10 @@ mod tests {
         assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(99))));
         // Earlier formats are refused: v3 (with the solver's `tape` byte),
         // v4 (with the solver memo), v5 (with the clause-cache toggle), v6
-        // (with the solver's thread count and the telemetry's worker count)
-        // and v7 (with the solver's samples per box).
-        for old in [3, 4, 5, 6, 7] {
+        // (with the solver's thread count and the telemetry's worker count),
+        // v7 (with the solver's samples per box) and v8 (with the solver's
+        // `delta`).
+        for old in [3, 4, 5, 6, 7, 8] {
             bytes[MAGIC.len()] = old;
             assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(v)) if v == old));
         }

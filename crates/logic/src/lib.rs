@@ -13,7 +13,7 @@
 //!   used to *certify* satisfying assignments bit-for-bit;
 //! * interval evaluation ([`ieval`]) over [`cso_numeric::Interval`] boxes —
 //!   used to *refute* boxes soundly;
-//! * [`solver`] — randomized model seeding + branch-and-prune bisection.
+//! * [`solver`] — randomized model seeding + branch-and-prune subdivision.
 //!   `Sat` answers carry an exactly-certified rational model; `Unsat`
 //!   answers are interval-certified over the whole box; `DeltaUnsat` means
 //!   refuted everywhere except sub-δ boxes in which exhaustive sampling

@@ -9,10 +9,22 @@
 //!    synthesis loop, where the previous iteration's model is usually close
 //!    to a model of the next query. Disable via
 //!    [`SolverConfig::use_seeding`] for the ablation study.
-//! 2. **Branch, contract and prune** — bisection over the box. A box is
+//! 2. **Branch, contract and prune** — subdivision of the box. A box is
 //!    pruned when interval evaluation certainly refutes one conjunct; a
 //!    box whose every conjunct is certainly true yields a model
-//!    immediately. Every box that survives is first *contracted*
+//!    immediately. A box that splits is cut in two on one dimension: at a
+//!    *guard constant* when one or two lie strictly inside its range there
+//!    (the one nearest the midpoint), else at the midpoint. A variable's
+//!    guard constants are the `f64`s of the constants `c` an `ite` guard
+//!    compares it with (`x op c` or `c op x`), collected once per query
+//!    when the tape compiles ([`Tape::guard_cut`]). Midpoint bisection
+//!    never lands on such a threshold, so every box straddling it keeps the
+//!    hull of both branches; a query comparing two frozen candidates holds
+//!    two constants per guarded variable, and two cuts make the points
+//!    where the candidates take different branches a cell of their own.
+//!    Hole variables, with one constant per recorded scenario, are bisected
+//!    until a box holds at most two. Every box that survives is first
+//!    *contracted*
 //!    ([`Tape::contract`], HC4-revise): each pending comparison is
 //!    projected backward through the tape's slots onto the variables, and
 //!    the box shrinks to the narrowed ranges. Contraction never removes a
@@ -55,8 +67,9 @@
 //! (deepest boxes first, preserving the DFS search profile) and walks it
 //! in batch order. Every box draws one sample from its own RNG stream,
 //! forked deterministically from `(seed, box id)`. The first box that
-//! certifies a model ends the search, and the boxes after it in the batch
-//! are not counted. Otherwise the surviving children go back on the stack
+//! certifies a model ends the search: the boxes after it in the batch are
+//! not counted, and the boxes before it are not split. Otherwise the
+//! surviving children go back on the stack
 //! in reverse batch order, each low child below its high one, so the first
 //! box's high child is on top; children take their ids in push order.
 //!
@@ -384,10 +397,12 @@ impl BnpCtx<'_> {
     ///    never changes a sample's decision. Only the enclosures are kept;
     ///    a box whose sample survives redraws it for the exact values.
     /// 2. The survivors are certified exactly in batch order, box by box;
-    ///    the first model stops the walk, and the round returns it.
-    /// 3. Every box before it that is neither certified nor residual is
-    ///    bisected, and one pass checks all children on the union of their
-    ///    re-check conjuncts (each child reads only its own). Each child it
+    ///    the first model stops the walk, and the round returns it before
+    ///    splitting any box.
+    /// 3. Otherwise every box that is not residual is split (at a guard
+    ///    constant, [`Tape::guard_cut`], or at the midpoint), and one pass
+    ///    checks all children on the union of their re-check conjuncts
+    ///    (each child reads only its own). Each child it
     ///    does not refute is contracted: the first sweep from the lanes of
     ///    the pass, the later ones shared by the children still sweeping.
     ///    The children that survive go onto `stack`, numbered from
@@ -458,7 +473,7 @@ impl BnpCtx<'_> {
                 r.splits.push((bi, self.pick_split_dim(task, &mut r.relevant)));
             }
         }
-        if r.splits.is_empty() {
+        if model.is_some() || r.splits.is_empty() {
             return model;
         }
 
@@ -473,7 +488,9 @@ impl BnpCtx<'_> {
         r.children.clear();
         r.reset_cis(n_conj);
         for &(bi, dim) in &r.splits {
-            let (lo, hi) = batch[bi].dom.bisect(dim);
+            let dom = &batch[bi].dom;
+            let iv = dom.intervals()[dim];
+            let (lo, hi) = dom.split(dim, self.tape.guard_cut(dim, iv).unwrap_or(iv.midpoint()));
             r.children.push(lo);
             r.children.push(hi);
             for &ci in &batch[bi].pending {
@@ -534,7 +551,7 @@ impl BnpCtx<'_> {
             stack.push(BoxTask { dom: c.dom, pending: c.pending, id: *next_id });
             *next_id += 1;
         }
-        model
+        None
     }
 }
 
@@ -1199,8 +1216,9 @@ mod tests {
     /// root) and an inexact constant, with seeding off and on. The
     /// seeding-answered rows are those the tree-walking
     /// evaluators produced; the branch-and-prune rows were re-recorded when
-    /// contraction landed. Any change to what branch-and-prune or seeding
-    /// decides shows up here.
+    /// contraction landed, and their contraction counts again when a round
+    /// that certifies a model stopped splitting the boxes before it. Any
+    /// change to what branch-and-prune or seeding decides shows up here.
     #[test]
     fn outcomes_and_counters_are_pinned() {
         let (_, d, x, y) = setup2();
@@ -1241,7 +1259,7 @@ mod tests {
                         591,
                         false,
                         0,
-                        157,
+                        127,
                         0,
                     ),
                     (Outcome::Unsat, 1, 1, 0, 512, false, 0, 0, 1),
@@ -1270,7 +1288,7 @@ mod tests {
                 ]
             } else {
                 [
-                    (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 79, false, 0, 157, 0),
+                    (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 79, false, 0, 127, 0),
                     (Outcome::Unsat, 1, 1, 0, 0, false, 0, 0, 1),
                     (
                         sat((7_204_039, 1_000_000), (1_737_473, 1_000_000)),
@@ -1280,7 +1298,7 @@ mod tests {
                         10,
                         false,
                         0,
-                        19,
+                        15,
                         0,
                     ),
                     (sat((1_203_681, 200_000), (571_589, 1_000_000)), 1, 0, 0, 1, false, 0, 1, 0),
@@ -1315,11 +1333,11 @@ mod tests {
         // the RNG state the previous one left, so seeding must leave it
         // exactly where drawing one sample at a time does.
         let reused = [
-            (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 591, false, 0, 157, 0),
+            (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 591, false, 0, 127, 0),
             (Outcome::Unsat, 1, 1, 0, 512, false, 0, 0, 1),
             (sat((1_846_013, 200_000), (1_307_647, 1_000_000)), 0, 0, 0, 15, true, 0, 0, 0),
             (sat((6_427_091, 1_000_000), (150_673, 1_000_000)), 0, 0, 0, 127, true, 0, 0, 0),
-            (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 608, false, 0, 157, 0),
+            (sat((412_691, 100_000), (873_189, 1_000_000)), 79, 0, 0, 608, false, 0, 127, 0),
             (Outcome::Unsat, 1, 1, 0, 529, false, 0, 0, 1),
             (sat((2_194_113, 500_000), (1_390_587, 500_000)), 0, 0, 0, 84, true, 0, 0, 0),
             (sat((6_328_651, 1_000_000), (59_843, 250_000)), 0, 0, 0, 33, true, 0, 0, 0),
@@ -1537,6 +1555,67 @@ mod tests {
                 assert!(m.values()[0] <= Rat::from_int(-2_000_000_000), "{m:?} left the box");
             }
         }
+    }
+
+    /// A SWAN scenario-disagreement query as the synthesis engine builds it
+    /// on the Quick profile: over holes, then `s1`, then `s2` metrics, find
+    /// scenarios with `fb(s2) − fb(s1) ≥ 5` and `fa(s1) − fa(s2) ≥ 5`, where
+    /// the frozen candidates differ only in `tp_thrsh`, by 3 % of its
+    /// range. Branch-and-prune alone, on the scenario site's 1000-box
+    /// budget: midpoint bisection never isolates the band between the two
+    /// thresholds and runs out, while cuts at the guard constants make it a
+    /// cell of its own, whose samples certify a model.
+    #[test]
+    fn guard_cuts_isolate_a_threshold_disagreement() {
+        let mut r = VarRegistry::new();
+        let holes = ["tp_thrsh", "l_thrsh", "slope1", "slope2"].map(|h| r.intern(h));
+        let s1 = [r.intern("s1_throughput"), r.intern("s1_latency")];
+        let s2 = [r.intern("s2_throughput"), r.intern("s2_latency")];
+        // SWAN's objective with its holes filled in.
+        let swan = |h: [Rat; 4], s: [crate::vars::VarId; 2]| {
+            let [tp, l] = s.map(Term::var);
+            let [tp_thrsh, l_thrsh, slope1, slope2] = h.map(Term::constant);
+            let guard = Formula::and(vec![tp.clone().ge(tp_thrsh), l.clone().le(l_thrsh)]);
+            let bonus = tp.clone().sub(slope1.mul(tp.clone()).mul(l.clone())).add(Term::int(1000));
+            Term::ite(guard, bonus, tp.clone().sub(slope2.mul(tp).mul(l)))
+        };
+        let fa = [
+            Rat::from_frac(1_473_799, 500_000),
+            Rat::from_frac(52_204_301, 1_000_000),
+            Rat::from_int(1),
+            Rat::from_int(5),
+        ];
+        let mut fb = fa.clone();
+        fb[0] = &fa[0] + &Rat::from_frac(3, 10);
+        let m = Term::int(5);
+        let f = Formula::and(vec![
+            swan(fb.clone(), s2).sub(swan(fb, s1)).ge(m.clone()),
+            swan(fa.clone(), s1).sub(swan(fa, s2)).ge(m),
+        ]);
+        let mut d = BoxDomain::new(&r);
+        for (v, hi) in holes.into_iter().zip([10.0, 200.0, 10.0, 10.0]) {
+            d.set(v, Interval::new(0.0, hi));
+        }
+        for [tp, l] in [s1, s2] {
+            d.set(tp, Interval::new(0.0, 10.0));
+            d.set(l, Interval::new(0.0, 200.0));
+        }
+        let cfg = SolverConfig {
+            delta_per_dim: Some(d.intervals().iter().map(|iv| iv.width() * 0.03).collect()),
+            max_boxes: 1000,
+            use_seeding: false,
+            ..SolverConfig::default()
+        };
+        let q = CompiledQuery::prepare(&f, Some(&d), true);
+        let tape = q.tape.expect("a non-trivial query");
+        let mut s = Solver::new(cfg.clone());
+        match s.branch_and_prune(&tape, &q.conjuncts, &d) {
+            Outcome::Sat(m) => assert!(eval_formula(&f, m.values()).unwrap()),
+            o => panic!("guard cuts: expected sat, got {o:?} after {:?}", s.stats),
+        }
+        let mut s = Solver::new(cfg);
+        let midpoint = s.branch_and_prune(&tape.without_guard_cuts(), &q.conjuncts, &d);
+        assert_eq!(midpoint, Outcome::Exhausted, "midpoint bisection after {:?}", s.stats);
     }
 
     #[test]

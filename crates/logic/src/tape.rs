@@ -553,6 +553,10 @@ pub struct Tape {
     conj_vars: Vec<Vec<u32>>,
     /// Per variable index: its `Var` slot, if the formula mentions it.
     var_slots: Vec<Option<u32>>,
+    /// `(variable, constant)` pairs, sorted and without repeats: the `f64`
+    /// of every constant that an undecided `ite` guard of some conjunct's
+    /// pass compares a variable against (see [`Tape::guard_cut`]).
+    guard_consts: Vec<(u32, f64)>,
     stats: TapeStats,
 }
 
@@ -898,12 +902,14 @@ impl Tape {
             reads: Vec::new(),
             conj_vars: Vec::new(),
             var_slots: Vec::new(),
+            guard_consts: Vec::new(),
             stats,
         };
         if let Some(dom) = seed {
             tape.seed_domain(dom);
         }
         tape.build_masks();
+        tape.collect_guard_consts();
         tape
     }
 
@@ -983,6 +989,68 @@ impl Tape {
         self.conj_masks = conj_masks;
         self.all_mask = all_mask;
         self.reads = reads;
+    }
+
+    /// Collect the comparisons `x op c` and `c op x` of a variable with a
+    /// constant that sit in the guard of an `ite` some conjunct's pass
+    /// evaluates, below any `All`, `Any` and `Not`. A guard decided over
+    /// the seed box is skipped: no sub-box can change its branch.
+    fn collect_guard_consts(&mut self) {
+        let mut seen = vec![false; self.ops.len()];
+        let mut todo: Vec<u32> = set_bits(&self.all_mask)
+            .filter_map(|i| match self.ops[i] {
+                Op::Ite(c, _, _) => Some(c),
+                _ => None,
+            })
+            .collect();
+        let mut consts = Vec::new();
+        while let Some(j) = todo.pop() {
+            let j = j as usize;
+            if seen[j] || self.cached_tri[j].is_some() {
+                continue;
+            }
+            seen[j] = true;
+            match self.ops[j] {
+                Op::All(st, l) | Op::Any(st, l) => todo.extend(kids_of(&self.kids, st, l)),
+                Op::Not(a) => todo.push(a),
+                Op::Cmp(_, a, b) => {
+                    for (x, c) in [(a, b), (b, a)] {
+                        let (Op::Var(v), Some(Ok(r))) =
+                            (self.ops[x as usize], &self.cached_rat[c as usize])
+                        else {
+                            continue;
+                        };
+                        let at = r.to_f64();
+                        if at.is_finite() {
+                            consts.push((v, at));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        consts.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        consts.dedup();
+        self.guard_consts = consts;
+    }
+
+    /// Where branch-and-prune cuts `iv`, the range of variable `var`: at
+    /// the guard constant (see `collect_guard_consts`) nearest the
+    /// midpoint, the lower one on a tie, when one or two of them lie
+    /// strictly inside `iv`. `None`, for a cut at the midpoint, when none
+    /// or more than two do: two is what a query comparing two frozen
+    /// candidates holds per guarded variable.
+    #[must_use]
+    pub fn guard_cut(&self, var: usize, iv: Interval) -> Option<f64> {
+        let g = &self.guard_consts;
+        let var = var as u32;
+        let of_var =
+            &g[g.partition_point(|&(v, _)| v < var)..g.partition_point(|&(v, _)| v <= var)];
+        let start = of_var.partition_point(|&(_, c)| c <= iv.lo());
+        let end = of_var.partition_point(|&(_, c)| c < iv.hi());
+        let inside = of_var.get(start..end).filter(|s| matches!(s.len(), 1 | 2))?;
+        let mid = iv.midpoint();
+        inside.iter().map(|&(_, c)| c).min_by(|a, b| (a - mid).abs().total_cmp(&(b - mid).abs()))
     }
 
     /// Whether interval evaluation of some conjunct reads variable `v`.
@@ -1738,6 +1806,15 @@ mod tests {
         self, i64_any, int_in, one_of, recursive, vec_of, zip2, zip3, Config, Gen,
     };
     use cso_runtime::prop_assert;
+
+    impl Tape {
+        /// This tape without guard constants: branch-and-prune then cuts
+        /// every box at its midpoint.
+        pub(crate) fn without_guard_cuts(mut self) -> Tape {
+            self.guard_consts.clear();
+            self
+        }
+    }
 
     fn dom2(x: (f64, f64), y: (f64, f64)) -> BoxDomain {
         let mut d = BoxDomain::with_len(2);

@@ -161,11 +161,22 @@ impl BoxDomain {
     /// Split into two boxes along dimension `dim` at its midpoint.
     #[must_use]
     pub fn bisect(&self, dim: usize) -> (BoxDomain, BoxDomain) {
-        let (lo, hi) = self.intervals[dim].bisect();
+        self.split(dim, self.intervals[dim].midpoint())
+    }
+
+    /// Split into two boxes along dimension `dim` at `at`: the low box
+    /// keeps `[lo, at]` of that range, the high one `[at, hi]`, so the two
+    /// share the face at `at` and cover this box exactly.
+    ///
+    /// # Panics
+    /// Panics unless `at` lies in the range of `dim`.
+    #[must_use]
+    pub fn split(&self, dim: usize, at: f64) -> (BoxDomain, BoxDomain) {
+        let iv = self.intervals[dim];
         let mut a = self.clone();
         let mut b = self.clone();
-        a.intervals[dim] = lo;
-        b.intervals[dim] = hi;
+        a.intervals[dim] = Interval::new(iv.lo(), at);
+        b.intervals[dim] = Interval::new(at, iv.hi());
         (a, b)
     }
 }

@@ -752,3 +752,209 @@ fn contraction_keeps_every_exact_solution() {
         },
     );
 }
+
+/// A box over NVARS vars, each range in `[-5, 14]` and at least 1 wide,
+/// plus a point inside it.
+fn arb_guard_box() -> Gen<(BoxDomain, Vec<Rat>)> {
+    vec_of(zip3(int_in(-5, 4), int_in(1, 10), int_in(0, 100)), NVARS, NVARS).map(|dims| {
+        let mut dom = BoxDomain::with_len(NVARS);
+        let mut pt = Vec::new();
+        for (i, (lo, w, frac)) in dims.into_iter().enumerate() {
+            dom.set(VarId::from_index(i), Interval::new(lo as f64, (lo + w) as f64));
+            pt.push(Rat::from_int(lo) + Rat::from_int(w) * Rat::from_frac(frac, 100));
+        }
+        (dom, pt)
+    })
+}
+
+/// A comparison of a variable with a constant, either way round. The
+/// constants, `n/10 + 1/k` for `k` in 3..=9 (most of them inexact in
+/// binary), spread over `[-5, 14]`, the span of `arb_guard_box`.
+fn arb_guard_atom() -> Gen<Formula> {
+    let c = zip2(int_in(-53, 137), int_in(3, 9))
+        .map(|(n, k)| Term::constant(Rat::from_frac(n, 10) + Rat::from_frac(1, k)));
+    let v = int_in(0, NVARS as i64 - 1).map(|i| Term::var(VarId::from_index(i as usize)));
+    zip4(v, c, int_in(0, 5), int_in(0, 1)).map(|(v, c, op, flip)| {
+        let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne][op as usize];
+        if flip == 1 {
+            Formula::cmp(op, c, v)
+        } else {
+            Formula::cmp(op, v, c)
+        }
+    })
+}
+
+/// An `ite` whose guard compares variables with constants, alone or under
+/// `and`, `or` and `not`, as a sketch's thresholds do once its holes are
+/// filled in; its branches may hold more of them.
+fn arb_guarded_term() -> Gen<Term> {
+    let guard = one_of(vec![
+        arb_guard_atom(),
+        vec_of(arb_guard_atom(), 2, 2).map(Formula::and),
+        vec_of(arb_guard_atom(), 2, 2).map(Formula::or),
+        arb_guard_atom().map(Formula::not),
+    ]);
+    let leaf = one_of(vec![
+        int_in(-50, 49).map(Term::int),
+        int_in(0, NVARS as i64 - 1).map(|i| Term::var(VarId::from_index(i as usize))),
+    ]);
+    let branch = recursive(leaf, 2, move |inner| {
+        one_of(vec![
+            zip2(inner.clone(), inner.clone()).map(|(a, b)| a.add(b)),
+            zip2(inner.clone(), inner.clone()).map(|(a, b)| a.sub(b)),
+            zip2(inner.clone(), inner.clone()).map(|(a, b)| a.mul(b)),
+            zip3(guard.clone(), inner.clone(), inner).map(|(g, a, b)| Term::ite(g, a, b)),
+        ])
+    });
+    let guard = one_of(vec![
+        arb_guard_atom(),
+        vec_of(arb_guard_atom(), 2, 2).map(Formula::and),
+        arb_guard_atom().map(Formula::not),
+    ]);
+    zip3(guard, branch.clone(), branch).map(|(g, a, b)| Term::ite(g, a, b))
+}
+
+/// The constants an `ite` guard of `f` compares variable `var` with.
+fn guard_consts(f: &Formula, var: usize, out: &mut Vec<Rat>) {
+    fn in_term(t: &Term, var: usize, out: &mut Vec<Rat>) {
+        match t {
+            Term::Const(_) | Term::Var(_) => {}
+            Term::Neg(a) => in_term(a, var, out),
+            Term::Add(a, b)
+            | Term::Sub(a, b)
+            | Term::Mul(a, b)
+            | Term::Div(a, b)
+            | Term::Min(a, b)
+            | Term::Max(a, b) => {
+                in_term(a, var, out);
+                in_term(b, var, out);
+            }
+            Term::Ite(c, a, b) => {
+                in_guard(c, var, out);
+                guard_consts(c, var, out);
+                in_term(a, var, out);
+                in_term(b, var, out);
+            }
+        }
+    }
+    fn in_guard(g: &Formula, var: usize, out: &mut Vec<Rat>) {
+        match g {
+            Formula::Cmp(_, a, b) => {
+                for (x, c) in [(a, b), (b, a)] {
+                    if let (Term::Var(v), Term::Const(r)) = (&**x, &**c) {
+                        if v.index() == var {
+                            out.push(r.clone());
+                        }
+                    }
+                }
+            }
+            Formula::And(gs) | Formula::Or(gs) => gs.iter().for_each(|g| in_guard(g, var, out)),
+            Formula::Not(g) => in_guard(g, var, out),
+            Formula::True | Formula::False => {}
+        }
+    }
+    match f {
+        Formula::Cmp(_, a, b) => {
+            in_term(a, var, out);
+            in_term(b, var, out);
+        }
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| guard_consts(g, var, out)),
+        Formula::Not(g) => guard_consts(g, var, out),
+        Formula::True | Formula::False => {}
+    }
+}
+
+/// Cutting a box at a guard constant loses no solution. On random boxes
+/// and formulas whose `ite` guards compare variables with constants, a
+/// cut `Tape::guard_cut` picks lies strictly inside the range and is the
+/// `f64` of a guard constant of that variable; the two halves
+/// `BoxDomain::split` makes there tile the box exactly (the same ranges
+/// elsewhere, `[lo, cut]` and `[cut, hi]` on the cut one); and every probe
+/// point where the compiled formula holds exactly, including points on
+/// and one ulp around each guard constant, lies in a half.
+#[test]
+fn guard_cuts_keep_every_exact_solution() {
+    use cso_logic::CompiledQuery;
+    let atom = zip3(arb_guarded_term(), arb_guarded_term(), int_in(0, 5)).map(|(a, b, op)| {
+        let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne][op as usize];
+        Formula::cmp(op, a, b)
+    });
+    let fracs = vec_of(vec_of(int_in(0, 100), NVARS, NVARS), 2, 2);
+    prop::check_with(
+        &Config { cases: 512, ..Config::default() },
+        "guard_cuts_keep_every_exact_solution",
+        &zip3(arb_guard_box(), vec_of(atom, 1, 2).map(Formula::and), fracs),
+        |((dom, pt), f, fracs)| {
+            let q = CompiledQuery::prepare(f, Some(dom), true);
+            let Some(tape) = &q.tape else { return Ok(()) };
+            for dim in 0..NVARS {
+                check_guard_cut(&q, tape, dom, pt, fracs, dim)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+/// One dimension of `guard_cuts_keep_every_exact_solution`.
+fn check_guard_cut(
+    q: &cso_logic::CompiledQuery,
+    tape: &cso_logic::Tape,
+    dom: &BoxDomain,
+    pt: &[Rat],
+    fracs: &[Vec<i64>],
+    dim: usize,
+) -> prop::CaseResult {
+    let f = &q.simplified;
+    let iv = dom.intervals()[dim];
+    let Some(cut) = tape.guard_cut(dim, iv) else { return Ok(()) };
+    let mut consts = Vec::new();
+    guard_consts(f, dim, &mut consts);
+    prop_assert!(iv.lo() < cut && cut < iv.hi(), "cut {cut} not inside {iv} for {f}");
+    prop_assert!(
+        consts.iter().any(|c| c.to_f64() == cut),
+        "cut {cut} is no guard constant of x{dim} in {f}"
+    );
+    let (lo, hi) = dom.split(dim, cut);
+    for (d, ((a, b), p)) in
+        lo.intervals().iter().zip(hi.intervals()).zip(dom.intervals()).enumerate()
+    {
+        let want = if d == dim {
+            (Interval::new(p.lo(), cut), Interval::new(cut, p.hi()))
+        } else {
+            (*p, *p)
+        };
+        prop_assert_eq!((*a, *b), want, "halves of {} at {} on x{}", dom, cut, dim);
+    }
+    // Probes: the usual ones, and on each guard constant of the cut
+    // variable (exactly, at its `f64` and one ulp either side), the
+    // other coordinates from each of those.
+    let mut probes = contraction_probes(f, dom, pt, fracs);
+    let bases = probes.clone();
+    for c in &consts {
+        let x = c.to_f64();
+        let at = [c.clone()]
+            .into_iter()
+            .chain([x.next_down(), x, x.next_up()].into_iter().filter_map(Rat::from_f64));
+        for v in at {
+            for base in &bases {
+                let mut p = base.clone();
+                p[dim] = v.clone();
+                probes.push(p);
+            }
+        }
+    }
+    let mut ex = cso_logic::ExactScratch::new();
+    for p in probes.iter().filter(|p| inside(p, dom)) {
+        if tape.eval_exact(p, &mut ex) == Ok(true) {
+            prop_assert!(
+                inside(p, &lo) || inside(p, &hi),
+                "{:?} solves {} in {} but neither half at {}",
+                p,
+                f,
+                dom,
+                cut
+            );
+        }
+    }
+    Ok(())
+}
